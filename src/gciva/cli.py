@@ -7,6 +7,7 @@ byte-identical across reruns of the same configuration.
 
 import argparse
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .errors import (
     SingularUpdateError,
 )
 from .iva import PriorConfig, SourceModel, project_back, run_gradient_iva, run_informed_iva
-from .metrics import SeparationReport, decompose_sir_sdr, match_permutation
+from .metrics import SeparationReport, _ReferenceProjector
 from .scene import ArrayGeometry, SceneSpec, simulate_mixture, synthetic_sources
 from .stft import StftConfig, analyze, synthesize
 
@@ -38,7 +39,7 @@ class ExperimentConfig:
     microphone pair, and an SNR sweep over 10/20/30 dB)."""
 
     algorithm: str = "gc-aux"
-    algorithms: tuple = ALGORITHMS
+    algorithms: tuple[str, ...] = ALGORITHMS
     iterations: int | None = None
     window_length: int = 2048
     hop: int = 1024
@@ -46,20 +47,20 @@ class ExperimentConfig:
     window_kind: str = "hamming"
     sigma2: float = 40.0
     lambda_e: float = 1e-3
-    doas: tuple = ()
-    constrained_channels: tuple = (0,)
+    doas: tuple[float, ...] = ()
+    constrained_channels: tuple[int, ...] = (0,)
     stepsize: float = 0.05
     constraint_weight: float = 0.5
     snr_db: float = 20.0
-    snrs: tuple = (10.0, 20.0, 30.0)
-    doa_pairs: tuple = ((45.0, 135.0), (45.0, 90.0), (20.0, 160.0))
-    seeds: tuple = (0, 1, 2, 3, 4)
+    snrs: tuple[float, ...] = (10.0, 20.0, 30.0)
+    doa_pairs: tuple[tuple[float, float], ...] = ((45.0, 135.0), (45.0, 90.0), (20.0, 160.0))
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     seed: int = 0
     duration: float = 5.0
     mic_spacing: float = 0.21
     speed_of_sound: float = 343.0
-    sources: tuple = ()
-    refs: tuple = ()
+    sources: tuple[str, ...] = ()
+    refs: tuple[str, ...] = ()
     out_dir: str = "."
 
     def resolved_iterations(self, algorithm: str) -> int:
@@ -91,62 +92,36 @@ class ExperimentConfig:
         return payload
 
 
-def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
+def _parse(kind, text: str):
+    """Parse ``text`` as a value of the annotated field type ``kind``:
+    ``tuple[T, ...]`` is a comma list, a fixed-size tuple such as
+    ``tuple[float, float]`` is colon-separated, and an optional scalar is
+    None when empty."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_parse(args[0], part.strip()) for part in text.split(",") if part.strip())
+        parts = text.split(":")
+        if len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} colon-separated values")
+        return tuple(_parse(arg, part) for arg, part in zip(args, parts))
+    if type(None) in args:
+        return _parse(args[0], text) if text.strip() else None
+    return kind(text)
 
 
-def _parse_ints(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
-
-
-def _parse_pairs(text: str) -> tuple:
-    pairs = []
-    for chunk in str(text).split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"expected 'doa:doa' pairs, got {chunk!r}")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"expected 'doa:doa' pairs, got {chunk!r}") from exc
-    return tuple(pairs)
-
-
-def _parse_strings(text: str) -> tuple:
-    return tuple(part.strip() for part in str(text).split(",") if part.strip())
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _coerce(key: str, raw: str):
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key: {key!r}")
+    if key == "snr_db" and raw.strip().lower() == "infinite":
+        return float("inf")  # float() spells it "inf"
     try:
-        if key in ("iterations", "window_length", "hop", "seed"):
-            return int(raw)
-        if key in ("sample_rate", "sigma2", "lambda_e", "stepsize", "constraint_weight",
-                   "duration", "mic_spacing", "speed_of_sound"):
-            return float(raw)
-        if key == "snr_db":
-            return float("inf") if str(raw).strip().lower() in ("inf", "infinite") else float(raw)
+        return _parse(_FIELD_TYPES[key], raw)
     except ValueError as exc:
-        raise ConfigError(f"invalid value for config key {key!r}: {raw!r}") from exc
-    if key in ("doas", "snrs"):
-        return _parse_floats(raw)
-    if key in ("constrained_channels", "seeds"):
-        return _parse_ints(raw)
-    if key == "doa_pairs":
-        return _parse_pairs(raw)
-    if key in ("sources", "refs", "algorithms"):
-        return _parse_strings(raw)
-    if key in ("algorithm", "window_kind", "out_dir"):
-        return str(raw)
-    raise ConfigError(f"unknown config key: {key!r}")
+        raise ConfigError(f"invalid value for {key!r}: {raw!r}") from exc
 
 
 def load_config(path) -> dict:
@@ -170,14 +145,13 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "lambda_e", None) is not None:
         overrides["lambda_e"] = args.lambda_e
     if getattr(args, "doa", None):
-        if ":" in args.doa:
-            overrides["doa_pairs"] = _parse_pairs(args.doa)
-        else:
-            overrides["doas"] = _parse_floats(args.doa)
+        key = "doa_pairs" if ":" in args.doa else "doas"
+        overrides[key] = _coerce(key, args.doa)
     if getattr(args, "constrained_channels", None):
-        overrides["constrained_channels"] = _parse_ints(args.constrained_channels)
+        overrides["constrained_channels"] = _coerce("constrained_channels",
+                                                    args.constrained_channels)
     if getattr(args, "snr", None) is not None:
-        snrs = _parse_floats(args.snr)
+        snrs = _coerce("snrs", args.snr)
         overrides["snrs"] = snrs
         if snrs:
             overrides["snr_db"] = snrs[0]
@@ -187,7 +161,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "duration", None) is not None:
         overrides["duration"] = args.duration
     if getattr(args, "refs", None):
-        overrides["refs"] = _parse_strings(args.refs)
+        overrides["refs"] = _coerce("refs", args.refs)
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
     cfg = replace(cfg, **overrides)
@@ -259,6 +233,15 @@ def _separate_signal(mixture: np.ndarray, rate: float, cfg: ExperimentConfig,
     return outputs, stack, demixed, trace
 
 
+def _score(projector: _ReferenceProjector, outputs: np.ndarray, order):
+    """Per-channel SIR/SDR of ``outputs`` (samples x channels), the best
+    assignment of channels to the references taken in ``order``, and
+    whether that assignment is the identity."""
+    scores = projector.score(outputs.T)
+    perm = scores.assignment(order)
+    return scores.sir_db, scores.sdr_db, perm, perm == tuple(range(len(perm)))
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,6 +271,17 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     mixture, rate = io.read_wav(mixture_path)
     if mixture.ndim != 2 or mixture.shape[1] < 2:
         raise InvalidInputError(f"{mixture_path} is not a multichannel mixture")
+    refs = []
+    for path in cfg.refs:
+        data, ref_rate = io.read_wav(path)
+        if ref_rate != rate:
+            raise ConfigError(f"reference {path} has rate {ref_rate} Hz, "
+                              f"mixture has {rate} Hz")
+        if data.shape[0] != mixture.shape[0]:
+            print(f"gc-iva: warning: reference {path} has {data.shape[0]} samples, "
+                  f"mixture has {mixture.shape[0]}; comparing the common length",
+                  file=sys.stderr)
+        refs.append(data[:, 0] if data.ndim == 2 else data)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs, stack, demixed, trace = _separate_signal(mixture, rate, cfg, cfg.algorithm)
@@ -299,26 +293,15 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     report: dict = {"config": cfg.echo(), "algorithm": cfg.algorithm,
                     "iterations": cfg.resolved_iterations(cfg.algorithm),
                     "sample_rate": rate}
-    if cfg.refs:
+    if refs:
         # metrics compare against the first (reference) microphone, so they
         # are computed on reference-projected outputs; the written WAVs keep
         # the per-channel own-microphone scaling
-        refs = []
-        for path in cfg.refs:
-            data, _ = io.read_wav(path)
-            refs.append(data[:, 0] if data.ndim == 2 else data)
         ref_outputs = synthesize(project_back(demixed, stack, 0))[: mixture.shape[0]]
         n = min(ref_outputs.shape[0], min(len(r) for r in refs))
-        refs = np.stack([r[:n] for r in refs])
-        estimates = ref_outputs[:n].T
-        sir, sdr = [], []
-        for k in range(estimates.shape[0]):
-            s, d, _ = decompose_sir_sdr(estimates[k], refs)
-            sir.append(s)
-            sdr.append(d)
-        perm, matched = match_permutation(estimates, refs)
-        result = SeparationReport(tuple(sir), tuple(sdr), perm, matched,
-                                  config=cfg.echo(), cost_trace=trace)
+        projector = _ReferenceProjector(np.stack([r[:n] for r in refs]))
+        sir, sdr, perm, matched = _score(projector, ref_outputs[:n], range(len(refs)))
+        result = SeparationReport(sir, sdr, perm, matched, config=cfg.echo())
         report["metrics"] = result.to_dict()
     report["cost_trace"] = {
         "j_iva": [float(v) for v in trace.j_iva],
@@ -372,30 +355,20 @@ def cmd_benchmark(cfg: ExperimentConfig) -> int:
                 doas = (pair[0], pair[1]) if swap == 0 else (pair[1], pair[0])
                 scene = SceneSpec(signals, doas, snr, seed=seed)
                 mixture, images = simulate_mixture(scene, geometry, stft_cfg)
-                refs = images[:, :, 0]
-                input_sir = np.mean([
-                    decompose_sir_sdr(mixture[:, m], refs)[0]
-                    for m in range(mixture.shape[1])
-                ])
+                projector = _ReferenceProjector(images[:, :, 0])
+                input_sir = float(np.mean(projector.score(mixture.T).sir_db))
                 for algorithm in cfg.algorithms:
                     for target, outputs, order in _benchmark_runs(
                             cfg, algorithm, doas, mixture, cfg.sample_rate):
-                        ordered_refs = refs[list(order)]
-                        estimates = outputs.T
-                        sir, sdr = [], []
-                        for k in range(estimates.shape[0]):
-                            s, d, _ = decompose_sir_sdr(estimates[k], ordered_refs)
-                            sir.append(s)
-                            sdr.append(d)
-                        _, matched = match_permutation(estimates, ordered_refs)
+                        sir, sdr, _, matched = _score(projector, outputs, order)
                         run_rows.append([
                             label, snr, f"{seed}", algorithm, f"{target}",
-                            sir[0], sir[1], sdr[0], sdr[1], float(input_sir),
+                            sir[0], sir[1], sdr[0], sdr[1], input_sir,
                             f"{int(matched)}",
                         ])
                         key = (label, snr, algorithm)
                         aggregates.setdefault(key, []).append(
-                            (np.mean(sir), np.mean(sdr), float(input_sir), matched)
+                            (np.mean(sir), np.mean(sdr), input_sir, matched)
                         )
 
     agg_rows = []

@@ -80,14 +80,9 @@ def write_json(path, payload: dict) -> None:
 def write_cost_trace_csv(path, trace) -> None:
     """Cost trace CSV: iteration, both cost terms, total, and the IVA term
     normalized to its initial value."""
-    j_iva = np.asarray(trace.j_iva, dtype=np.float64)
-    j_prior = np.asarray(trace.j_prior, dtype=np.float64)
-    j0 = j_iva[0] if j_iva.size and j_iva[0] != 0.0 else 1.0
     lines = ["iteration,j_iva,j_prior,j_total,j_iva_normalized"]
-    for i, (a, b) in enumerate(zip(j_iva, j_prior)):
-        lines.append(
-            f"{i},{_fmt(a)},{_fmt(b)},{_fmt(a + b)},{_fmt(a / j0)}"
-        )
+    for i, (a, b, norm) in enumerate(zip(trace.j_iva, trace.j_prior, trace.normalized_iva())):
+        lines.append(f"{i},{_fmt(a)},{_fmt(b)},{_fmt(a + b)},{_fmt(norm)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -10,6 +10,7 @@ at +-100.
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
@@ -29,15 +30,62 @@ def _db_ratio(num: float, den: float) -> float:
     return float(np.clip(10.0 * np.log10(num / den), -DB_CAP, DB_CAP))
 
 
+class Scores(NamedTuple):
+    """Metrics of a stack of estimates against one set of references.
+
+    ``energies[i, j]`` holds the target, interference and distortion
+    energies of estimate ``i`` against reference ``j``, and
+    ``full_energy[i]`` the energy of its full-span projection. ``best[i]``
+    is the reference whose span captures the most target energy;
+    ``sir_db[i]`` and ``sdr_db[i]`` are the ratios against it, and
+    ``sir_matrix[i, j]`` is the SIR against every reference.
+    """
+
+    sir_db: np.ndarray
+    sdr_db: np.ndarray
+    best: np.ndarray
+    sir_matrix: np.ndarray
+    energies: np.ndarray
+    full_energy: np.ndarray
+
+    def assignment(self, order) -> tuple:
+        """Best estimate-to-reference assignment by total SIR, exhaustive
+        over permutations (intended for up to 4 channels), with the
+        references taken in ``order``: ``assignment[i]`` is the position in
+        ``order`` of the reference for estimate ``i``."""
+        n = self.sir_matrix.shape[0]
+        if self.sir_matrix.shape[1] != n or sorted(order) != list(range(n)):
+            raise InvalidInputError("need one reference per estimate, taken in a permuted order")
+        sir = self.sir_matrix[:, list(order)]
+        best_perm, best_score = None, -np.inf
+        for perm in itertools.permutations(range(n)):
+            score = sum(sir[i, perm[i]] for i in range(n))
+            if score > best_score:
+                best_perm, best_score = perm, score
+        return tuple(best_perm)
+
+
 class _ReferenceProjector:
     """Shared least-squares machinery for one set of references.
 
     Precomputes the Gram matrix of delayed reference copies (via FFT
     cross-correlations assembled into Toeplitz blocks) and its Cholesky
     factors, both for the full span and for each single-reference span.
+    Build one per reference set and score every estimate with ``score``.
     """
 
-    def __init__(self, references: np.ndarray, filter_len: int):
+    def __init__(self, references, filter_len: int = DEFAULT_FILTER_LEN):
+        references = np.atleast_2d(np.asarray(references, dtype=np.float64))
+        if filter_len < 1:
+            raise InvalidInputError("filter_len must be positive")
+        if references.ndim != 2 or references.shape[0] < 1:
+            raise InvalidInputError("references must be (n_refs, n_samples)")
+        if references.shape[1] < 10 * filter_len:
+            raise InvalidInputError(
+                f"signals must span at least 10 * filter_len = {10 * filter_len} samples"
+            )
+        if not np.all(np.isfinite(references)):
+            raise InvalidInputError("metric inputs contain non-finite samples")
         self.refs = references
         self.flen = filter_len
         n_refs, n_samples = references.shape
@@ -113,40 +161,32 @@ class _ReferenceProjector:
         coeffs = cho_solve(self.factor_single[j], cross[j * self.flen : (j + 1) * self.flen])
         return fftconvolve(self.refs[j], coeffs)
 
-
-def _validate_inputs(estimate: np.ndarray, references: np.ndarray, filter_len: int) -> None:
-    if filter_len < 1:
-        raise InvalidInputError("filter_len must be positive")
-    if references.ndim != 2 or references.shape[0] < 1:
-        raise InvalidInputError("references must be (n_refs, n_samples)")
-    if estimate.ndim != 1 or estimate.shape[0] != references.shape[1]:
-        raise InvalidInputError("estimate and references must have equal lengths")
-    if estimate.shape[0] < 10 * filter_len:
-        raise InvalidInputError(
-            f"signals must span at least 10 * filter_len = {10 * filter_len} samples"
-        )
-    if not (np.all(np.isfinite(estimate)) and np.all(np.isfinite(references))):
-        raise InvalidInputError("metric inputs contain non-finite samples")
-
-
-def _decompose(projector: _ReferenceProjector, estimate: np.ndarray):
-    """Target/interference/artifact energies for every candidate reference."""
-    cross = projector.cross_vector(estimate)
-    p_full = projector.project_full(cross)
-    padded = np.concatenate((estimate, np.zeros(projector.flen - 1)))
-    artifact = padded - p_full
-    results = []
-    for j in range(projector.refs.shape[0]):
-        target = projector.project_single(cross, j)
-        interference = p_full - target
-        results.append(
-            (
-                float(np.sum(target**2)),
-                float(np.sum(interference**2)),
-                float(np.sum((interference + artifact) ** 2)),
-            )
-        )
-    return results, float(np.sum(p_full**2))
+    def score(self, estimates) -> Scores:
+        """Decompose each row of ``estimates`` (n_estimates, n_samples) once
+        against every reference."""
+        estimates = np.asarray(estimates, dtype=np.float64)
+        if estimates.ndim != 2 or estimates.shape[1] != self.refs.shape[1]:
+            raise InvalidInputError("estimate and references must have equal lengths")
+        if not np.all(np.isfinite(estimates)):
+            raise InvalidInputError("metric inputs contain non-finite samples")
+        n_est, n_refs = estimates.shape[0], self.refs.shape[0]
+        energies = np.empty((n_est, n_refs, 3))
+        full_energy = np.empty(n_est)
+        for i, estimate in enumerate(estimates):
+            cross = self.cross_vector(estimate)
+            p_full = self.project_full(cross)
+            artifact = np.concatenate((estimate, np.zeros(self.flen - 1))) - p_full
+            full_energy[i] = np.sum(p_full**2)
+            for j in range(n_refs):
+                target = self.project_single(cross, j)
+                interference = p_full - target
+                energies[i, j] = (np.sum(target**2), np.sum(interference**2),
+                                  np.sum((interference + artifact) ** 2))
+        sir_matrix = np.array([[_db_ratio(t, e) for t, e, _ in row] for row in energies])
+        best = np.argmax(energies[:, :, 0], axis=1)
+        rows = np.arange(n_est)
+        sdr = np.array([_db_ratio(t, d) for t, _, d in energies[rows, best]])
+        return Scores(sir_matrix[rows, best], sdr, best, sir_matrix, energies, full_energy)
 
 
 def decompose_sir_sdr(estimate, references, filter_len: int = DEFAULT_FILTER_LEN):
@@ -155,14 +195,8 @@ def decompose_sir_sdr(estimate, references, filter_len: int = DEFAULT_FILTER_LEN
     Returns ``(sir_db, sdr_db, best_index)`` where ``best_index`` is the
     reference whose filtered span captures the most estimate energy.
     """
-    estimate = np.asarray(estimate, dtype=np.float64)
-    references = np.atleast_2d(np.asarray(references, dtype=np.float64))
-    _validate_inputs(estimate, references, filter_len)
-    projector = _ReferenceProjector(references, filter_len)
-    per_ref, _ = _decompose(projector, estimate)
-    best = int(np.argmax([t for t, _, _ in per_ref]))
-    target, interference, distortion = per_ref[best]
-    return _db_ratio(target, interference), _db_ratio(target, distortion), best
+    scores = _ReferenceProjector(references, filter_len).score(np.asarray(estimate)[None])
+    return float(scores.sir_db[0]), float(scores.sdr_db[0]), int(scores.best[0])
 
 
 @dataclass
@@ -174,7 +208,6 @@ class SeparationReport:
     permutation: tuple
     permutation_matched: bool
     config: dict = field(default_factory=dict)
-    cost_trace: object = None
 
     def __post_init__(self) -> None:
         perm = tuple(int(p) for p in self.permutation)
@@ -187,19 +220,13 @@ class SeparationReport:
             raise InvalidInputError("capped dB values must be finite")
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "sir_db": list(self.sir_db),
             "sdr_db": list(self.sdr_db),
             "permutation": list(self.permutation),
             "permutation_matched": self.permutation_matched,
             "config": self.config,
         }
-        if self.cost_trace is not None:
-            payload["cost_trace"] = {
-                "j_iva": [float(v) for v in self.cost_trace.j_iva],
-                "j_prior": [float(v) for v in self.cost_trace.j_prior],
-            }
-        return payload
 
 
 def match_permutation(estimates, references, filter_len: int = DEFAULT_FILTER_LEN):
@@ -210,23 +237,7 @@ def match_permutation(estimates, references, filter_len: int = DEFAULT_FILTER_LE
     estimate ``i`` and ``matched`` is True iff it is the identity, i.e. the
     separation already produced the intended ordering.
     """
-    estimates = np.atleast_2d(np.asarray(estimates, dtype=np.float64))
-    references = np.atleast_2d(np.asarray(references, dtype=np.float64))
-    if estimates.shape != references.shape:
-        raise InvalidInputError("estimates and references must have matching shapes")
-    _validate_inputs(estimates[0], references, filter_len)
+    estimates = np.atleast_2d(estimates)
     n = estimates.shape[0]
-    projector = _ReferenceProjector(references, filter_len)
-
-    sir = np.empty((n, n))
-    for i in range(n):
-        per_ref, _ = _decompose(projector, estimates[i])
-        for j, (target, interference, _) in enumerate(per_ref):
-            sir[i, j] = _db_ratio(target, interference)
-
-    best_perm, best_score = None, -np.inf
-    for perm in itertools.permutations(range(n)):
-        score = sum(sir[i, perm[i]] for i in range(n))
-        if score > best_score:
-            best_perm, best_score = perm, score
-    return tuple(best_perm), best_perm == tuple(range(n))
+    perm = _ReferenceProjector(references, filter_len).score(estimates).assignment(range(n))
+    return perm, perm == tuple(range(n))

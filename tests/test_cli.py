@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gciva import io as gio
-from gciva.cli import main, resolve_config, build_parser, load_config
+from gciva.cli import ExperimentConfig, main, resolve_config, build_parser, load_config
+from gciva.metrics import _ReferenceProjector
 
 
 def run_cli(*args):
@@ -51,6 +53,28 @@ class TestConfigResolution:
         path.write_text("sigma3 = 1\n")
         with pytest.raises(Exception, match="sigma3"):
             load_config(path)
+
+    def test_defaults_round_trip_through_config_text(self, tmp_path):
+        def text(value):
+            if value is None:
+                return ""
+            if isinstance(value, tuple):
+                return ",".join(":".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                                for v in value)
+            return str(value)
+
+        defaults = ExperimentConfig()
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(f"{f.name} = {text(getattr(defaults, f.name))}\n"
+                                for f in fields(ExperimentConfig)))
+        loaded = load_config(path)
+        assert loaded == {f.name: getattr(defaults, f.name) for f in fields(ExperimentConfig)}
+
+    def test_infinite_snr_spellings(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        for spelling in ("inf", "infinite", "Infinite"):
+            path.write_text(f"snr_db = {spelling}\n")
+            assert load_config(path) == {"snr_db": float("inf")}
 
     def test_unknown_algorithm_exits_one(self, tmp_path):
         code = run_cli("separate", tmp_path / "none.wav", "--algorithm", "fastica")
@@ -166,6 +190,63 @@ class TestSeparate:
         code = run_cli("separate", scene / "mixture.wav", "--algorithm", "gc-aux",
                        "--iterations", "1", "--doa", "10,20,30", "--out", tmp_path / "x")
         assert code == 1
+
+
+@pytest.fixture
+def projector_builds(monkeypatch):
+    builds = []
+    original = _ReferenceProjector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_ReferenceProjector, "__init__", counting_init)
+    return builds
+
+
+class TestReferenceMetrics:
+    def separate(self, scene, out, refs):
+        return run_cli("separate", scene / "mixture.wav", "--algorithm", "aux",
+                       "--iterations", "2", "--out", out,
+                       "--refs", ",".join(str(r) for r in refs))
+
+    def test_one_projector_per_reference_set(self, tmp_path, projector_builds):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        refs = [scene / "source01.wav", scene / "source02.wav"]
+        assert self.separate(scene, tmp_path / "sep", refs) == 0
+        assert len(projector_builds) == 1
+        projector_builds.clear()
+        assert run_cli("benchmark", "--out", tmp_path / "bench", "--snr", "20",
+                       "--seed", "0", "--doa", "45:135", "--duration", "1.0",
+                       "--iterations", "2") == 0
+        assert len(projector_builds) == 1
+
+    def test_reference_rate_mismatch_exits_one(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        image, _ = gio.read_wav(scene / "source02.wav")
+        odd = tmp_path / "odd_rate.wav"
+        gio.write_wav(odd, image, 8000)
+        code = self.separate(scene, tmp_path / "sep", [scene / "source01.wav", odd])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "odd_rate.wav" in err and "8000" in err and "16000" in err
+
+    def test_reference_length_mismatch_warns(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        image, _ = gio.read_wav(scene / "source02.wav")
+        short = tmp_path / "short.wav"
+        gio.write_wav(short, image[:12000], 16000)
+        code = self.separate(scene, tmp_path / "sep", [scene / "source01.wav", short])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "short.wav" in err
+        assert "12000" in err and "16000" in err
+        report = json.loads((tmp_path / "sep" / "report.json").read_text())
+        assert len(report["metrics"]["sir_db"]) == 2
 
 
 class TestBenchmark:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from gciva import (
     decompose_sir_sdr,
     match_permutation,
 )
-from gciva.metrics import _ReferenceProjector, _decompose
+from gciva.metrics import _ReferenceProjector
 
 
 def oracle_projection(references, estimate, flen, indices):
@@ -70,8 +72,8 @@ class TestDecompose:
         estimate = np.convolve(refs[0], taps)[:1500] + 0.3 * refs[1] \
             + 0.1 * rng.standard_normal(1500)
 
-        projector = _ReferenceProjector(refs, flen)
-        per_ref, p_full_energy = _decompose(projector, estimate)
+        scores = _ReferenceProjector(refs, flen).score(estimate[None])
+        per_ref, p_full_energy = scores.energies[0], scores.full_energy[0]
 
         oracle_full = oracle_projection(refs, estimate, flen, [0, 1])
         oracle_best = oracle_projection(refs, estimate, flen, [0])
@@ -99,8 +101,8 @@ class TestDecompose:
         rng = np.random.default_rng(3)
         refs = rng.standard_normal((2, 3000))
         estimate = 0.8 * refs[0] + 0.4 * refs[1] + 0.2 * rng.standard_normal(3000)
-        projector = _ReferenceProjector(refs, 64)
-        per_ref, p_full_energy = _decompose(projector, estimate)
+        scores = _ReferenceProjector(refs, 64).score(estimate[None])
+        per_ref, p_full_energy = scores.energies[0], scores.full_energy[0]
         for target, interference, _ in per_ref:
             assert p_full_energy == pytest.approx(target + interference, rel=1e-9)
 
@@ -153,8 +155,6 @@ class TestMatchPermutation:
         assert matched is False
 
         # exhaustive oracle over the SIR matrix built with the lstsq oracle
-        import itertools
-
         def oracle_sir(estimate, j):
             p_full = oracle_projection(refs, estimate, 16, [0, 1, 2])
             p_j = oracle_projection(refs, estimate, 16, [j])
@@ -181,6 +181,26 @@ class TestMatchPermutation:
         refs = make_refs()
         with pytest.raises(InvalidInputError):
             match_permutation(refs[:1], refs, filter_len=8)
+
+
+class TestOneProjector:
+    """One projector on the references in their own order reproduces the
+    per-call metrics on every reordering of those references."""
+
+    def test_reordered_scores_match_per_call_metrics(self):
+        rng = np.random.default_rng(6)
+        refs = rng.standard_normal((3, 2000))
+        mixing = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)[[1, 2, 0]]
+        estimates = mixing @ refs + 0.2 * rng.standard_normal((3, 2000))
+        scores = _ReferenceProjector(refs, 16).score(estimates)
+        for order in itertools.permutations(range(3)):
+            ordered = refs[list(order)]
+            assert scores.assignment(order) == match_permutation(estimates, ordered, 16)[0]
+            for k in range(3):
+                sir, sdr, best = decompose_sir_sdr(estimates[k], ordered, filter_len=16)
+                assert scores.sir_db[k] == pytest.approx(sir, rel=1e-9, abs=1e-9)
+                assert scores.sdr_db[k] == pytest.approx(sdr, rel=1e-9, abs=1e-9)
+                assert scores.best[k] == order[best]
 
 
 class TestSeparationReport:
