@@ -301,7 +301,7 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         n = min(ref_outputs.shape[0], min(len(r) for r in refs))
         projector = _ReferenceProjector(np.stack([r[:n] for r in refs]))
         sir, sdr, perm, matched = _score(projector, ref_outputs[:n], range(len(refs)))
-        result = SeparationReport(sir, sdr, perm, matched, config=cfg.echo())
+        result = SeparationReport(sir, sdr, perm, matched)
         report["metrics"] = result.to_dict()
     report["cost_trace"] = {
         "j_iva": [float(v) for v in trace.j_iva],

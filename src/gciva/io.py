@@ -16,7 +16,7 @@ DEFAULT_SAMPLE_RATE = 16000
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
-    """Read a WAV file as float64 in [-1, 1].
+    """Read a WAV file as float64, integer PCM scaled to [-1, 1).
 
     Supports 16-bit and 32-bit integer PCM and 32/64-bit float. Returns
     ``(samples, rate)`` with samples shaped (frames,) or (frames, channels).
@@ -33,20 +33,15 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     return out, int(rate)
 
 
-def write_wav(path, data, rate: int = DEFAULT_SAMPLE_RATE, fmt: str = "float32") -> None:
-    """Write samples in [-1, 1] as a WAV file (``float32`` or ``pcm16``)."""
+def write_wav(path, data, rate: int = DEFAULT_SAMPLE_RATE) -> None:
+    """Write samples as a float32 WAV file. Float32 keeps any finite level,
+    so a mixture peaking above 1 is stored unclipped."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size == 0:
         raise InvalidInputError("WAV data must be a non-empty 1-D or 2-D array")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("WAV data contains non-finite samples")
-    if fmt == "float32":
-        wavfile.write(str(path), int(rate), x.astype(np.float32))
-    elif fmt == "pcm16":
-        scaled = np.clip(np.round(x * 32768.0), -32768, 32767)
-        wavfile.write(str(path), int(rate), scaled.astype(np.int16))
-    else:
-        raise InvalidInputError(f"unsupported WAV output format {fmt!r}")
+    wavfile.write(str(path), int(rate), x.astype(np.float32))
 
 
 def read_keyvalue(path) -> dict[str, str]:

@@ -4,7 +4,10 @@ The demixing stack holds one K x K matrix per frequency bin; row k of
 ``matrices[f]`` is the conjugate-transposed demixing vector for output
 channel k, so demixing is ``y[f, n] = matrices[f] @ x[f, n]``.
 
-Three solvers are provided on top of the shared statistics:
+Both solvers share one loop: from identity, each iteration applies the
+solver's update, then demixes once. That pass yields the cost-trace entry (IVA
+term plus the solver's penalty), the next update's input and, after the last
+iteration, the demixed output. :func:`evaluate_cost` is the public oracle.
 
 * :func:`run_informed_iva` performs majorize-minimize row updates; channels
   listed in the prior are updated against the covariance plus the
@@ -189,7 +192,12 @@ def prior_matrices(prior: PriorConfig, config: StftConfig) -> dict[int, np.ndarr
 
 def _demix_data(data: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     # y[f, n, k] = sum_j matrices[f, k, j] x[f, n, j]
-    return np.einsum("fkj,fnj->fnk", matrices, data)
+    return np.matmul(data, matrices.transpose(0, 2, 1))
+
+
+def _frame_energies(y: np.ndarray) -> np.ndarray:
+    # r[n, k] = ||y[:, n, k]||_2 over all bins
+    return np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
 
 
 def demix(spec: ComplexSpectrogram, w: DemixingStack) -> ComplexSpectrogram:
@@ -206,18 +214,12 @@ def _check_shapes(spec: ComplexSpectrogram, w: DemixingStack) -> None:
         )
 
 
-def _channel_energies(data: np.ndarray, matrices: np.ndarray, channel: int) -> np.ndarray:
-    rows = matrices[:, channel, :]  # (F, K), row = w^H
-    y = np.einsum("fj,fnj->fn", rows, data)
-    return np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
-
-
 def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -> np.ndarray:
     """Broadband frame magnitudes ``r_n = ||y_n||_2`` of one output channel."""
     _check_shapes(spec, w)
     if not 0 <= channel < spec.n_channels:
         raise InvalidInputError(f"channel {channel} outside [0, {spec.n_channels})")
-    return _channel_energies(spec.data, w.matrices, channel)
+    return _frame_energies(_demix_data(spec.data, w.matrices))[:, channel]
 
 
 def _weighted_covariance_stack(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -318,6 +320,34 @@ def _check_update_args(w: DemixingStack, cov: np.ndarray, f: int, channel: int) 
         raise InvalidInputError("covariance must be K x K")
 
 
+def _iva_cost(r: np.ndarray, matrices: np.ndarray, model: SourceModel) -> float:
+    # averaged contrast of the frame energies r minus twice the log-determinants
+    _, logdet = np.linalg.slogdet(matrices)
+    if np.any(~np.isfinite(logdet)) or np.any(logdet < _LOG_DET_FLOOR):
+        raise CostOverflowError("demixing matrix determinant below 1e-300")
+    return float(np.sum(np.mean(model.contrast(r), axis=0))) - 2.0 * float(np.sum(logdet))
+
+
+def _prior_stacks(prior: PriorConfig | None, spec: ComplexSpectrogram) -> dict[int, np.ndarray]:
+    """Prior-matrix stacks of the constrained channels, checked against ``spec``."""
+    if prior is None or not prior.constrained_channels:
+        return {}
+    if any(k >= spec.n_channels for k in prior.constrained_channels):
+        raise InvalidInputError("constrained channel outside the channel range")
+    if prior.geometry.n_mics != spec.n_channels:
+        raise InvalidInputError(f"prior geometry has {prior.geometry.n_mics} mics, "
+                                f"spectrogram has {spec.n_channels} channels")
+    return prior_matrices(prior, spec.config)
+
+
+def _prior_cost(matrices: np.ndarray, stacks: dict[int, np.ndarray]) -> float:
+    j_prior = 0.0
+    for channel, mats in stacks.items():
+        rows = matrices[:, channel, :]  # (F, K) = w^H
+        j_prior += float(np.sum(np.real(np.einsum("fi,fij,fj->f", rows, mats, rows.conj()))))
+    return j_prior
+
+
 def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel,
                   prior: PriorConfig | None = None) -> tuple[float, float]:
     """Source-separation cost split into its IVA and prior terms.
@@ -327,24 +357,27 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
     form of the constrained rows against their prior matrices.
     """
     _check_shapes(spec, w)
-    y = _demix_data(spec.data, w.matrices)
-    r = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))  # (N, K)
-    j_source = float(np.sum(np.mean(model.contrast(r), axis=0)))
-    _, logdet = np.linalg.slogdet(w.matrices)
-    if np.any(~np.isfinite(logdet)) or np.any(logdet < _LOG_DET_FLOOR):
-        raise CostOverflowError("demixing matrix determinant below 1e-300")
-    j_iva = j_source - 2.0 * float(np.sum(logdet))
+    r = _frame_energies(_demix_data(spec.data, w.matrices))
+    return _iva_cost(r, w.matrices, model), _prior_cost(w.matrices, _prior_stacks(prior, spec))
 
-    j_prior = 0.0
-    if prior is not None and prior.constrained_channels:
-        stacks = prior_matrices(prior, spec.config)
-        for channel, mats in stacks.items():
-            if channel >= w.n_channels:
-                raise InvalidInputError(f"constrained channel {channel} outside stack")
-            rows = w.matrices[:, channel, :]  # (F, K) = w^H
-            quad = np.einsum("fi,fij,fj->f", rows, mats, rows.conj())
-            j_prior += float(np.sum(np.real(quad)))
-    return j_iva, j_prior
+
+def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update,
+           penalty, callback) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
+    # update(it, w, y, r) returns the next stack from w, its outputs y and frame
+    # energies r; penalty(w) fills the trace's second column
+    if iterations < 0:
+        raise InvalidInputError("iterations must be nonnegative")
+    w = DemixingStack.identity(spec.n_bins, spec.n_channels)
+    trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
+    for it in range(iterations + 1):
+        if it:
+            w = update(it, w, y, r)
+        y = _demix_data(spec.data, w.matrices)
+        r = _frame_energies(y)
+        trace.append((_iva_cost(r, w.matrices, model), penalty(w)))
+        if it and callback is not None:
+            callback(it, w.copy())
+    return w, ComplexSpectrogram(y, spec.config), CostTrace(*np.array(trace).T)
 
 
 def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
@@ -352,42 +385,26 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
                      callback=None) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
     """Majorize-minimize demixing estimation with an optional directional prior.
 
-    Starts from identity matrices and sweeps channels sequentially; per
-    channel the broadband energies are recomputed, then every bin gets a
-    fresh weighted covariance and a row update (constrained for channels in
-    the prior, unconstrained otherwise). The returned trace holds the cost
+    Starts from identity matrices and sweeps channels sequentially; every
+    bin of a channel gets a fresh weighted covariance from that channel's
+    broadband energies and a row update (constrained for channels in the
+    prior, unconstrained otherwise). The returned trace holds the cost
     after every iteration, entry 0 being the initial point, and the total
     cost is non-increasing.
 
     ``callback(l, stack)``, if given, is invoked after each iteration with a
     snapshot of the current demixing stack.
     """
-    if iterations < 0:
-        raise InvalidInputError("iterations must be nonnegative")
-    n_bins, n_frames, n_ch = spec.data.shape
-    if n_ch < 1:
+    if spec.n_channels < 1:
         raise InvalidInputError("need at least one channel")
+    stacks = _prior_stacks(prior, spec)
 
-    stacks: dict[int, np.ndarray] = {}
-    if prior is not None and prior.constrained_channels:
-        if any(k >= n_ch for k in prior.constrained_channels):
-            raise InvalidInputError("constrained channel outside the channel range")
-        if prior.geometry.n_mics != n_ch:
-            raise InvalidInputError(
-                f"prior geometry has {prior.geometry.n_mics} mics, "
-                f"spectrogram has {n_ch} channels"
-            )
-        stacks = prior_matrices(prior, spec.config)
-
-    data = spec.data
-    w = DemixingStack.identity(n_bins, n_ch)
-    j_iva, j_prior = evaluate_cost(spec, w, model, prior)
-    trace_iva, trace_prior = [j_iva], [j_prior]
-
-    for it in range(1, iterations + 1):
-        for channel in range(n_ch):
-            r = _channel_energies(data, w.matrices, channel)
-            cov = _weighted_covariance_stack(data, model.weight(r))
+    def sweep(it, w, y, r):
+        # Channel k's energies depend on row k alone, which no earlier
+        # channel of the sweep changes, so every channel reads them from
+        # the iteration's one demixing pass.
+        for channel in range(spec.n_channels):
+            cov = _weighted_covariance_stack(spec.data, model.weight(r[:, channel]))
             # The tight majorizer of the contrast term carries a factor 1/2
             # on the weighted covariance (r <= r^2/(2 r0) + r0/2); using it
             # keeps the total cost non-increasing. The prior term is exact
@@ -395,14 +412,14 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
             systems = 0.5 * cov + stacks[channel] if channel in stacks else 0.5 * cov
             rows = _solve_rows(w.matrices, systems, channel, context=f", iteration {it}")
             w.matrices[:, channel, :] = rows.conj()
-        j_iva, j_prior = evaluate_cost(spec, w, model, prior)
-        trace_iva.append(j_iva)
-        trace_prior.append(j_prior)
-        if callback is not None:
-            callback(it, w.copy())
+        return w
 
-    demixed = ComplexSpectrogram(_demix_data(data, w.matrices), spec.config)
-    return w, demixed, CostTrace(np.array(trace_iva), np.array(trace_prior))
+    return _solve(spec, model, iterations, sweep,
+                  lambda w: _prior_cost(w.matrices, stacks), callback)
+
+
+def _residual(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return np.einsum("fj,fj->f", rows, h) - 1.0  # w^H h - 1
 
 
 def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
@@ -417,10 +434,25 @@ def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
             raise InvalidInputError(f"constrained channel {channel} outside stack")
         if h.shape != (w.n_bins, w.n_channels):
             raise InvalidInputError("steering field must be (n_bins, K) per channel")
-        rows = w.matrices[:, channel, :]
-        residual = np.einsum("fj,fj->f", rows, h) - 1.0  # w^H h - 1
+        residual = _residual(w.matrices[:, channel, :], h)
         grad[:, channel, :] = 2.0 * constraint_weight * residual[:, None] * h.conj()
     return grad
+
+
+def _gradient_step(w: DemixingStack, y: np.ndarray, r: np.ndarray, model: SourceModel,
+                   h_field: dict, stepsize: float, constraint_weight: float) -> DemixingStack:
+    # gradient_update from the outputs y and frame energies r of w
+    if not np.isfinite(stepsize) or stepsize < 0:
+        raise InvalidInputError("stepsize must be nonnegative")
+    if not np.isfinite(constraint_weight) or constraint_weight < 0:
+        raise InvalidInputError("constraint_weight must be nonnegative")
+    if stepsize == 0.0:
+        return w.copy()
+    phi = y * np.stack([model.weight(r[:, k]) for k in range(w.n_channels)], axis=1)
+    score = np.matmul(phi.transpose(0, 2, 1), y.conj()) / y.shape[1]
+    delta = np.matmul(np.eye(w.n_channels)[None] - score, w.matrices)
+    return DemixingStack(w.matrices + stepsize * delta
+                         - stepsize * penalty_gradient(w, h_field, constraint_weight))
 
 
 def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceModel,
@@ -433,23 +465,8 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     frame magnitude.
     """
     _check_shapes(spec, w)
-    if not np.isfinite(stepsize) or stepsize < 0:
-        raise InvalidInputError("stepsize must be nonnegative")
-    if not np.isfinite(constraint_weight) or constraint_weight < 0:
-        raise InvalidInputError("constraint_weight must be nonnegative")
-    if stepsize == 0.0:
-        return w.copy()
-
-    mats = w.matrices
-    y = _demix_data(spec.data, mats)
-    r = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))  # (N, K)
-    weights = np.stack([model.weight(r[:, k]) for k in range(w.n_channels)], axis=1)
-    phi = y * weights[None, :, :]
-    score = np.einsum("fnk,fnq->fkq", phi, y.conj()) / spec.n_frames
-    eye = np.eye(w.n_channels)
-    delta = np.matmul(eye[None] - score, mats)
-    new = mats + stepsize * delta - stepsize * penalty_gradient(w, h_field, constraint_weight)
-    return DemixingStack(new)
+    y = _demix_data(spec.data, w.matrices)
+    return _gradient_step(w, y, _frame_energies(y), model, h_field, stepsize, constraint_weight)
 
 
 def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas,
@@ -461,8 +478,6 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     The trace's prior column records the quadratic constraint penalty of the
     baseline rather than a directional-prior term.
     """
-    if iterations < 0:
-        raise InvalidInputError("iterations must be nonnegative")
     channels = tuple(int(k) for k in constrained_channels)
     doas = tuple(float(d) for d in np.atleast_1d(np.asarray(target_doas, dtype=float)))
     if len(channels) != len(doas):
@@ -472,25 +487,14 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     h_field = {k: steering_stack(d, geometry, spec.config)
                for k, d in zip(channels, doas)}
 
-    def _penalty(stack: DemixingStack) -> float:
-        total = 0.0
-        for k, h in h_field.items():
-            residual = np.einsum("fj,fj->f", stack.matrices[:, k, :], h) - 1.0
-            total += constraint_weight * float(np.sum(np.abs(residual) ** 2))
-        return total
+    def penalty(w: DemixingStack) -> float:
+        return sum(constraint_weight * float(np.sum(np.abs(_residual(w.matrices[:, k], h)) ** 2))
+                   for k, h in h_field.items())
 
-    w = DemixingStack.identity(spec.n_bins, spec.n_channels)
-    j_iva, _ = evaluate_cost(spec, w, model)
-    trace_iva, trace_penalty = [j_iva], [_penalty(w)]
-    for it in range(1, iterations + 1):
-        w = gradient_update(w, spec, model, h_field, stepsize, constraint_weight)
-        j_iva, _ = evaluate_cost(spec, w, model)
-        trace_iva.append(j_iva)
-        trace_penalty.append(_penalty(w))
-        if callback is not None:
-            callback(it, w.copy())
-    demixed = ComplexSpectrogram(_demix_data(spec.data, w.matrices), spec.config)
-    return w, demixed, CostTrace(np.array(trace_iva), np.array(trace_penalty))
+    return _solve(spec, model, iterations,
+                  lambda it, w, y, r: _gradient_step(w, y, r, model, h_field, stepsize,
+                                                     constraint_weight),
+                  penalty, callback)
 
 
 def project_back(demixed: ComplexSpectrogram, w: DemixingStack,

@@ -9,12 +9,11 @@ at +-100.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
-from scipy.signal import fftconvolve
 
 from .errors import DegenerateReferenceError, InvalidInputError
 
@@ -147,6 +146,7 @@ class _ReferenceProjector:
         return np.concatenate(parts)
 
     def _filter(self, coeffs: np.ndarray, indices) -> np.ndarray:
+        from scipy.signal import fftconvolve  # lazy: slow to import
         out = np.zeros(self.refs.shape[1] + self.flen - 1)
         for pos, i in enumerate(indices):
             taps = coeffs[pos * self.flen : (pos + 1) * self.flen]
@@ -159,7 +159,7 @@ class _ReferenceProjector:
 
     def project_single(self, cross: np.ndarray, j: int) -> np.ndarray:
         coeffs = cho_solve(self.factor_single[j], cross[j * self.flen : (j + 1) * self.flen])
-        return fftconvolve(self.refs[j], coeffs)
+        return self._filter(coeffs, (j,))
 
     def score(self, estimates) -> Scores:
         """Decompose each row of ``estimates`` (n_estimates, n_samples) once
@@ -201,13 +201,12 @@ def decompose_sir_sdr(estimate, references, filter_len: int = DEFAULT_FILTER_LEN
 
 @dataclass
 class SeparationReport:
-    """Per-channel separation metrics plus everything needed to re-run."""
+    """Per-channel separation metrics and the channel-to-source assignment."""
 
     sir_db: tuple
     sdr_db: tuple
     permutation: tuple
     permutation_matched: bool
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         perm = tuple(int(p) for p in self.permutation)
@@ -225,7 +224,6 @@ class SeparationReport:
             "sdr_db": list(self.sdr_db),
             "permutation": list(self.permutation),
             "permutation_matched": self.permutation_matched,
-            "config": self.config,
         }
 
 

@@ -10,7 +10,6 @@ the frequency-domain steering model up to the interpolator's error.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, lfilter
 
 from .errors import InvalidInputError
 from .stft import StftConfig
@@ -181,6 +180,7 @@ def simulate_mixture(spec: SceneSpec, geometry: ArrayGeometry, config: StftConfi
             raise InvalidInputError(
                 f"rirs cover {spec.rirs.shape[1]} mics, geometry has {n_mics}"
             )
+        from scipy.signal import fftconvolve  # lazy: slow to import
         for k in range(spec.n_sources):
             for m in range(n_mics):
                 images[k, :, m] = fftconvolve(spec.source_signals[k], spec.rirs[k, m])[:n_samples]
@@ -226,6 +226,7 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     """
     if n_sources < 1 or duration <= 0:
         raise InvalidInputError("need n_sources >= 1 and duration > 0")
+    from scipy.signal import butter, lfilter  # lazy: slow to import
     rng = np.random.default_rng(seed)
     n_samples = int(round(duration * sample_rate))
     segment = max(1, int(round(sample_rate / envelope_rate_hz)))

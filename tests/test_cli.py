@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gciva
 from gciva import io as gio
 from gciva.cli import ExperimentConfig, main, resolve_config, build_parser, load_config
 from gciva.metrics import _ReferenceProjector
@@ -11,6 +16,14 @@ from gciva.metrics import _ReferenceProjector
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal is only needed to render scenes and score references
+    src = str(Path(gciva.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gciva.cli; sys.exit(int('scipy.signal' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def simulate_small(out_dir, seed=0, snr="20", doa="45,135"):
@@ -160,6 +173,7 @@ class TestSeparate:
         assert len(report["cost_trace"]["j_iva"]) == 4
         assert report["metrics"]["permutation"] in ([0, 1], [1, 0])
         assert report["config"]["sigma2"] == 40.0
+        assert "config" not in report["metrics"]  # held once, at top level
         lines = (out / "cost_trace.csv").read_text().splitlines()
         assert lines[0] == "iteration,j_iva,j_prior,j_total,j_iva_normalized"
         assert len(lines) == 5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from gciva import ConfigError, CostTrace, InvalidInputError
 from gciva import io as gio
@@ -9,6 +10,7 @@ class TestWav:
     def test_float32_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         x = (0.5 * rng.standard_normal((400, 2))).astype(np.float32).astype(np.float64)
+        assert np.max(np.abs(x)) > 1.0  # levels above 1 are kept, not clipped
         path = tmp_path / "x.wav"
         gio.write_wav(path, x, 16000)
         y, rate = gio.read_wav(path)
@@ -17,12 +19,13 @@ class TestWav:
 
     def test_pcm16_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        x = np.clip(0.3 * rng.standard_normal(300), -0.99, 0.99)
+        pcm = rng.integers(-32768, 32768, size=300).astype(np.int16)
         path = tmp_path / "x.wav"
-        gio.write_wav(path, x, 16000, fmt="pcm16")
-        y, _ = gio.read_wav(path)
+        wavfile.write(str(path), 16000, pcm)
+        y, rate = gio.read_wav(path)
+        assert rate == 16000
         assert y.shape == (300,)
-        assert np.max(np.abs(y - x)) <= 1.0 / 32768.0
+        np.testing.assert_array_equal(y, pcm / 32768.0)
 
     def test_mono_and_multichannel_shapes(self, tmp_path):
         gio.write_wav(tmp_path / "m.wav", np.zeros(50), 16000)
@@ -35,8 +38,6 @@ class TestWav:
     def test_rejects_bad_data(self, tmp_path):
         with pytest.raises(InvalidInputError):
             gio.write_wav(tmp_path / "bad.wav", np.array([np.nan]), 16000)
-        with pytest.raises(InvalidInputError):
-            gio.write_wav(tmp_path / "bad.wav", np.zeros(10), 16000, fmt="pcm24")
 
 
 class TestKeyValue:

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import gciva.iva
 from gciva import (
     ArrayGeometry,
     ComplexSpectrogram,
@@ -20,8 +23,10 @@ from gciva import (
     penalty_gradient,
     prior_matrix,
     project_back,
+    run_gradient_iva,
     run_informed_iva,
     simulate_mixture,
+    steering_stack,
     synthetic_sources,
     update_constrained,
     update_unconstrained,
@@ -389,10 +394,13 @@ class TestRunInformedIva:
     def test_zero_iterations(self):
         rng = np.random.default_rng(16)
         spec = random_spec(rng, 3, 4, 2)
-        stack, demixed, trace = run_informed_iva(spec, None, SourceModel(), 0)
-        np.testing.assert_array_equal(stack.matrices, DemixingStack.identity(3, 2).matrices)
-        np.testing.assert_array_equal(demixed.data, spec.data)
-        assert len(trace.j_iva) == 1
+        for stack, demixed, trace in (
+                run_informed_iva(spec, None, SourceModel(), 0),
+                run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 0)):
+            np.testing.assert_array_equal(stack.matrices, DemixingStack.identity(3, 2).matrices)
+            np.testing.assert_array_equal(demixed.data, spec.data)
+            assert not np.shares_memory(demixed.data, spec.data)
+            assert len(trace.j_iva) == 1
 
     def test_empty_prior_is_bitwise_plain_auxiva(self):
         spec, _, config = anechoic_scene(0, duration=0.5, window=128)
@@ -470,6 +478,57 @@ class TestRunInformedIva:
         spec = random_spec(rng, 2, 3, 2)
         with pytest.raises(InvalidInputError):
             run_informed_iva(spec, None, SourceModel(), -1)
+
+
+class TestSharedSolverLoop:
+    def test_informed_trace_matches_evaluate_cost(self):
+        spec, _, config = anechoic_scene(6, duration=0.5, window=128)
+        prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
+        snaps = [DemixingStack.identity(config.n_bins, 2)]
+        _, _, trace = run_informed_iva(spec, prior, SourceModel(), 6,
+                                       callback=lambda l, w: snaps.append(w))
+        assert len(snaps) == len(trace.j_iva) == 7
+        for entry, w in enumerate(snaps):
+            j_iva, j_prior = evaluate_cost(spec, w, SourceModel(), prior)
+            assert trace.j_iva[entry] == pytest.approx(j_iva, rel=1e-12)
+            assert trace.j_prior[entry] == pytest.approx(j_prior, rel=1e-12)
+
+    def test_gradient_trace_matches_evaluate_cost(self):
+        spec, _, config = anechoic_scene(7, duration=0.5, window=128)
+        h = steering_stack(45.0, PAIR, config)
+        snaps = [DemixingStack.identity(config.n_bins, 2)]
+        _, _, trace = run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 6,
+                                       constraint_weight=0.5,
+                                       callback=lambda l, w: snaps.append(w))
+        assert len(snaps) == len(trace.j_iva) == 7
+        for entry, w in enumerate(snaps):
+            j_iva, _ = evaluate_cost(spec, w, SourceModel())
+            assert trace.j_iva[entry] == pytest.approx(j_iva, rel=1e-12)
+            residual = np.sum(w.matrices[:, 0, :] * h, axis=1) - 1.0
+            penalty = 0.5 * np.sum(np.abs(residual) ** 2)
+            assert trace.j_prior[entry] == pytest.approx(penalty, rel=1e-12)
+
+    def test_one_demix_per_iteration_and_priors_built_once(self, monkeypatch):
+        counts = Counter()
+
+        def count(name):
+            original = getattr(gciva.iva, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(gciva.iva, name, counted)
+
+        for name in ("evaluate_cost", "prior_matrices", "steering_stack", "_demix_data"):
+            count(name)
+        spec, _, config = anechoic_scene(8, duration=0.5, window=128)
+        prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
+        run_informed_iva(spec, prior, SourceModel(), 5)
+        assert dict(counts) == {"prior_matrices": 1, "steering_stack": 1, "_demix_data": 6}
+        counts.clear()
+        run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 5)
+        assert dict(counts) == {"steering_stack": 1, "_demix_data": 6}
 
 
 class TestProjectBack:

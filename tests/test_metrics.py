@@ -205,12 +205,11 @@ class TestOneProjector:
 
 class TestSeparationReport:
     def test_round_trip_dict(self):
-        report = SeparationReport((20.0, 18.5), (15.0, 14.0), (0, 1), True,
-                                  config={"algorithm": "gc-aux"})
+        report = SeparationReport((20.0, 18.5), (15.0, 14.0), (0, 1), True)
         payload = report.to_dict()
         assert payload["sir_db"] == [20.0, 18.5]
         assert payload["permutation_matched"] is True
-        assert payload["config"]["algorithm"] == "gc-aux"
+        assert "config" not in payload
 
     def test_invalid_permutation_rejected(self):
         with pytest.raises(InvalidInputError):
