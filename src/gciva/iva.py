@@ -9,6 +9,16 @@ solver's update, then demixes once. That pass yields the cost-trace entry (IVA
 term plus the solver's penalty), the next update's input and, after the last
 iteration, the demixed output. :func:`evaluate_cost` is the public oracle.
 
+The data never change during a solve, so each frame's microphone outer
+products ``x x^H`` are built once per solve and stored flat, one row per
+(bin, i, j) entry and one column per frame: F*K^2*N complex values, K times
+the spectrogram (about 5 MB for a 5 s stereo scene at 2048/1024). The
+weighted covariances ``V_k = mean_n phi(r_nk) x_n x_n^H`` of all K channels
+then come from one matrix product with the N x K frame weights per
+iteration, and both updates read them: the MM sweep solves against V_k, and
+the gradient step forms row k of its score ``E{phi(y) y^H}`` as
+``W[k, :] V_k W^H``.
+
 * :func:`run_informed_iva` performs majorize-minimize row updates; channels
   listed in the prior are updated against the covariance plus the
   direction-penalizing prior matrix, all other channels against the
@@ -222,10 +232,24 @@ def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -
     return _frame_energies(_demix_data(spec.data, w.matrices))[:, channel]
 
 
-def _weighted_covariance_stack(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # V[f] = mean_n weights[n] * x[f, n] x[f, n]^H
-    weighted = data * weights[None, :, None]
-    return np.matmul(weighted.transpose(0, 2, 1), data.conj()) / data.shape[1]
+def _outer_products(data: np.ndarray) -> np.ndarray:
+    # P[f, i, j, n] = x[f, n, i] conj(x[f, n, j]); a C-contiguous xt makes P
+    # C-contiguous, so its flat (F*K*K, N) view costs no copy per iteration
+    xt = np.ascontiguousarray(data.transpose(0, 2, 1))
+    return xt[:, :, None, :] * xt.conj()[:, None, :, :]
+
+
+def _source_weights(model: SourceModel, r: np.ndarray) -> np.ndarray:
+    # (N, K) source-model weights of every channel's frame energies
+    return np.stack([model.weight(r[:, k]) for k in range(r.shape[1])], axis=1)
+
+
+def _weighted_covariances(outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # V[f, c] = mean_n weights[n, c] x[f, n] x[f, n]^H for every weight column c,
+    # all from one GEMM; shape (F, C, K, K)
+    n_bins, n_ch, _, n_frames = outer.shape
+    v = (outer.reshape(-1, n_frames) @ weights) / n_frames
+    return v.reshape(n_bins, n_ch, n_ch, -1).transpose(0, 3, 1, 2)
 
 
 def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, f: int) -> np.ndarray:
@@ -239,7 +263,8 @@ def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, 
     energies = np.asarray(energies, dtype=np.float64)
     if energies.shape != (spec.n_frames,):
         raise InvalidInputError("energies must hold one value per frame")
-    return _weighted_covariance_stack(spec.data[f : f + 1], model.weight(energies))[0]
+    weights = model.weight(energies)[:, None]
+    return _weighted_covariances(_outer_products(spec.data[f : f + 1]), weights)[0, 0]
 
 
 def _solve_rows(matrices: np.ndarray, systems: np.ndarray, channel: int,
@@ -328,15 +353,19 @@ def _iva_cost(r: np.ndarray, matrices: np.ndarray, model: SourceModel) -> float:
     return float(np.sum(np.mean(model.contrast(r), axis=0))) - 2.0 * float(np.sum(logdet))
 
 
+def _check_constraints(channels, geometry: ArrayGeometry, spec: ComplexSpectrogram) -> None:
+    if any(not 0 <= k < spec.n_channels for k in channels):
+        raise InvalidInputError("constrained channel outside the channel range")
+    if geometry.n_mics != spec.n_channels:
+        raise InvalidInputError(f"geometry has {geometry.n_mics} mics, "
+                                f"spectrogram has {spec.n_channels} channels")
+
+
 def _prior_stacks(prior: PriorConfig | None, spec: ComplexSpectrogram) -> dict[int, np.ndarray]:
     """Prior-matrix stacks of the constrained channels, checked against ``spec``."""
     if prior is None or not prior.constrained_channels:
         return {}
-    if any(k >= spec.n_channels for k in prior.constrained_channels):
-        raise InvalidInputError("constrained channel outside the channel range")
-    if prior.geometry.n_mics != spec.n_channels:
-        raise InvalidInputError(f"prior geometry has {prior.geometry.n_mics} mics, "
-                                f"spectrogram has {spec.n_channels} channels")
+    _check_constraints(prior.constrained_channels, prior.geometry, spec)
     return prior_matrices(prior, spec.config)
 
 
@@ -363,15 +392,17 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
 
 def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update,
            penalty, callback) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
-    # update(it, w, y, r) returns the next stack from w, its outputs y and frame
-    # energies r; penalty(w) fills the trace's second column
+    # update(it, w, cov) returns the next stack from w and the (F, K, K, K)
+    # weighted covariances cov[:, k] of w's outputs; penalty(w) fills the
+    # trace's second column
     if iterations < 0:
         raise InvalidInputError("iterations must be nonnegative")
     w = DemixingStack.identity(spec.n_bins, spec.n_channels)
+    outer = _outer_products(spec.data)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
         if it:
-            w = update(it, w, y, r)
+            w = update(it, w, _weighted_covariances(outer, _source_weights(model, r)))
         y = _demix_data(spec.data, w.matrices)
         r = _frame_energies(y)
         trace.append((_iva_cost(r, w.matrices, model), penalty(w)))
@@ -399,12 +430,12 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
         raise InvalidInputError("need at least one channel")
     stacks = _prior_stacks(prior, spec)
 
-    def sweep(it, w, y, r):
+    def sweep(it, w, covs):
         # Channel k's energies depend on row k alone, which no earlier
-        # channel of the sweep changes, so every channel reads them from
-        # the iteration's one demixing pass.
+        # channel of the sweep changes, so every channel's covariance comes
+        # from the iteration's one demixing pass.
         for channel in range(spec.n_channels):
-            cov = _weighted_covariance_stack(spec.data, model.weight(r[:, channel]))
+            cov = covs[:, channel]
             # The tight majorizer of the contrast term carries a factor 1/2
             # on the weighted covariance (r <= r^2/(2 r0) + r0/2); using it
             # keeps the total cost non-increasing. The prior term is exact
@@ -439,18 +470,22 @@ def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
     return grad
 
 
-def _gradient_step(w: DemixingStack, y: np.ndarray, r: np.ndarray, model: SourceModel,
-                   h_field: dict, stepsize: float, constraint_weight: float) -> DemixingStack:
-    # gradient_update from the outputs y and frame energies r of w
+def _score(matrices: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    # E{phi(y) y^H} per bin: row k is W[k, :] V_k W^H, with V_k = cov[:, k]
+    rows = np.matmul(matrices[:, :, None, :], cov)[:, :, 0, :]
+    return np.matmul(rows, matrices.conj().transpose(0, 2, 1))
+
+
+def _gradient_step(w: DemixingStack, cov: np.ndarray, h_field: dict, stepsize: float,
+                   constraint_weight: float) -> DemixingStack:
+    # gradient_update from the weighted covariances cov[:, k] of w's outputs
     if not np.isfinite(stepsize) or stepsize < 0:
         raise InvalidInputError("stepsize must be nonnegative")
     if not np.isfinite(constraint_weight) or constraint_weight < 0:
         raise InvalidInputError("constraint_weight must be nonnegative")
     if stepsize == 0.0:
         return w.copy()
-    phi = y * np.stack([model.weight(r[:, k]) for k in range(w.n_channels)], axis=1)
-    score = np.matmul(phi.transpose(0, 2, 1), y.conj()) / y.shape[1]
-    delta = np.matmul(np.eye(w.n_channels)[None] - score, w.matrices)
+    delta = np.matmul(np.eye(w.n_channels)[None] - _score(w.matrices, cov), w.matrices)
     return DemixingStack(w.matrices + stepsize * delta
                          - stepsize * penalty_gradient(w, h_field, constraint_weight))
 
@@ -465,8 +500,9 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     frame magnitude.
     """
     _check_shapes(spec, w)
-    y = _demix_data(spec.data, w.matrices)
-    return _gradient_step(w, y, _frame_energies(y), model, h_field, stepsize, constraint_weight)
+    weights = _source_weights(model, _frame_energies(_demix_data(spec.data, w.matrices)))
+    cov = _weighted_covariances(_outer_products(spec.data), weights)
+    return _gradient_step(w, cov, h_field, stepsize, constraint_weight)
 
 
 def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas,
@@ -482,8 +518,7 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     doas = tuple(float(d) for d in np.atleast_1d(np.asarray(target_doas, dtype=float)))
     if len(channels) != len(doas):
         raise InvalidInputError("need one target DOA per constrained channel")
-    if any(not 0 <= k < spec.n_channels for k in channels):
-        raise InvalidInputError("constrained channel outside the channel range")
+    _check_constraints(channels, geometry, spec)
     h_field = {k: steering_stack(d, geometry, spec.config)
                for k, d in zip(channels, doas)}
 
@@ -492,8 +527,8 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
                    for k, h in h_field.items())
 
     return _solve(spec, model, iterations,
-                  lambda it, w, y, r: _gradient_step(w, y, r, model, h_field, stepsize,
-                                                     constraint_weight),
+                  lambda it, w, cov: _gradient_step(w, cov, h_field, stepsize,
+                                                    constraint_weight),
                   penalty, callback)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .errors import DegenerateReferenceError, InvalidInputError
 
@@ -74,6 +73,7 @@ class _ReferenceProjector:
     """
 
     def __init__(self, references, filter_len: int = DEFAULT_FILTER_LEN):
+        from scipy.linalg import cho_factor, toeplitz  # lazy: slow to import
         references = np.atleast_2d(np.asarray(references, dtype=np.float64))
         if filter_len < 1:
             raise InvalidInputError("filter_len must be positive")
@@ -154,10 +154,12 @@ class _ReferenceProjector:
         return out
 
     def project_full(self, cross: np.ndarray) -> np.ndarray:
+        from scipy.linalg import cho_solve  # lazy: slow to import
         coeffs = cho_solve(self.factor_full, cross)
         return self._filter(coeffs, range(self.refs.shape[0]))
 
     def project_single(self, cross: np.ndarray, j: int) -> np.ndarray:
+        from scipy.linalg import cho_solve  # lazy: slow to import
         coeffs = cho_solve(self.factor_single[j], cross[j * self.flen : (j + 1) * self.flen])
         return self._filter(coeffs, (j,))
 

@@ -18,12 +18,19 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-def test_cli_import_skips_scipy_signal():
-    # scipy.signal is only needed to render scenes and score references
+def run_python(code, *args, **kwargs):
+    """Run ``code`` in a fresh interpreter that imports this gciva."""
     src = str(Path(gciva.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, gciva.cli; sys.exit(int('scipy.signal' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, **kwargs)
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal and scipy.linalg are only needed to render scenes and
+    # score references
+    code = ("import sys, gciva, gciva.cli; "
+            "sys.exit(int('scipy.signal' in sys.modules or 'scipy.linalg' in sys.modules))")
+    assert run_python(code).returncode == 0
 
 
 def simulate_small(out_dir, seed=0, snr="20", doa="45,135"):
@@ -197,6 +204,20 @@ class TestSeparate:
         code = run_cli("separate", tmp_path / "silent.wav", "--algorithm", "aux",
                        "--iterations", "1", "--out", tmp_path / "x")
         assert code == 3
+
+    def test_gradient_geometry_mismatch_is_config_error(self, tmp_path):
+        # the CLI geometry is a microphone pair, so a 3-channel mixture cannot
+        # be steered; gc-grad must say so rather than crash in its penalty
+        mixture = tmp_path / "three.wav"
+        noise = np.random.default_rng(0).standard_normal((16000, 3)).astype(np.float32)
+        gio.write_wav(mixture, 0.1 * noise, 16000)
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          "separate", str(mixture), "--algorithm", "gc-grad", "--doa", "45",
+                          "--iterations", "1", "--out", str(tmp_path / "x"),
+                          capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_gc_requires_matching_doas(self, tmp_path):
         scene = tmp_path / "scene"

@@ -147,6 +147,40 @@ class TestWeightedCovariance:
             assert np.linalg.eigvalsh(v).min() >= -1e-10 * norm
 
 
+class TestCovarianceKernel:
+    @pytest.mark.parametrize("n_ch", [2, 3])
+    def test_all_channels_match_loop_oracle(self, n_ch):
+        rng = np.random.default_rng(20 + n_ch)
+        spec = random_spec(rng, 4, 7, n_ch)
+        weights = rng.uniform(0.2, 3.0, size=(7, n_ch))
+        outer = gciva.iva._outer_products(spec.data)
+        assert outer.flags.c_contiguous  # else every GEMM copies the cache first
+        v = gciva.iva._weighted_covariances(outer, weights)
+        assert v.shape == (4, n_ch, n_ch, n_ch)
+        expected = np.zeros_like(v)
+        for f in range(4):
+            for c in range(n_ch):
+                for n in range(7):
+                    x = spec.data[f, n]
+                    expected[f, c] += weights[n, c] * np.outer(x, x.conj())
+        expected /= 7
+        assert np.max(np.abs(v - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n_ch", [2, 3])
+    def test_gradient_score_matches_direct_formula(self, n_ch):
+        rng = np.random.default_rng(30 + n_ch)
+        spec = random_spec(rng, 4, 9, n_ch)
+        w = rng.standard_normal((4, n_ch, n_ch)) + 1j * rng.standard_normal((4, n_ch, n_ch))
+        y = np.einsum("fkj,fnj->fnk", w, spec.data)
+        r = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
+        phi = np.stack([SourceModel().weight(r[:, k]) for k in range(n_ch)], axis=1)
+        expected = np.einsum("fnk,fnl->fkl", phi[None] * y, y.conj()) / 9
+        cov = gciva.iva._weighted_covariances(gciva.iva._outer_products(spec.data),
+                                              gciva.iva._source_weights(SourceModel(), r))
+        score = gciva.iva._score(w, cov)
+        assert np.max(np.abs(score - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 class TestPriorMatrix:
     def test_rank_one_spectrum(self):
         h = np.exp(1j * np.array([0.0, 0.4]))
@@ -520,15 +554,17 @@ class TestSharedSolverLoop:
 
             monkeypatch.setattr(gciva.iva, name, counted)
 
-        for name in ("evaluate_cost", "prior_matrices", "steering_stack", "_demix_data"):
+        for name in ("evaluate_cost", "prior_matrices", "steering_stack", "_demix_data",
+                     "_outer_products"):
             count(name)
         spec, _, config = anechoic_scene(8, duration=0.5, window=128)
         prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
         run_informed_iva(spec, prior, SourceModel(), 5)
-        assert dict(counts) == {"prior_matrices": 1, "steering_stack": 1, "_demix_data": 6}
+        assert dict(counts) == {"prior_matrices": 1, "steering_stack": 1, "_demix_data": 6,
+                                "_outer_products": 1}
         counts.clear()
         run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 5)
-        assert dict(counts) == {"steering_stack": 1, "_demix_data": 6}
+        assert dict(counts) == {"steering_stack": 1, "_demix_data": 6, "_outer_products": 1}
 
 
 class TestProjectBack:
