@@ -78,18 +78,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         """Resolved configuration for report embedding (artifact paths are
         left out so reruns in other directories stay byte-identical)."""
-        skip = {"out_dir"}
-        payload = {}
-        for f in fields(self):
-            if f.name in skip:
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            if isinstance(value, float) and np.isinf(value):
-                value = "inf"
-            payload[f.name] = value
-        return payload
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
 
 
 def _parse(kind, text: str):
@@ -116,10 +105,10 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 def _coerce(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key: {key!r}")
-    if key == "snr_db" and raw.strip().lower() == "infinite":
-        return float("inf")  # float() spells it "inf"
+    # float() reads "inf" but not the "infinite" an SNR may be given as
+    text = raw.lower().replace("infinite", "inf") if key in ("snr_db", "snrs") else raw
     try:
-        return _parse(_FIELD_TYPES[key], raw)
+        return _parse(_FIELD_TYPES[key], text)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {key!r}: {raw!r}") from exc
 
@@ -128,48 +117,51 @@ def load_config(path) -> dict:
     return {key: _coerce(key, raw) for key, raw in io.read_keyvalue(path).items()}
 
 
+# flag -> (config key, help). A flag's text is parsed exactly like the key's
+# value in a config file.
+FLAGS = {
+    "--algorithm": ("algorithm", "aux, gc-aux or gc-grad"),
+    "--iterations": ("iterations", "solver iterations"),
+    "--sigma2": ("sigma2", "prior variance (gc-aux)"),
+    "--lambda-e": ("lambda_e", "Tikhonov weight of the prior (gc-aux)"),
+    "--doa": ("doas", "comma list of DOAs in degrees; for benchmark, "
+                      "colon pairs like 45:135,45:90"),
+    "--constrained-channels": ("constrained_channels",
+                               "comma list of 0-based output channels to constrain"),
+    "--snr": ("snrs", "comma list of SNRs in dB"),
+    "--seed": ("seed", "random seed"),
+    "--duration": ("duration", "scene duration in seconds"),
+    "--out": ("out_dir", "output directory"),
+    "--refs": ("refs", "comma list of ground-truth image WAVs "
+                       "(enables SIR/SDR in the report)"),
+}
+# flag text with colons sets the paired key instead
+_COLON_KEYS = {"doas": "doa_pairs"}
+# key -> the other keys a flag setting it also sets, from its parsed value
+_COMPANIONS = {
+    "algorithm": lambda algorithm: {"algorithms": (algorithm,)},
+    "seed": lambda seed: {"seeds": (seed,)},
+    "snrs": lambda snrs: {"snr_db": snrs[0]} if snrs else {},
+}
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **load_config(args.config))
     overrides = {}
-    if getattr(args, "algorithm", None):
-        if args.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {args.algorithm!r}, expected one of {ALGORITHMS}")
-        overrides["algorithm"] = args.algorithm
-        overrides["algorithms"] = (args.algorithm,)
-    if getattr(args, "iterations", None) is not None:
-        overrides["iterations"] = args.iterations
-    if getattr(args, "sigma2", None) is not None:
-        overrides["sigma2"] = args.sigma2
-    if getattr(args, "lambda_e", None) is not None:
-        overrides["lambda_e"] = args.lambda_e
-    if getattr(args, "doa", None):
-        key = "doa_pairs" if ":" in args.doa else "doas"
-        overrides[key] = _coerce(key, args.doa)
-    if getattr(args, "constrained_channels", None):
-        overrides["constrained_channels"] = _coerce("constrained_channels",
-                                                    args.constrained_channels)
-    if getattr(args, "snr", None) is not None:
-        snrs = _coerce("snrs", args.snr)
-        overrides["snrs"] = snrs
-        if snrs:
-            overrides["snr_db"] = snrs[0]
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-        overrides["seeds"] = (args.seed,)
-    if getattr(args, "duration", None) is not None:
-        overrides["duration"] = args.duration
-    if getattr(args, "refs", None):
-        overrides["refs"] = _coerce("refs", args.refs)
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
+    for key, _ in FLAGS.values():
+        raw = getattr(args, key, None)
+        if raw is None:
+            continue
+        key = _COLON_KEYS.get(key, key) if ":" in raw else key
+        overrides[key] = _coerce(key, raw)
+        if key in _COMPANIONS:
+            overrides.update(_COMPANIONS[key](overrides[key]))
     cfg = replace(cfg, **overrides)
-    if cfg.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}, expected one of {ALGORITHMS}")
-    for name in cfg.algorithms:
+    for name in (cfg.algorithm, *cfg.algorithms):
         if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r} in algorithms list")
+            raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     if cfg.iterations is not None and cfg.iterations < 0:
         raise ConfigError("iterations must be nonnegative")
     return cfg
@@ -203,20 +195,18 @@ def run_separation(spec, cfg: ExperimentConfig, algorithm: str,
     doas = cfg.doas if constraint_doas is None else constraint_doas
     iterations = cfg.resolved_iterations(algorithm)
     model = SourceModel()
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
     if algorithm == "aux":
         return run_informed_iva(spec, None, model, iterations)
+    if len(channels) != len(doas):
+        raise ConfigError("need one constraint DOA per constrained channel")
     if algorithm == "gc-aux":
-        if len(channels) != len(doas):
-            raise ConfigError("need one constraint DOA per constrained channel")
         prior = PriorConfig.constant(channels, doas, cfg.geometry(), spec.n_bins,
                                      cfg.sigma2, cfg.lambda_e)
         return run_informed_iva(spec, prior, model, iterations)
-    if algorithm == "gc-grad":
-        if len(channels) != len(doas):
-            raise ConfigError("need one constraint DOA per constrained channel")
-        return run_gradient_iva(spec, channels, doas, cfg.geometry(), model, iterations,
-                                cfg.stepsize, cfg.constraint_weight)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    return run_gradient_iva(spec, channels, doas, cfg.geometry(), model, iterations,
+                            cfg.stepsize, cfg.constraint_weight)
 
 
 def _separate_signal(mixture: np.ndarray, rate: float, cfg: ExperimentConfig,
@@ -258,7 +248,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     meta = {
         "config": cfg.echo(),
         "doas": list(doas),
-        "snr_db": "inf" if np.isinf(cfg.snr_db) else cfg.snr_db,
+        "snr_db": cfg.snr_db,
         "seed": cfg.seed,
         "n_samples": int(mixture.shape[0]),
         "files": {"mixture": "mixture.wav", "images": image_files},
@@ -333,14 +323,11 @@ def _benchmark_runs(cfg: ExperimentConfig, algorithm: str, doas, mixture, rate):
 
 
 def cmd_benchmark(cfg: ExperimentConfig) -> int:
+    for key in ("doa_pairs", "snrs", "seeds", "algorithms"):
+        if not getattr(cfg, key):
+            raise ConfigError(f"benchmark needs a non-empty {key} list")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not cfg.doa_pairs:
-        raise ConfigError("benchmark needs a non-empty doa_pairs list")
-    if not cfg.snrs:
-        raise ConfigError("benchmark needs a non-empty snrs list")
-    if not cfg.seeds:
-        raise ConfigError("benchmark needs a non-empty seeds list")
 
     geometry = cfg.geometry()
     stft_cfg = cfg.stft_config()
@@ -401,33 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gc-iva", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--algorithm", help="aux, gc-aux or gc-grad")
-        p.add_argument("--iterations", type=int, help="solver iterations")
-        p.add_argument("--sigma2", type=float, help="prior variance (gc-aux)")
-        p.add_argument("--lambda-e", dest="lambda_e", type=float,
-                       help="Tikhonov weight of the prior (gc-aux)")
-        p.add_argument("--doa", help="comma list of DOAs in degrees; for benchmark, "
-                                     "colon pairs like 45:135,45:90")
-        p.add_argument("--constrained-channels", dest="constrained_channels",
-                       help="comma list of 0-based output channels to constrain")
-        p.add_argument("--snr", help="comma list of SNRs in dB")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--duration", type=float, help="scene duration in seconds")
-        p.add_argument("--out", help="output directory")
-
     p_sim = sub.add_parser("simulate", help="render a scene to mixture and image WAVs")
-    add_common(p_sim)
-
     p_sep = sub.add_parser("separate", help="separate a multichannel mixture WAV")
     p_sep.add_argument("mixture", help="input mixture WAV file")
-    p_sep.add_argument("--refs", help="comma list of ground-truth image WAVs "
-                                      "(enables SIR/SDR in the report)")
-    add_common(p_sep)
-
     p_bench = sub.add_parser("benchmark", help="sweep scenes x SNRs x seeds x algorithms")
-    add_common(p_bench)
+    for p in (p_sim, p_sep, p_bench):
+        p.add_argument("--config", help="key = value configuration file")
+        for flag, (key, text) in FLAGS.items():
+            if flag != "--refs" or p is p_sep:
+                p.add_argument(flag, dest=key, help=text)
     return parser
 
 

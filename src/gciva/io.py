@@ -5,6 +5,7 @@ same seed produce byte-identical artifacts.
 """
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,12 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
     Supports 16-bit and 32-bit integer PCM and 32/64-bit float. Returns
     ``(samples, rate)`` with samples shaped (frames,) or (frames, channels).
+    A file that is not a readable WAV raises OSError naming the path.
     """
-    rate, data = wavfile.read(str(path))
+    try:
+        rate, data = wavfile.read(str(path))
+    except (ValueError, struct.error) as exc:  # malformed RIFF content
+        raise OSError(f"{path}: not a readable WAV file ({exc})") from exc
     if data.dtype == np.int16:
         out = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
@@ -66,10 +71,21 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _json_value(value):
+    """``value`` with every non-finite float, at any depth, spelled by its
+    str() ("inf", "-inf", "nan"), which strict JSON has no number for."""
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return str(value)
+    return value
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_cost_trace_csv(path, trace) -> None:

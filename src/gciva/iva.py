@@ -267,49 +267,49 @@ def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, 
     return _weighted_covariances(_outer_products(spec.data[f : f + 1]), weights)[0, 0]
 
 
+def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched ``solve(a, b)[..., 0]``; a bin whose LU meets an exact zero
+    pivot comes back NaN. Only a failed batch pays for locating them."""
+    try:
+        return np.linalg.solve(a, b)[:, :, 0]
+    except np.linalg.LinAlgError:
+        ok = np.abs(np.linalg.det(a)) > 0.0
+        u = np.full(b.shape[:2], np.nan, dtype=np.complex128)
+        u[ok] = np.linalg.solve(a[ok], b[ok])[:, :, 0]
+        return u
+
+
 def _solve_rows(matrices: np.ndarray, systems: np.ndarray, channel: int,
                 context: str = "") -> np.ndarray:
     """New demixing vectors for one channel across a stack of bins.
 
     Solves ``(W_f M_f) w = e_k`` per bin and rescales so ``w^H M_f w = 1``.
-    A singular system is retried once with a small trace-scaled diagonal
-    load on ``M_f``; if it stays singular, a SingularUpdateError is raised.
+    The bins whose system is singular are retried once, together, with a
+    small trace-scaled diagonal load on ``M_f``; a bin still singular raises
+    a SingularUpdateError.
     """
     n_bins, n_ch = matrices.shape[0], matrices.shape[1]
     rhs = np.zeros((n_bins, n_ch, 1), dtype=np.complex128)
     rhs[:, channel, 0] = 1.0
 
-    def _solve_one(f: int) -> np.ndarray:
-        m = systems[f]
-        for attempt in range(2):
-            try:
-                u = np.linalg.solve(matrices[f] @ m, rhs[f])[:, 0]
-            except np.linalg.LinAlgError:
-                u = None
-            if u is not None and np.all(np.isfinite(u)):
-                quad = float(np.real(u.conj() @ m @ u))
-                if np.isfinite(quad) and quad > 0.0:
-                    return u / np.sqrt(quad)
-            if attempt == 0:
-                load = 1e-10 * np.real(np.trace(m)) / n_ch
-                m = m + load * np.eye(n_ch)
-        raise SingularUpdateError(
-            f"singular update system at bin {f}, channel {channel}{context}"
-        )
+    def quad_form(m, u):  # w^H M w per bin, and where it is unusable
+        quad = np.real(np.einsum("fi,fij,fj->f", u.conj(), m, u))
+        return quad, ~(np.isfinite(quad) & (quad > 0.0) & np.all(np.isfinite(u), axis=1))
 
-    try:
-        u = np.linalg.solve(matrices @ systems, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        return np.stack([_solve_one(f) for f in range(n_bins)])
-    quad = np.real(np.einsum("fi,fij,fj->f", u.conj(), systems, u))
-    good = np.isfinite(quad) & (quad > 0.0) & np.all(np.isfinite(u), axis=1)
-    if np.all(good):
-        return u / np.sqrt(quad)[:, None]
-    out = np.empty_like(u)
-    out[good] = u[good] / np.sqrt(quad[good])[:, None]
-    for f in np.flatnonzero(~good):
-        out[f] = _solve_one(f)
-    return out
+    u = _solve_or_nan(matrices @ systems, rhs)
+    quad, failed = quad_form(systems, u)
+    bad = np.flatnonzero(failed)
+    if bad.size:
+        m = systems[bad]
+        load = 1e-10 * np.real(np.trace(m, axis1=1, axis2=2)) / n_ch
+        m = m + load[:, None, None] * np.eye(n_ch)
+        u[bad] = _solve_or_nan(matrices[bad] @ m, rhs[bad])
+        quad[bad], failed = quad_form(m, u[bad])
+        if np.any(failed):
+            raise SingularUpdateError(
+                f"singular update system at bin {bad[failed][0]}, channel {channel}{context}"
+            )
+    return u / np.sqrt(quad)[:, None]
 
 
 def update_unconstrained(w: DemixingStack, cov: np.ndarray, f: int, channel: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import gciva
 from gciva import io as gio
-from gciva.cli import ExperimentConfig, main, resolve_config, build_parser, load_config
+from gciva.cli import FLAGS, ExperimentConfig, main, resolve_config, build_parser, load_config
 from gciva.metrics import _ReferenceProjector
 
 
@@ -92,16 +92,50 @@ class TestConfigResolution:
 
     def test_infinite_snr_spellings(self, tmp_path):
         path = tmp_path / "exp.cfg"
+        inf = float("inf")
         for spelling in ("inf", "infinite", "Infinite"):
-            path.write_text(f"snr_db = {spelling}\n")
-            assert load_config(path) == {"snr_db": float("inf")}
+            path.write_text(f"snr_db = {spelling}\nsnrs = 10, {spelling}\n")
+            assert load_config(path) == {"snr_db": inf, "snrs": (10.0, inf)}
+            cfg = resolve_config(build_parser().parse_args(["simulate", "--snr", spelling]))
+            assert (cfg.snr_db, cfg.snrs) == (inf, (inf,))
+
+    # one case per flag: the flag's text, and config-file text that must
+    # resolve to the same configuration, companion keys included
+    FLAG_CASES = [
+        ("--algorithm", "gc-grad", "algorithm = gc-grad\nalgorithms = gc-grad\n"),
+        ("--iterations", "7", "iterations = 7\n"),
+        ("--sigma2", "2.5e1", "sigma2 = 2.5e1\n"),
+        ("--lambda-e", "0.01", "lambda_e = 0.01\n"),
+        ("--doa", "60, 120", "doas = 60, 120\n"),
+        ("--doa", "45:135,20:160", "doa_pairs = 45:135,20:160\n"),
+        ("--constrained-channels", "0,1", "constrained_channels = 0,1\n"),
+        ("--snr", "infinite,10", "snrs = infinite,10\nsnr_db = infinite\n"),
+        ("--seed", "4", "seed = 4\nseeds = 4\n"),
+        ("--duration", "1.5", "duration = 1.5\n"),
+        ("--out", "runs/a", "out_dir = runs/a\n"),
+        ("--refs", "a.wav,b.wav", "refs = a.wav,b.wav\n"),
+    ]
+
+    @pytest.mark.parametrize("flag, text, config_text", FLAG_CASES)
+    def test_flag_parses_like_config_text(self, tmp_path, flag, text, config_text):
+        assert {case[0] for case in self.FLAG_CASES} == set(FLAGS)
+        assert {key for key, _ in FLAGS.values()} <= {f.name for f in fields(ExperimentConfig)}
+        path = tmp_path / "exp.cfg"
+        path.write_text(config_text)
+        parser = build_parser()
+        from_file = resolve_config(parser.parse_args(["separate", "m.wav", "--config", str(path)]))
+        from_flag = resolve_config(parser.parse_args(["separate", "m.wav", flag, text]))
+        assert from_flag == from_file != ExperimentConfig()
 
     def test_unknown_algorithm_exits_one(self, tmp_path):
         code = run_cli("separate", tmp_path / "none.wav", "--algorithm", "fastica")
         assert code == 1
 
-    def test_usage_error_exits_one(self):
+    def test_usage_error_exits_one(self, capsys):
         assert run_cli("separate") == 1
+        # a bad flag value is reported like a bad config-file value
+        assert run_cli("separate", "m.wav", "--iterations", "7.5") == 1
+        assert "invalid value for 'iterations': '7.5'" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -126,6 +160,11 @@ class TestSimulate:
         img1, _ = gio.read_wav(out / "source01.wav")
         img2, _ = gio.read_wav(out / "source02.wav")
         np.testing.assert_allclose(mixture, img1 + img2, atol=1e-6)
+        def reject(token):  # standard JSON has no Infinity or NaN
+            raise ValueError(f"scene.json holds the non-standard constant {token}")
+        meta = json.loads((out / "scene.json").read_text(), parse_constant=reject)
+        assert meta["snr_db"] == "inf"
+        assert meta["config"]["snrs"] == ["inf"]
 
     def test_scene_description_file_with_wav_sources(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -198,6 +237,20 @@ class TestSeparate:
 
     def test_missing_mixture_exits_two(self, tmp_path):
         assert run_cli("separate", tmp_path / "nope.wav", "--out", tmp_path) == 2
+
+    def test_malformed_wav_exits_two(self, tmp_path):
+        whole = tmp_path / "whole.wav"
+        gio.write_wav(whole, np.zeros((1000, 2)), 16000)
+        truncated, noise = tmp_path / "truncated.wav", tmp_path / "noise.wav"
+        truncated.write_bytes(whole.read_bytes()[:30])
+        noise.write_bytes(np.random.default_rng(0).bytes(4096))
+        for path in (truncated, noise):
+            proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                              "separate", str(path), "--out", str(tmp_path / "x"),
+                              capture_output=True, text=True)
+            assert proc.returncode == 2
+            assert "I/O error" in proc.stderr and path.name in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_silent_mixture_exits_three(self, tmp_path):
         gio.write_wav(tmp_path / "silent.wav", np.zeros((4096, 2)), 16000)
@@ -316,6 +369,13 @@ class TestBenchmark:
         for name in ("benchmark.csv", "runs.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_empty_sweep_rejected(self, tmp_path):
+    def test_empty_sweep_rejected(self, tmp_path, capsys):
         code = run_cli("benchmark", "--out", tmp_path, "--snr", "", "--duration", "1.0")
         assert code == 1
+        path = tmp_path / "exp.cfg"
+        path.write_text("algorithms =\n")
+        code = run_cli("benchmark", "--config", path, "--out", tmp_path / "b", "--snr", "20",
+                       "--seed", "0", "--doa", "45:135", "--duration", "1.0")
+        assert code == 1
+        assert "benchmark needs a non-empty algorithms list" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "benchmark.csv").exists()

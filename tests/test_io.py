@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -75,3 +77,13 @@ class TestTraceCsv:
         gio.write_cost_trace_csv(tmp_path / "a.csv", trace)
         gio.write_cost_trace_csv(tmp_path / "b.csv", trace)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestJson:
+    def test_non_finite_floats_spelled_by_str(self, tmp_path):
+        path = tmp_path / "x.json"
+        inf = float("inf")
+        gio.write_json(path, {"a": [1.5, -inf], "b": {"c": ((inf, float("nan")), 2)}})
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text) == {"a": [1.5, "-inf"], "b": {"c": [["inf", "nan"], 2]}}

@@ -250,6 +250,25 @@ class TestUpdateUnconstrained:
         with pytest.raises(SingularUpdateError):
             update_unconstrained(w, np.zeros((2, 2), dtype=complex), 0, 0)
 
+    def test_singular_bins_retried_with_diagonal_load(self):
+        rng = np.random.default_rng(12)
+        matrices = np.stack([random_hpd(rng, 2) for _ in range(4)])
+        systems = np.stack([random_hpd(rng, 2) for _ in range(4)])
+        systems[1] = np.ones((2, 2))  # rank one: an exact zero pivot in the batch LU
+        regular = gciva.iva._solve_rows(matrices[[0, 2, 3]], systems[[0, 2, 3]], 1)
+        rows = gciva.iva._solve_rows(matrices, systems, 1)
+        # the regular bins are untouched by the retry
+        np.testing.assert_array_equal(rows[[0, 2, 3]], regular)
+        loaded = systems[1] + 1e-10 * np.eye(2)  # trace 2, over two channels
+        expected = np.linalg.solve(matrices[1] @ loaded, [0.0, 1.0])
+        expected /= np.sqrt(np.real(expected.conj() @ loaded @ expected))
+        # the loaded system's condition number is about 2e10, so w^H M w
+        # cancels to about 1e-6 relative in either summation order
+        np.testing.assert_allclose(rows[1], expected, rtol=1e-5)
+        systems[2] = 0.0  # no load helps a zero system
+        with pytest.raises(SingularUpdateError, match="bin 2, channel 1, iteration 5"):
+            gciva.iva._solve_rows(matrices, systems, 1, context=", iteration 5")
+
 
 class TestUpdateConstrained:
     def test_vanishing_prior_matches_unconstrained(self):
