@@ -1,5 +1,21 @@
 """File formats: WAV audio, key=value config files, JSON reports, CSV traces.
 
+WAV audio goes through a small RIFF codec over ``struct`` and
+``numpy.frombuffer``, so reading and writing audio loads no scipy. The reader
+accepts RIFF (little-endian) and RIFX (big-endian) files whose ``fmt `` chunk,
+given directly or as ``WAVE_FORMAT_EXTENSIBLE``, names one of:
+
+* integer PCM at 8 bits (unsigned), scaled as ``(x - 128) / 128``;
+* integer PCM at 16, 24 or 32 bits, scaled by ``2**-15``, ``2**-23`` or
+  ``2**-31``;
+* IEEE float at 32 or 64 bits, read as stored.
+
+Other chunks (``fact``, ``LIST``, ...) are skipped, pad byte included. A file
+the reader cannot decode raises OSError naming the path and the cause: a bad
+RIFF/WAVE tag, an RF64 file, a missing or short ``fmt `` or ``data`` chunk,
+data that is not a whole number of frames, or any other sample format (such as
+mu-law or 12-bit PCM). The writer stores float32 samples.
+
 All numeric text output is formatted with ``%.12g`` so repeated runs with the
 same seed produce byte-identical artifacts.
 """
@@ -9,44 +25,117 @@ import struct
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import ConfigError, InvalidInputError
 
 DEFAULT_SAMPLE_RATE = 16000
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_FORMATS = {(_PCM, 8), (_PCM, 16), (_PCM, 24), (_PCM, 32), (_IEEE_FLOAT, 32), (_IEEE_FLOAT, 64)}
+# the last 8 bytes of every WAVE_FORMAT_EXTENSIBLE subformat GUID (RFC 2361)
+_GUID_TAIL = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _unreadable(path, cause: str) -> OSError:
+    return OSError(f"{path}: not a readable WAV file ({cause})")
+
+
+def _wav_format(path, body, order: str) -> tuple[int, int, int, int]:
+    """``(format tag, channels, rate, bits per sample)`` of a ``fmt `` chunk,
+    with an extensible format resolved to its subformat."""
+    if len(body) < 16:
+        raise _unreadable(path, f"fmt chunk of {len(body)} bytes, need 16")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(order + "HHIIHH", body)
+    if tag == _EXTENSIBLE:
+        guid = bytes(body[24:40])
+        if guid[4:] != struct.pack(order + "HH", 0, 0x10) + _GUID_TAIL:
+            raise _unreadable(path, "extensible fmt chunk without a known subformat")
+        tag = struct.unpack_from(order + "I", guid)[0]
+    if (tag, bits) not in _FORMATS:
+        raise _unreadable(path, f"unsupported sample format: tag {tag:#06x}, {bits} bits")
+    if channels == 0 or block_align != channels * bits // 8:
+        raise _unreadable(path, f"block align {block_align} does not fit "
+                                f"{channels} channels of {bits} bits")
+    return tag, channels, rate, bits
+
+
+def _decode(raw, tag: int, bits: int, order: str) -> np.ndarray:
+    """Flat float64 samples of a data chunk."""
+    if tag == _IEEE_FLOAT:
+        return np.frombuffer(raw, f"{order}f{bits // 8}").astype(np.float64)
+    if bits == 8:  # 8-bit PCM is unsigned
+        return (np.frombuffer(raw, np.uint8).astype(np.float64) - 128.0) / 128.0
+    if bits == 24:  # left-justified in an int32, x / 2**23 is the int32's x / 2**31
+        word = np.zeros((len(raw) // 3, 4), np.uint8)
+        high = slice(1, 4) if order == "<" else slice(0, 3)  # the int32's top 3 bytes
+        word[:, high] = np.frombuffer(raw, np.uint8).reshape(-1, 3)
+        raw, bits = word, 32
+    ints = np.frombuffer(raw, f"{order}i{bits // 8}")
+    return ints.astype(np.float64) / 2.0 ** (bits - 1)
+
 
 def read_wav(path) -> tuple[np.ndarray, int]:
     """Read a WAV file as float64, integer PCM scaled to [-1, 1).
 
-    Supports 16-bit and 32-bit integer PCM and 32/64-bit float. Returns
-    ``(samples, rate)`` with samples shaped (frames,) or (frames, channels).
-    A file that is not a readable WAV raises OSError naming the path.
+    Accepts the formats listed in the module docstring. Returns
+    ``(samples, rate)`` with samples shaped (frames,) for a mono file and
+    (frames, channels) otherwise. A file that cannot be read, or that is not
+    a WAV file in one of those formats, raises OSError naming the path and
+    the cause.
     """
-    try:
-        rate, data = wavfile.read(str(path))
-    except (ValueError, struct.error) as exc:  # malformed RIFF content
-        raise OSError(f"{path}: not a readable WAV file ({exc})") from exc
-    if data.dtype == np.int16:
-        out = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        out = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        out = data.astype(np.float64)
-    else:
-        raise InvalidInputError(f"unsupported WAV sample format {data.dtype} in {path}")
-    return out, int(rate)
+    buf = memoryview(Path(path).read_bytes())
+    riff = bytes(buf[:4])
+    if riff == b"RF64":
+        raise _unreadable(path, "RF64 files are not supported")
+    if riff not in (b"RIFF", b"RIFX") or bytes(buf[8:12]) != b"WAVE":
+        raise _unreadable(path, "no RIFF/WAVE header")
+    order = "<" if riff == b"RIFF" else ">"
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(buf):
+        chunk, size = struct.unpack_from(order + "4sI", buf, pos)
+        body = buf[pos + 8 : pos + 8 + size]
+        if chunk == b"fmt ":
+            fmt = _wav_format(path, body, order)
+        elif chunk == b"data":
+            if fmt is None:
+                raise _unreadable(path, "data chunk before the fmt chunk")
+            tag, channels, rate, bits = fmt
+            if len(body) < size:
+                raise _unreadable(path, f"data chunk holds {len(body)} of its {size} bytes")
+            if size % (channels * bits // 8):
+                raise _unreadable(path, f"{size} data bytes are not a whole number of "
+                                        f"{channels}-channel {bits}-bit frames")
+            samples = _decode(body, tag, bits, order)
+            return (samples.reshape(-1, channels) if channels > 1 else samples), int(rate)
+        pos += 8 + size + size % 2
+    raise _unreadable(path, "no data chunk" if fmt is not None else "no fmt chunk")
 
 
 def write_wav(path, data, rate: int = DEFAULT_SAMPLE_RATE) -> None:
     """Write samples as a float32 WAV file. Float32 keeps any finite level,
-    so a mixture peaking above 1 is stored unclipped."""
+    so a mixture peaking above 1 is stored unclipped.
+
+    The header is an 18-byte ``fmt `` chunk (``cbSize = 0``), a ``fact``
+    chunk holding the frame count, then the ``data`` chunk."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size == 0:
         raise InvalidInputError("WAV data must be a non-empty 1-D or 2-D array")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("WAV data contains non-finite samples")
-    wavfile.write(str(path), int(rate), x.astype(np.float32))
+    samples = x.astype("<f4")
+    rate = int(rate)
+    block = 4 * (1 if x.ndim == 1 else x.shape[1])
+    header = b"".join((
+        b"RIFF", struct.pack("<I", 50 + samples.nbytes), b"WAVE",
+        b"fmt ", struct.pack("<IHHIIHHH", 18, _IEEE_FLOAT, block // 4, rate, rate * block,
+                             block, 32, 0),
+        b"fact", struct.pack("<II", 4, x.shape[0]),
+        b"data", struct.pack("<I", samples.nbytes),
+    ))
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(samples.tobytes())
 
 
 def read_keyvalue(path) -> dict[str, str]:

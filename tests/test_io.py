@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -40,6 +41,120 @@ class TestWav:
     def test_rejects_bad_data(self, tmp_path):
         with pytest.raises(InvalidInputError):
             gio.write_wav(tmp_path / "bad.wav", np.array([np.nan]), 16000)
+
+
+def scipy_scaled(path):
+    """scipy's reading of ``path`` with the scaling ``read_wav`` documents."""
+    rate, data = wavfile.read(str(path))
+    if data.dtype == np.uint8:
+        return (data.astype(np.float64) - 128) / 128, rate
+    if data.dtype.kind == "i":
+        return data.astype(np.float64) / 2.0 ** (8 * data.dtype.itemsize - 1), rate
+    return data.astype(np.float64), rate
+
+
+def chunk(name, body, order="<"):
+    return name + struct.pack(order + "I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def riff(*chunks, order="<"):
+    body = b"WAVE" + b"".join(chunks)
+    return (b"RIFF" if order == "<" else b"RIFX") + struct.pack(order + "I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, bits, rate=16000, order="<"):
+    block = channels * bits // 8
+    return chunk(b"fmt ", struct.pack(order + "HHIIHH", tag, channels, rate, rate * block,
+                                      block, bits), order)
+
+
+class TestWavCodecAgainstScipy:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_reads_what_scipy_writes(self, tmp_path, dtype, channels):
+        rng = np.random.default_rng(5)
+        shape = (301,) if channels == 1 else (301, channels)
+        if np.dtype(dtype).kind == "f":
+            data = (2.0 * rng.standard_normal(shape)).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            data = rng.integers(info.min, info.max, size=shape, endpoint=True).astype(dtype)
+        path = tmp_path / "x.wav"
+        wavfile.write(str(path), 22050, data)
+        y, rate = gio.read_wav(path)
+        expected, expected_rate = scipy_scaled(path)
+        assert rate == expected_rate == 22050
+        assert y.dtype == np.float64 and y.shape == shape
+        np.testing.assert_array_equal(y, expected)
+        if dtype == np.uint8:  # 8-bit PCM is unsigned
+            np.testing.assert_array_equal(y, (data.astype(np.float64) - 128) / 128)
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    def test_24_bit_pcm_little_and_big_endian(self, tmp_path, order):
+        rng = np.random.default_rng(6)
+        ints = rng.integers(-2**23, 2**23, size=(200, 2))
+        ints[:2] = [[-2**23, 2**23 - 1], [0, -1]]
+        raw = (ints % 2**24).astype(order + "u4").view(np.uint8).reshape(-1, 4)
+        raw = raw[:, 1:] if order == ">" else raw[:, :3]
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(fmt_chunk(1, 2, 24, order=order),
+                              chunk(b"data", raw.tobytes(), order), order=order))
+        y, rate = gio.read_wav(path)
+        assert rate == 16000
+        np.testing.assert_array_equal(y, scipy_scaled(path)[0])
+        np.testing.assert_array_equal(y, ints / 2.0**23)
+
+    def test_extensible_format_resolves_to_subformat(self, tmp_path):
+        pcm = np.arange(-600, 600, 7, dtype=np.int16).reshape(-1, 2)
+        guid = struct.pack("<IHH", 1, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 2, 16000, 64000, 4, 16, 22, 16, 0x3) + guid
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(chunk(b"fmt ", fmt), chunk(b"data", pcm.tobytes())))
+        y, _ = gio.read_wav(path)
+        np.testing.assert_array_equal(y, scipy_scaled(path)[0])
+        np.testing.assert_array_equal(y, pcm / 32768.0)
+
+    def test_skips_odd_length_list_chunk(self, tmp_path):
+        pcm = np.arange(-50, 50, dtype=np.int16)
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(fmt_chunk(1, 1, 16), chunk(b"LIST", b"INFOx"),
+                              chunk(b"data", pcm.tobytes())))
+        assert len(path.read_bytes()) % 2 == 0  # the LIST chunk carries its pad byte
+        y, _ = gio.read_wav(path)
+        np.testing.assert_array_equal(y, scipy_scaled(path)[0])
+        np.testing.assert_array_equal(y, pcm / 32768.0)
+
+    @pytest.mark.parametrize("shape", [(500,), (500, 2)])
+    def test_writes_the_bytes_scipy_writes(self, tmp_path, shape):
+        x = 3.0 * np.random.default_rng(7).standard_normal(shape)
+        gio.write_wav(tmp_path / "ours.wav", x, 16000)
+        wavfile.write(str(tmp_path / "scipy.wav"), 16000, x.astype(np.float32))
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+class TestUnreadableWav:
+    PCM = np.arange(12, dtype=np.int16).tobytes()  # 6 stereo frames
+
+    CASES = {
+        "bad tag": b"JUNK" + riff(fmt_chunk(1, 2, 16), chunk(b"data", PCM))[4:],
+        "not WAVE": riff(fmt_chunk(1, 2, 16), chunk(b"data", PCM)).replace(b"WAVE", b"AVI ", 1),
+        "RF64": b"RF64" + riff(fmt_chunk(1, 2, 16), chunk(b"data", PCM))[4:],
+        "no fmt chunk": riff(chunk(b"data", PCM)),
+        "short fmt chunk": riff(chunk(b"fmt ", b"\x01\x00\x02\x00"), chunk(b"data", PCM)),
+        "no data chunk": riff(fmt_chunk(1, 2, 16)),
+        "data cut mid-frame": riff(fmt_chunk(1, 2, 16), chunk(b"data", PCM))[:-3],
+        "partial frame": riff(fmt_chunk(1, 2, 16), chunk(b"data", PCM[:-2])),
+        "mu-law": riff(fmt_chunk(7, 2, 8), chunk(b"data", PCM)),
+        "12-bit PCM": riff(fmt_chunk(1, 2, 12), chunk(b"data", PCM)),
+        "64-bit PCM": riff(fmt_chunk(1, 1, 64), chunk(b"data", PCM[:16])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_oserror_naming_path(self, tmp_path, case):
+        path = tmp_path / "input.wav"
+        path.write_bytes(self.CASES[case])
+        with pytest.raises(OSError, match="input.wav"):
+            gio.read_wav(path)
 
 
 class TestKeyValue:
