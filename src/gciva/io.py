@@ -125,11 +125,11 @@ def write_wav(path, data, rate: int = DEFAULT_SAMPLE_RATE) -> None:
         raise InvalidInputError("WAV data contains non-finite samples")
     samples = x.astype("<f4")
     rate = int(rate)
-    block = 4 * (1 if x.ndim == 1 else x.shape[1])
+    channels = 1 if x.ndim == 1 else x.shape[1]
     header = b"".join((
         b"RIFF", struct.pack("<I", 50 + samples.nbytes), b"WAVE",
-        b"fmt ", struct.pack("<IHHIIHHH", 18, _IEEE_FLOAT, block // 4, rate, rate * block,
-                             block, 32, 0),
+        b"fmt ", struct.pack("<IHHIIHHH", 18, _IEEE_FLOAT, channels, rate, rate * 4 * channels,
+                             4 * channels, 32, 0),
         b"fact", struct.pack("<II", 4, x.shape[0]),
         b"data", struct.pack("<I", samples.nbytes),
     ))
