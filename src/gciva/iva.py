@@ -9,15 +9,18 @@ solver's update, then demixes once. That pass yields the cost-trace entry (IVA
 term plus the solver's penalty), the next update's input and, after the last
 iteration, the demixed output. :func:`evaluate_cost` is the public oracle.
 
-The data never change during a solve, so each frame's microphone outer
-products ``x x^H`` are built once per solve and stored flat, one row per
-(bin, i, j) entry and one column per frame: F*K^2*N complex values, K times
-the spectrogram (about 5 MB for a 5 s stereo scene at 2048/1024). The
-weighted covariances ``V_k = mean_n phi(r_nk) x_n x_n^H`` of all K channels
-then come from one matrix product with the N x K frame weights per
-iteration, and both updates read them: the MM sweep solves against V_k, and
-the gradient step forms row k of its score ``E{phi(y) y^H}`` as
-``W[k, :] V_k W^H``.
+The data never change during a solve, so each solve holds them once in
+(bin, channel, frame) layout, in which demixing is one matrix product per bin
+and the frame energies reduce over bins; the demixed output returns to the
+spectrogram's (bin, frame, channel) layout once, after the last iteration.
+Each frame's microphone outer products ``x x^H`` are likewise built once per
+solve and stored flat, one row per (bin, i, j) entry and one column per
+frame: F*K^2*N complex values, K times the spectrogram (about 5 MB for a 5 s
+stereo scene at 2048/1024). The weighted covariances
+``V_k = mean_n phi(r_nk) x_n x_n^H`` of all K channels then come from one
+matrix product with the N x K frame weights per iteration, and both updates
+read them: the MM sweep solves against V_k, and the gradient step forms row
+k of its score ``E{phi(y) y^H}`` as ``W[k, :] V_k W^H``.
 
 * :func:`run_informed_iva` performs majorize-minimize row updates; channels
   listed in the prior are updated against the covariance plus the
@@ -200,20 +203,27 @@ def prior_matrices(prior: PriorConfig, config: StftConfig) -> dict[int, np.ndarr
     return out
 
 
-def _demix_data(data: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    # y[f, n, k] = sum_j matrices[f, k, j] x[f, n, j]
-    return np.matmul(data, matrices.transpose(0, 2, 1))
+def _transposed(data: np.ndarray) -> np.ndarray:
+    # C-contiguous (F, K, N) copy of (F, N, K) data (or back): the layout in
+    # which demixing is one plain GEMM per bin
+    return np.ascontiguousarray(data.transpose(0, 2, 1))
 
 
-def _frame_energies(y: np.ndarray) -> np.ndarray:
-    # r[n, k] = ||y[:, n, k]||_2 over all bins
-    return np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
+def _demix_data(xt: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    # y[f, k, n] = sum_j matrices[f, k, j] x[f, j, n], both in (F, K, N) layout
+    return np.matmul(matrices, xt)
+
+
+def _frame_energies(yt: np.ndarray) -> np.ndarray:
+    # r[n, k] = ||y[:, k, n]||_2 over all bins, from (F, K, N) outputs
+    return np.sqrt(np.sum(np.abs(yt) ** 2, axis=0)).T
 
 
 def demix(spec: ComplexSpectrogram, w: DemixingStack) -> ComplexSpectrogram:
     """Apply the demixing stack to a spectrogram."""
     _check_shapes(spec, w)
-    return ComplexSpectrogram(_demix_data(spec.data, w.matrices), spec.config)
+    return ComplexSpectrogram(_transposed(_demix_data(_transposed(spec.data), w.matrices)),
+                              spec.config)
 
 
 def _check_shapes(spec: ComplexSpectrogram, w: DemixingStack) -> None:
@@ -229,13 +239,13 @@ def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -
     _check_shapes(spec, w)
     if not 0 <= channel < spec.n_channels:
         raise InvalidInputError(f"channel {channel} outside [0, {spec.n_channels})")
-    return _frame_energies(_demix_data(spec.data, w.matrices))[:, channel]
+    return _frame_energies(_demix_data(_transposed(spec.data), w.matrices))[:, channel]
 
 
-def _outer_products(data: np.ndarray) -> np.ndarray:
-    # P[f, i, j, n] = x[f, n, i] conj(x[f, n, j]); a C-contiguous xt makes P
-    # C-contiguous, so its flat (F*K*K, N) view costs no copy per iteration
-    xt = np.ascontiguousarray(data.transpose(0, 2, 1))
+def _outer_products(xt: np.ndarray) -> np.ndarray:
+    # P[f, i, j, n] = x[f, i, n] conj(x[f, j, n]) from the (F, K, N) layout; a
+    # C-contiguous xt makes P C-contiguous, so its flat (F*K*K, N) view costs
+    # no copy per iteration
     return xt[:, :, None, :] * xt.conj()[:, None, :, :]
 
 
@@ -264,7 +274,8 @@ def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, 
     if energies.shape != (spec.n_frames,):
         raise InvalidInputError("energies must hold one value per frame")
     weights = model.weight(energies)[:, None]
-    return _weighted_covariances(_outer_products(spec.data[f : f + 1]), weights)[0, 0]
+    return _weighted_covariances(_outer_products(_transposed(spec.data[f : f + 1])),
+                                 weights)[0, 0]
 
 
 def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -386,7 +397,7 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
     form of the constrained rows against their prior matrices.
     """
     _check_shapes(spec, w)
-    r = _frame_energies(_demix_data(spec.data, w.matrices))
+    r = _frame_energies(_demix_data(_transposed(spec.data), w.matrices))
     return _iva_cost(r, w.matrices, model), _prior_cost(w.matrices, _prior_stacks(prior, spec))
 
 
@@ -398,17 +409,18 @@ def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update
     if iterations < 0:
         raise InvalidInputError("iterations must be nonnegative")
     w = DemixingStack.identity(spec.n_bins, spec.n_channels)
-    outer = _outer_products(spec.data)
+    xt = _transposed(spec.data)
+    outer = _outer_products(xt)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
         if it:
             w = update(it, w, _weighted_covariances(outer, _source_weights(model, r)))
-        y = _demix_data(spec.data, w.matrices)
-        r = _frame_energies(y)
+        yt = _demix_data(xt, w.matrices)
+        r = _frame_energies(yt)
         trace.append((_iva_cost(r, w.matrices, model), penalty(w)))
         if it and callback is not None:
             callback(it, w.copy())
-    return w, ComplexSpectrogram(y, spec.config), CostTrace(*np.array(trace).T)
+    return w, ComplexSpectrogram(_transposed(yt), spec.config), CostTrace(*np.array(trace).T)
 
 
 def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
@@ -500,8 +512,9 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     frame magnitude.
     """
     _check_shapes(spec, w)
-    weights = _source_weights(model, _frame_energies(_demix_data(spec.data, w.matrices)))
-    cov = _weighted_covariances(_outer_products(spec.data), weights)
+    xt = _transposed(spec.data)
+    weights = _source_weights(model, _frame_energies(_demix_data(xt, w.matrices)))
+    cov = _weighted_covariances(_outer_products(xt), weights)
     return _gradient_step(w, cov, h_field, stepsize, constraint_weight)
 
 

@@ -153,7 +153,7 @@ class TestCovarianceKernel:
         rng = np.random.default_rng(20 + n_ch)
         spec = random_spec(rng, 4, 7, n_ch)
         weights = rng.uniform(0.2, 3.0, size=(7, n_ch))
-        outer = gciva.iva._outer_products(spec.data)
+        outer = gciva.iva._outer_products(gciva.iva._transposed(spec.data))
         assert outer.flags.c_contiguous  # else every GEMM copies the cache first
         v = gciva.iva._weighted_covariances(outer, weights)
         assert v.shape == (4, n_ch, n_ch, n_ch)
@@ -175,7 +175,8 @@ class TestCovarianceKernel:
         r = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
         phi = np.stack([SourceModel().weight(r[:, k]) for k in range(n_ch)], axis=1)
         expected = np.einsum("fnk,fnl->fkl", phi[None] * y, y.conj()) / 9
-        cov = gciva.iva._weighted_covariances(gciva.iva._outer_products(spec.data),
+        xt = gciva.iva._transposed(spec.data)
+        cov = gciva.iva._weighted_covariances(gciva.iva._outer_products(xt),
                                               gciva.iva._source_weights(SourceModel(), r))
         score = gciva.iva._score(w, cov)
         assert np.max(np.abs(score - expected)) <= 1e-12 * np.max(np.abs(expected))
