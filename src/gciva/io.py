@@ -2,19 +2,10 @@
 
 WAV audio goes through a small RIFF codec over ``struct`` and
 ``numpy.frombuffer``, so reading and writing audio loads no scipy. The reader
-accepts RIFF (little-endian) and RIFX (big-endian) files whose ``fmt `` chunk,
-given directly or as ``WAVE_FORMAT_EXTENSIBLE``, names one of:
-
-* integer PCM at 8 bits (unsigned), scaled as ``(x - 128) / 128``;
-* integer PCM at 16, 24 or 32 bits, scaled by ``2**-15``, ``2**-23`` or
-  ``2**-31``;
-* IEEE float at 32 or 64 bits, read as stored.
-
-Other chunks (``fact``, ``LIST``, ...) are skipped, pad byte included. A file
-the reader cannot decode raises OSError naming the path and the cause: a bad
-RIFF/WAVE tag, an RF64 file, a missing or short ``fmt `` or ``data`` chunk,
-data that is not a whole number of frames, or any other sample format (such as
-mu-law or 12-bit PCM). The writer stores float32 samples.
+accepts RIFF and RIFX files of 8-, 16-, 24- or 32-bit integer PCM or 32- or
+64-bit IEEE float, plain or ``WAVE_FORMAT_EXTENSIBLE``, and raises OSError
+naming the path and the cause for any other file (see :func:`read_wav`). The
+writer stores float32 samples.
 
 All numeric text output is formatted with ``%.12g`` so repeated runs with the
 same seed produce byte-identical artifacts.
@@ -77,11 +68,23 @@ def _decode(raw, tag: int, bits: int, order: str) -> np.ndarray:
 def read_wav(path) -> tuple[np.ndarray, int]:
     """Read a WAV file as float64, integer PCM scaled to [-1, 1).
 
-    Accepts the formats listed in the module docstring. Returns
-    ``(samples, rate)`` with samples shaped (frames,) for a mono file and
-    (frames, channels) otherwise. A file that cannot be read, or that is not
-    a WAV file in one of those formats, raises OSError naming the path and
-    the cause.
+    Accepts RIFF (little-endian) and RIFX (big-endian) files whose ``fmt ``
+    chunk, given directly or as ``WAVE_FORMAT_EXTENSIBLE``, names one of:
+
+    * integer PCM at 8 bits (unsigned), scaled as ``(x - 128) / 128``;
+    * integer PCM at 16, 24 or 32 bits, scaled by ``2**-15``, ``2**-23`` or
+      ``2**-31``;
+    * IEEE float at 32 or 64 bits, read as stored.
+
+    Other chunks (``fact``, ``LIST``, ...) are skipped, pad byte included.
+    Returns ``(samples, rate)`` with samples shaped (frames,) for a mono file
+    and (frames, channels) otherwise.
+
+    Raises OSError naming the path and the cause when the file cannot be
+    opened, or has a bad RIFF/WAVE tag, is RF64, lacks a ``fmt `` or
+    ``data`` chunk or has a short one, holds data that is not a whole
+    number of frames, or has any other sample format (such as mu-law or
+    12-bit PCM).
     """
     buf = memoryview(Path(path).read_bytes())
     riff = bytes(buf[:4])
@@ -107,7 +110,7 @@ def read_wav(path) -> tuple[np.ndarray, int]:
                 raise _unreadable(path, f"{size} data bytes are not a whole number of "
                                         f"{channels}-channel {bits}-bit frames")
             samples = _decode(body, tag, bits, order)
-            return (samples.reshape(-1, channels) if channels > 1 else samples), int(rate)
+            return (samples.reshape(-1, channels) if channels > 1 else samples), rate
         pos += 8 + size + size % 2
     raise _unreadable(path, "no data chunk" if fmt is not None else "no fmt chunk")
 
