@@ -69,8 +69,8 @@ class ExperimentConfig:
         return DEFAULT_ITERATIONS[algorithm]
 
     def stft_config(self, sample_rate: float | None = None) -> StftConfig:
-        return StftConfig(self.window_length, self.hop,
-                          sample_rate or self.sample_rate, self.window_kind)
+        rate = self.sample_rate if sample_rate is None else sample_rate
+        return StftConfig(self.window_length, self.hop, rate, self.window_kind)
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry.linear_pair(self.mic_spacing, self.speed_of_sound)
@@ -261,6 +261,9 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     mixture, rate = io.read_wav(mixture_path)
     if mixture.ndim != 2 or mixture.shape[1] < 2:
         raise InvalidInputError(f"{mixture_path} is not a multichannel mixture")
+    if cfg.refs and len(cfg.refs) != mixture.shape[1]:
+        raise ConfigError(f"--refs names {len(cfg.refs)} reference WAVs; the "
+                          f"{mixture.shape[1]}-channel mixture needs {mixture.shape[1]}")
     refs = []
     for path in cfg.refs:
         data, ref_rate = io.read_wav(path)

@@ -44,6 +44,8 @@ def _wav_format(path, body, order: str) -> tuple[int, int, int, int]:
         tag = struct.unpack_from(order + "I", guid)[0]
     if (tag, bits) not in _FORMATS:
         raise _unreadable(path, f"unsupported sample format: tag {tag:#06x}, {bits} bits")
+    if rate == 0:
+        raise _unreadable(path, "sample rate 0")
     if channels == 0 or block_align != channels * bits // 8:
         raise _unreadable(path, f"block align {block_align} does not fit "
                                 f"{channels} channels of {bits} bits")

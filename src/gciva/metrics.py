@@ -4,8 +4,10 @@ An estimate is decomposed by least-squares projection onto the span of
 delayed reference copies (a time-invariant allowed-distortion filter per
 reference). The projection onto the best-matching single reference is the
 target, the remainder of the full-span projection is interference, and what
-the full span cannot explain is artifact. Ratios are reported in dB, capped
-at +-100.
+the full span cannot explain is artifact. Projections are held as filter
+coefficients solved from the normal equations, and every energy is a
+quadratic form in the Gram matrix of the delayed copies: nothing is
+re-synthesized. Ratios are reported in dB, capped at +-100.
 """
 
 import itertools
@@ -66,9 +68,11 @@ class Scores(NamedTuple):
 class _ReferenceProjector:
     """Shared least-squares machinery for one set of references.
 
-    Precomputes the Gram matrix of delayed reference copies (via FFT
-    cross-correlations assembled into Toeplitz blocks) and its Cholesky
-    factors, both for the full span and for each single-reference span.
+    Precomputes the Gram matrix G of delayed reference copies (via FFT
+    cross-correlations assembled into Toeplitz blocks) and the Cholesky
+    factors of its loaded form, for the full span and each single-reference
+    span. A projection is its coefficient vector c, and energies are
+    quadratic forms such as ``c @ G @ c``: no signal is re-synthesized.
     Build one per reference set and score every estimate with ``score``.
     """
 
@@ -88,11 +92,10 @@ class _ReferenceProjector:
         self.refs = references
         self.flen = filter_len
         n_refs, n_samples = references.shape
-        n_fft = int(2 ** np.ceil(np.log2(n_samples + filter_len - 1)))
-        self.n_fft = n_fft
+        n_fft = self.n_fft = int(2 ** np.ceil(np.log2(n_samples + filter_len - 1)))
         self.spectra = np.fft.rfft(references, n=n_fft, axis=1)
 
-        gram = np.empty((n_refs * filter_len, n_refs * filter_len))
+        gram = self.gram = np.empty((n_refs * filter_len, n_refs * filter_len))
         for i in range(n_refs):
             for j in range(i + 1):
                 corr = np.fft.irfft(self.spectra[i] * self.spectra[j].conj(), n=n_fft)
@@ -119,20 +122,26 @@ class _ReferenceProjector:
             ) from exc
         self._check_distinguishable()
 
+    def _project_single(self, cross: np.ndarray, j: int, energy: float):
+        """Project a signal of ``energy`` with cross vector ``cross`` onto
+        reference ``j``'s span: ``(coefficients, target energy, leftover
+        energy)``, the leftover being what that span leaves unexplained."""
+        from scipy.linalg import cho_solve  # lazy: slow to import
+        span = slice(j * self.flen, (j + 1) * self.flen)
+        coeffs = cho_solve(self.factor_single[j], cross[span])
+        target = float(coeffs @ self.gram[span, span] @ coeffs)
+        return coeffs, target, energy - 2.0 * float(cross[span] @ coeffs) + target
+
     def _check_distinguishable(self) -> None:
         # a reference that is a filtered copy of another makes source
-        # attribution ambiguous
+        # attribution ambiguous; reference i's cross vector is Gram column i * flen
         for i in range(self.refs.shape[0]):
-            energy = float(np.sum(self.refs[i] ** 2))
+            energy = float(self.gram[i * self.flen, i * self.flen])
             if energy == 0.0:
                 raise DegenerateReferenceError(f"reference {i} is silent")
-            cross = self.cross_vector(self.refs[i])
+            cross = self.gram[:, i * self.flen]
             for j in range(self.refs.shape[0]):
-                if j == i:
-                    continue
-                residual = np.concatenate((self.refs[i], np.zeros(self.flen - 1)))
-                residual = residual - self.project_single(cross, j)
-                if float(np.sum(residual**2)) <= 1e-10 * energy:
+                if j != i and self._project_single(cross, j, energy)[2] <= 1e-10 * energy:
                     raise DegenerateReferenceError(
                         f"reference {i} is a filtered copy of reference {j}"
                     )
@@ -145,27 +154,10 @@ class _ReferenceProjector:
             parts.append(np.concatenate(([corr[0]], corr[-1 : -self.flen : -1])))
         return np.concatenate(parts)
 
-    def _filter(self, coeffs: np.ndarray, indices) -> np.ndarray:
-        from scipy.signal import fftconvolve  # lazy: slow to import
-        out = np.zeros(self.refs.shape[1] + self.flen - 1)
-        for pos, i in enumerate(indices):
-            taps = coeffs[pos * self.flen : (pos + 1) * self.flen]
-            out += fftconvolve(self.refs[i], taps)
-        return out
-
-    def project_full(self, cross: np.ndarray) -> np.ndarray:
-        from scipy.linalg import cho_solve  # lazy: slow to import
-        coeffs = cho_solve(self.factor_full, cross)
-        return self._filter(coeffs, range(self.refs.shape[0]))
-
-    def project_single(self, cross: np.ndarray, j: int) -> np.ndarray:
-        from scipy.linalg import cho_solve  # lazy: slow to import
-        coeffs = cho_solve(self.factor_single[j], cross[j * self.flen : (j + 1) * self.flen])
-        return self._filter(coeffs, (j,))
-
     def score(self, estimates) -> Scores:
         """Decompose each row of ``estimates`` (n_estimates, n_samples) once
         against every reference."""
+        from scipy.linalg import cho_solve  # lazy: slow to import
         estimates = np.asarray(estimates, dtype=np.float64)
         if estimates.ndim != 2 or estimates.shape[1] != self.refs.shape[1]:
             raise InvalidInputError("estimate and references must have equal lengths")
@@ -175,15 +167,15 @@ class _ReferenceProjector:
         energies = np.empty((n_est, n_refs, 3))
         full_energy = np.empty(n_est)
         for i, estimate in enumerate(estimates):
-            cross = self.cross_vector(estimate)
-            p_full = self.project_full(cross)
-            artifact = np.concatenate((estimate, np.zeros(self.flen - 1))) - p_full
-            full_energy[i] = np.sum(p_full**2)
+            cross, energy = self.cross_vector(estimate), float(estimate @ estimate)
+            full = cho_solve(self.factor_full, cross)
+            full_energy[i] = full @ self.gram @ full
             for j in range(n_refs):
-                target = self.project_single(cross, j)
-                interference = p_full - target
-                energies[i, j] = (np.sum(target**2), np.sum(interference**2),
-                                  np.sum((interference + artifact) ** 2))
+                coeffs, target, distortion = self._project_single(cross, j, energy)
+                # the interference filter itself, so no two large energies cancel
+                rest = full.copy()
+                rest[j * self.flen : (j + 1) * self.flen] -= coeffs
+                energies[i, j] = target, rest @ self.gram @ rest, distortion
         sir_matrix = np.array([[_db_ratio(t, e) for t, e, _ in row] for row in energies])
         best = np.argmax(energies[:, :, 0], axis=1)
         rows = np.arange(n_est)

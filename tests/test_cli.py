@@ -26,14 +26,23 @@ def run_python(code, *args, **kwargs):
     return subprocess.run([sys.executable, "-c", code, *args], env=env, **kwargs)
 
 
-# exits 1, naming them, if any scipy module is loaded
-SCIPY_CHECK = ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-               "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)")
+def scipy_check(subpackages):
+    """Code that ends a fresh interpreter's run: it exits 1, naming them, if
+    scipy modules outside ``subpackages`` (names under ``scipy.``) are loaded.
+    Importing a subpackage also runs scipy's top level, so when
+    ``subpackages`` is not empty, ``scipy``, ``scipy.version`` and scipy's
+    private modules are allowed too; when it is empty, no scipy module is."""
+    allowed = {*subpackages, "", "version"} if subpackages else set()
+    return (f"allowed = {allowed!r}; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and not "
+            "((m.split('.') + [''])[1] in allowed or "
+            "(allowed and m.split('.')[1].startswith('_')))); "
+            "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)")
 
 
 def test_cli_import_skips_scipy_signal():
     # scipy is only needed to render scenes and score references
-    proc = run_python(f"import sys, gciva, gciva.cli; {SCIPY_CHECK}",
+    proc = run_python(f"import sys, gciva, gciva.cli; {scipy_check(set())}",
                       capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -244,7 +253,7 @@ class TestSeparate:
         scene = tmp_path / "scene"
         assert simulate_small(scene) == 0
         proc = run_python(f"import sys; from gciva.cli import main; rc = main(sys.argv[1:]); "
-                          f"rc and sys.exit(rc); {SCIPY_CHECK}",
+                          f"rc and sys.exit(rc); {scipy_check(set())}",
                           "separate", str(scene / "mixture.wav"), "--doa", "135",
                           "--iterations", "3", "--out", str(tmp_path / "sep"),
                           capture_output=True, text=True)
@@ -272,7 +281,9 @@ class TestSeparate:
         truncated, noise = tmp_path / "truncated.wav", tmp_path / "noise.wav"
         truncated.write_bytes(whole.read_bytes()[:30])
         noise.write_bytes(np.random.default_rng(0).bytes(4096))
-        for path in (truncated, noise):
+        zero_rate = tmp_path / "zero_rate.wav"  # the fmt chunk's rate field is bytes 24-27
+        zero_rate.write_bytes(whole.read_bytes()[:24] + bytes(4) + whole.read_bytes()[28:])
+        for path in (truncated, noise, zero_rate):
             proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
                               "separate", str(path), "--out", str(tmp_path / "x"),
                               capture_output=True, text=True)
@@ -349,6 +360,31 @@ class TestReferenceMetrics:
         assert code == 1
         err = capsys.readouterr().err
         assert "odd_rate.wav" in err and "8000" in err and "16000" in err
+
+    def test_scoring_loads_only_scipy_linalg(self, tmp_path):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        proc = run_python(f"import sys; from gciva.cli import main; rc = main(sys.argv[1:]); "
+                          f"rc and sys.exit(rc); {scipy_check({'linalg'})}",
+                          "separate", str(scene / "mixture.wav"), "--algorithm", "aux",
+                          "--iterations", "2", "--out", str(tmp_path / "sep"), "--refs",
+                          f"{scene / 'source01.wav'},{scene / 'source02.wav'}",
+                          capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "metrics" in json.loads((tmp_path / "sep" / "report.json").read_text())
+
+    def test_reference_count_mismatch_exits_before_solving(self, tmp_path):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        out = tmp_path / "sep"
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          "separate", str(scene / "mixture.wav"), "--algorithm", "aux",
+                          "--out", str(out), "--refs", str(scene / "source01.wav"),
+                          capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "--refs" in proc.stderr and "1 reference" in proc.stderr
+        assert "2-channel" in proc.stderr
+        assert not out.exists()
 
     def test_reference_length_mismatch_warns(self, tmp_path, capsys):
         scene = tmp_path / "scene"

@@ -147,6 +147,7 @@ class TestUnreadableWav:
         "mu-law": riff(fmt_chunk(7, 2, 8), chunk(b"data", PCM)),
         "12-bit PCM": riff(fmt_chunk(1, 2, 12), chunk(b"data", PCM)),
         "64-bit PCM": riff(fmt_chunk(1, 1, 64), chunk(b"data", PCM[:16])),
+        "sample rate 0": riff(fmt_chunk(1, 2, 16, rate=0), chunk(b"data", PCM)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
