@@ -233,12 +233,15 @@ def _score(projector: _ReferenceProjector, outputs: np.ndarray, order):
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not float(cfg.sample_rate).is_integer():
+        raise ConfigError(f"sample_rate {cfg.sample_rate:g} Hz is not a whole number, "
+                          f"which the WAV header needs")
     doas = cfg.doas or (45.0, 135.0)
     signals = _load_sources(cfg)
     scene = SceneSpec(signals, doas, cfg.snr_db, seed=cfg.seed)
     mixture, images = simulate_mixture(scene, cfg.geometry(), cfg.stft_config())
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     io.write_wav(out / "mixture.wav", mixture, int(cfg.sample_rate))
     image_files = []
     for k in range(images.shape[0]):

@@ -122,12 +122,16 @@ def write_wav(path, data, rate: int = DEFAULT_SAMPLE_RATE) -> None:
     so a mixture peaking above 1 is stored unclipped.
 
     The header is an 18-byte ``fmt `` chunk (``cbSize = 0``), a ``fact``
-    chunk holding the frame count, then the ``data`` chunk."""
+    chunk holding the frame count, then the ``data`` chunk. Raises
+    InvalidInputError unless ``rate`` is a positive whole number of Hz."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size == 0:
         raise InvalidInputError("WAV data must be a non-empty 1-D or 2-D array")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("WAV data contains non-finite samples")
+    if not (rate > 0 and float(rate).is_integer()):
+        raise InvalidInputError(f"WAV sample rate must be a positive whole number of Hz, "
+                                f"got {rate}")
     samples = x.astype("<f4")
     rate = int(rate)
     channels = 1 if x.ndim == 1 else x.shape[1]

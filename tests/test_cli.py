@@ -180,6 +180,35 @@ class TestSimulate:
         assert meta["snr_db"] == "inf"
         assert meta["config"]["snrs"] == ["inf"]
 
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        out = tmp_path / "scene"
+        proc = run_python(f"import sys; from gciva.cli import main; rc = main(sys.argv[1:]); "
+                          f"rc and sys.exit(rc); {scipy_check(set())}",
+                          "simulate", "--seed", "0", "--duration", "1.0", "--out", str(out),
+                          capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "mixture.wav").exists()
+
+    @pytest.mark.parametrize("rate, nyquist", [("300", "150"), ("250", "125")])
+    def test_band_edge_at_or_above_nyquist_exits_one(self, tmp_path, capsys, rate, nyquist):
+        config = tmp_path / "low.cfg"
+        config.write_text(f"sample_rate = {rate}\n")
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "150 Hz" in err
+        assert f"Nyquist frequency {nyquist} Hz" in err
+        assert not out.exists()
+
+    def test_fractional_sample_rate_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "odd.cfg"
+        config.write_text("sample_rate = 16000.7\n")
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "sample_rate 16000.7 Hz is not a whole number" in err
+        assert not out.exists()
+
     def test_scene_description_file_with_wav_sources(self, tmp_path):
         rng = np.random.default_rng(8)
         for name in ("a.wav", "b.wav"):
@@ -432,6 +461,17 @@ class TestBenchmark:
         assert self.bench(out2, extra=("--algorithm", "gc-aux")) == 0
         for name in ("benchmark.csv", "runs.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_one_scene_loads_only_scipy_linalg(self, tmp_path):
+        # scene rendering is numpy; only the metric projector's solves use scipy
+        out = tmp_path / "bench"
+        proc = run_python(f"import sys; from gciva.cli import main; rc = main(sys.argv[1:]); "
+                          f"rc and sys.exit(rc); {scipy_check({'linalg'})}",
+                          "benchmark", "--out", str(out), "--snr", "20", "--seed", "0",
+                          "--doa", "45:135", "--duration", "1.0", "--iterations", "2",
+                          capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "runs.csv").exists()
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         code = run_cli("benchmark", "--out", tmp_path, "--snr", "", "--duration", "1.0")

@@ -42,6 +42,17 @@ class TestWav:
         with pytest.raises(InvalidInputError):
             gio.write_wav(tmp_path / "bad.wav", np.array([np.nan]), 16000)
 
+    @pytest.mark.parametrize("rate", [0, -1, 16000.5, -16000.0])
+    def test_rejects_rate_that_is_not_a_positive_whole_number(self, tmp_path, rate):
+        with pytest.raises(InvalidInputError) as err:
+            gio.write_wav(tmp_path / "bad.wav", np.zeros(10), rate)
+        assert str(err.value) == f"WAV sample rate must be a positive whole number of Hz, got {rate}"
+        assert not (tmp_path / "bad.wav").exists()
+
+    def test_whole_float_rate_is_written_as_an_integer(self, tmp_path):
+        gio.write_wav(tmp_path / "x.wav", np.zeros(10), 16000.0)
+        assert gio.read_wav(tmp_path / "x.wav")[1] == 16000
+
 
 def scipy_scaled(path):
     """scipy's reading of ``path`` with the scaling ``read_wav`` documents."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import butter, lfilter
 
 from gciva import (
     ArrayGeometry,
@@ -12,6 +13,7 @@ from gciva import (
     steering_vector,
     synthetic_sources,
 )
+from gciva.scene import _butter_highpass2, _tilt_highpass
 
 CONFIG = StftConfig()  # 2048-sample window at 16 kHz
 PAIR = ArrayGeometry.linear_pair(0.21)
@@ -165,3 +167,59 @@ class TestSyntheticSources:
         x = synthetic_sources(1, 2.0, 16000.0, seed=0)[0]
         kurtosis = np.mean(x**4) / np.mean(x**2) ** 2
         assert kurtosis > 3.5  # Gaussian would be 3
+
+
+RATES = (8000, 16000, 22050, 44100, 48000)
+
+
+class TestFiltersAgainstScipy:
+    """The numpy filter design and IIR loop against scipy.signal, a test-only
+    oracle: both must give scipy's floats exactly, not approximately."""
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_highpass_coefficients_equal_butter(self, rate):
+        b, a = _butter_highpass2(150.0, rate)
+        b_ref, a_ref = butter(2, 150.0 / (rate / 2.0), btype="high")
+        np.testing.assert_array_equal(b, b_ref)
+        np.testing.assert_array_equal(a, a_ref)
+        assert b.dtype == a.dtype == np.float64
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_filtered_output_equals_lfilter(self, rate, seed):
+        b, a = _butter_highpass2(150.0, rate)
+        alpha = float(np.exp(-2.0 * np.pi * 600.0 / rate))
+        noise = np.random.default_rng(seed).standard_normal(rate // 4)
+        expected = lfilter(b, a, lfilter([1.0 - alpha], [1.0, -alpha], noise))
+        np.testing.assert_array_equal(_tilt_highpass(noise, alpha, b, a), expected)
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sources_equal_the_scipy_formulation(self, rate, seed):
+        # synthetic_sources as written with scipy.signal before the port
+        n = rate // 4
+        segment = round(rate / 25.0)
+        rng = np.random.default_rng(seed)
+        alpha = np.exp(-2.0 * np.pi * 600.0 / rate)
+        b, a = butter(2, 150.0 / (rate / 2.0), btype="high")
+        expected = np.empty((2, n))
+        for k in range(2):
+            carrier = lfilter(b, a, lfilter([1.0 - alpha], [1.0, -alpha], rng.standard_normal(n)))
+            nodes = 0.05 + np.abs(rng.standard_normal(n // segment + 2))
+            x = carrier * np.interp(np.arange(n), np.arange(len(nodes)) * segment, nodes)
+            expected[k] = x / np.sqrt(np.mean(x**2))
+        np.testing.assert_array_equal(synthetic_sources(2, 0.25, rate, seed), expected)
+
+
+class TestBandEdgeRejected:
+    @pytest.mark.parametrize("rate", [300.0, 200.0, 0.0, -16000.0])
+    def test_highpass_edge_at_or_above_nyquist(self, rate):
+        with pytest.raises(InvalidInputError) as err:
+            synthetic_sources(2, 1.0, rate)
+        assert "150 Hz" in str(err.value)
+        assert f"Nyquist frequency {rate / 2:g} Hz" in str(err.value)
+
+    @pytest.mark.parametrize("edge", [0.0, -10.0])
+    def test_nonpositive_edge(self, edge):
+        with pytest.raises(InvalidInputError, match="Nyquist frequency 8000 Hz"):
+            synthetic_sources(2, 1.0, 16000.0, band_hz=(edge, 600.0))
