@@ -123,18 +123,20 @@ def write_wav(path, data, rate: int = DEFAULT_SAMPLE_RATE) -> None:
 
     The header is an 18-byte ``fmt `` chunk (``cbSize = 0``), a ``fact``
     chunk holding the frame count, then the ``data`` chunk. Raises
-    InvalidInputError unless ``rate`` is a positive whole number of Hz."""
+    InvalidInputError unless ``rate`` is a whole number of Hz from 1 up to
+    the largest whose byte rate fits the header's 32-bit field."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size == 0:
         raise InvalidInputError("WAV data must be a non-empty 1-D or 2-D array")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("WAV data contains non-finite samples")
-    if not (rate > 0 and float(rate).is_integer()):
-        raise InvalidInputError(f"WAV sample rate must be a positive whole number of Hz, "
-                                f"got {rate}")
+    channels = 1 if x.ndim == 1 else x.shape[1]
+    max_rate = (2**32 - 1) // (4 * channels)
+    if not (0 < rate <= max_rate and float(rate).is_integer()):
+        raise InvalidInputError(f"WAV sample rate must be a whole number of Hz from 1 to "
+                                f"{max_rate}, got {rate}")
     samples = x.astype("<f4")
     rate = int(rate)
-    channels = 1 if x.ndim == 1 else x.shape[1]
     header = b"".join((
         b"RIFF", struct.pack("<I", 50 + samples.nbytes), b"WAVE",
         b"fmt ", struct.pack("<IHHIIHHH", 18, _IEEE_FLOAT, channels, rate, rate * 4 * channels,

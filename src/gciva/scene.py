@@ -7,7 +7,7 @@ microphone pair on the x-axis sees a plane wave from 0 degrees end-fire and
 the frequency-domain steering model up to the interpolator's error.
 
 Everything here is numpy, so rendering a scene loads no scipy. The synthetic
-sources' Butterworth highpass and their IIR filtering repeat scipy.signal's
+sources' Butterworth highpass and their IIR filtering repeat scipy's
 ``butter`` and ``lfilter`` operation for operation, so the rendered samples
 are the ones those functions give, bit for bit.
 """
@@ -221,8 +221,8 @@ def simulate_mixture(spec: SceneSpec, geometry: ArrayGeometry, config: StftConfi
 
 def _butter_highpass2(edge_hz: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients ``(b, a)`` of the second-order Butterworth highpass with
-    its -3 dB edge at ``edge_hz``, equal bit for bit to
-    ``scipy.signal.butter(2, edge_hz / (sample_rate / 2), btype="high")``.
+    its -3 dB edge at ``edge_hz``, equal bit for bit to scipy's
+    ``butter(2, edge_hz / (sample_rate / 2), btype="high")``.
 
     It follows scipy's zero-pole chain with the same operations in the same
     order: the analog prototype's poles (``buttap``), the edge prewarped at a
@@ -232,7 +232,7 @@ def _butter_highpass2(edge_hz: float, sample_rate: float) -> tuple[np.ndarray, n
     enter each step as exact constants.
     """
     poles = -np.exp(1j * np.pi * np.arange(-1.0, 2.0, 2.0) / 4)  # cutoff 1 rad/s
-    warped = float(4.0 * np.tan(np.pi * np.float64(edge_hz / (sample_rate / 2.0)) / 2.0))
+    warped = float(4.0 * np.tan(np.pi * (edge_hz / (sample_rate / 2.0)) / 2.0))
     gain = np.real(1.0 / np.prod(-poles))
     poles = warped / poles
     gain = gain * np.real(16.0 / np.prod(4.0 - poles))
@@ -247,10 +247,11 @@ def _tilt_highpass(noise: np.ndarray, alpha: float, b: np.ndarray, a: np.ndarray
     """``noise`` through the one-pole lowpass ``(1 - alpha) / (1 - alpha z^-1)``
     and then the biquad ``b / a`` (``a[0] = 1``).
 
-    Each sample runs both filters in ``scipy.signal.lfilter``'s transposed
-    direct form II with its operation order, so the output is the one two
-    chained ``lfilter`` calls give, bit for bit. The one-pole's state update
-    ``x * 0.0 - y * -alpha`` is written as its exact equal ``y * alpha``.
+    Each sample runs both filters in the transposed direct form II of
+    scipy's ``lfilter``, with its operation order, so the output is the one
+    two chained ``lfilter`` calls give, bit for bit. The one-pole's state
+    update ``x * 0.0 - y * -alpha`` is written as its exact equal
+    ``y * alpha``.
     """
     gain = 1.0 - alpha
     b0, b1, b2 = b.tolist()
@@ -279,10 +280,10 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     the bands where a widely spaced microphone pair cannot distinguish
     directions.
 
-    The filters are numpy ports of ``scipy.signal.butter`` and ``lfilter``
+    The filters are numpy ports of scipy's ``butter`` and ``lfilter``
     (see :func:`_butter_highpass2` and :func:`_tilt_highpass`), so the
     samples equal those of the scipy formulation bit for bit while loading
-    no scipy; the per-sample loop takes about 25 ms per 5 s source at 16 kHz.
+    no scipy.
 
     Raises InvalidInputError unless ``n_sources >= 1``, ``duration > 0`` and
     ``0 < band_hz[0] < sample_rate / 2``.

@@ -42,11 +42,13 @@ class TestWav:
         with pytest.raises(InvalidInputError):
             gio.write_wav(tmp_path / "bad.wav", np.array([np.nan]), 16000)
 
-    @pytest.mark.parametrize("rate", [0, -1, 16000.5, -16000.0])
-    def test_rejects_rate_that_is_not_a_positive_whole_number(self, tmp_path, rate):
+    @pytest.mark.parametrize("rate", [0, -1, 16000.5, -16000.0, 2**29, float("nan")])
+    def test_rejects_rate_that_the_header_cannot_hold(self, tmp_path, rate):
+        # the byte rate, rate * 4 bytes * 2 channels, must fit a uint32
         with pytest.raises(InvalidInputError) as err:
-            gio.write_wav(tmp_path / "bad.wav", np.zeros(10), rate)
-        assert str(err.value) == f"WAV sample rate must be a positive whole number of Hz, got {rate}"
+            gio.write_wav(tmp_path / "bad.wav", np.zeros((10, 2)), rate)
+        assert str(err.value) == ("WAV sample rate must be a whole number of Hz from 1 to "
+                                  f"{2**29 - 1}, got {rate}")
         assert not (tmp_path / "bad.wav").exists()
 
     def test_whole_float_rate_is_written_as_an_integer(self, tmp_path):
