@@ -23,7 +23,7 @@ from .errors import (
     SingularUpdateError,
 )
 from .iva import PriorConfig, SourceModel, project_back, run_gradient_iva, run_informed_iva
-from .metrics import SeparationReport, _ReferenceProjector
+from .metrics import _ReferenceProjector
 from .scene import ArrayGeometry, SceneSpec, simulate_mixture, synthetic_sources
 from .stft import StftConfig, analyze, synthesize
 
@@ -124,8 +124,8 @@ FLAGS = {
     "--iterations": ("iterations", "solver iterations"),
     "--sigma2": ("sigma2", "prior variance (gc-aux)"),
     "--lambda-e": ("lambda_e", "Tikhonov weight of the prior (gc-aux)"),
-    "--doa": ("doas", "comma list of DOAs in degrees; for benchmark, "
-                      "colon pairs like 45:135,45:90"),
+    "--doa": ("doas", "DOAs in degrees: a comma list like 45,135 for simulate and "
+                      "separate, colon pairs like 45:135,45:90 for benchmark"),
     "--constrained-channels": ("constrained_channels",
                                "comma list of 0-based output channels to constrain"),
     "--snr": ("snrs", "comma list of SNRs in dB"),
@@ -137,6 +137,9 @@ FLAGS = {
 }
 # flag text with colons sets the paired key instead
 _COLON_KEYS = {"doas": "doa_pairs"}
+# the key --doa must set for a command that reads only one, and its form
+_DOA_FORMS = {"simulate": ("doas", "a comma list like 45,135"),
+              "benchmark": ("doa_pairs", "colon pairs like 45:135,45:90")}
 # key -> the other keys a flag setting it also sets, from its parsed value
 _COMPANIONS = {
     "algorithm": lambda algorithm: {"algorithms": (algorithm,)},
@@ -150,11 +153,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         cfg = replace(cfg, **load_config(args.config))
     overrides = {}
-    for key, _ in FLAGS.values():
-        raw = getattr(args, key, None)
+    for flag_key, _ in FLAGS.values():
+        raw = getattr(args, flag_key, None)
         if raw is None:
             continue
-        key = _COLON_KEYS.get(key, key) if ":" in raw else key
+        key = _COLON_KEYS.get(flag_key, flag_key) if ":" in raw else flag_key
+        form = _DOA_FORMS.get(getattr(args, "command", None)) if flag_key == "doas" else None
+        if form and key != form[0]:
+            raise ConfigError(f"{args.command} --doa takes {form[1]}, got {raw!r}")
         overrides[key] = _coerce(key, raw)
         if key in _COMPANIONS:
             overrides.update(_COMPANIONS[key](overrides[key]))
@@ -183,44 +189,32 @@ def _load_sources(cfg: ExperimentConfig) -> np.ndarray:
     return np.stack(signals)
 
 
-def run_separation(spec, cfg: ExperimentConfig, algorithm: str,
-                   constrained_channels=None, constraint_doas=None):
-    """Run one algorithm on an analyzed mixture.
+def run_separation(spec, cfg: ExperimentConfig):
+    """Run ``cfg.algorithm`` on an analyzed mixture.
 
-    For ``gc-aux`` the constraint DOAs are directions to suppress at the
-    constrained channels; for ``gc-grad`` they are directions to preserve.
-    Returns ``(stack, demixed, trace)``.
+    Output channels ``cfg.constrained_channels`` are constrained toward
+    ``cfg.doas``: for ``gc-aux`` these are directions to suppress, for
+    ``gc-grad`` directions to preserve. Returns ``(stack, demixed, trace)``.
     """
-    channels = cfg.constrained_channels if constrained_channels is None else constrained_channels
-    doas = cfg.doas if constraint_doas is None else constraint_doas
-    iterations = cfg.resolved_iterations(algorithm)
+    if cfg.algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
+    iterations = cfg.resolved_iterations(cfg.algorithm)
     model = SourceModel()
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "aux":
+    if cfg.algorithm == "aux":
         return run_informed_iva(spec, None, model, iterations)
-    if len(channels) != len(doas):
-        raise ConfigError("need one constraint DOA per constrained channel")
-    if algorithm == "gc-aux":
-        prior = PriorConfig.constant(channels, doas, cfg.geometry(), spec.n_bins,
-                                     cfg.sigma2, cfg.lambda_e)
+    if cfg.algorithm == "gc-aux":
+        prior = PriorConfig.constant(cfg.constrained_channels, cfg.doas, cfg.geometry(),
+                                     spec.n_bins, cfg.sigma2, cfg.lambda_e)
         return run_informed_iva(spec, prior, model, iterations)
-    return run_gradient_iva(spec, channels, doas, cfg.geometry(), model, iterations,
-                            cfg.stepsize, cfg.constraint_weight)
+    return run_gradient_iva(spec, cfg.constrained_channels, cfg.doas, cfg.geometry(), model,
+                            iterations, cfg.stepsize, cfg.constraint_weight)
 
 
-def _separate_signal(mixture: np.ndarray, rate: float, cfg: ExperimentConfig,
-                     algorithm: str, constrained_channels=None, constraint_doas=None,
-                     reference: int | None = None):
-    """Full pipeline for one mixture; ``reference=None`` scales each output
-    to its own microphone (identity demixing stays untouched), an integer
-    projects every output back to that reference microphone."""
-    spec = analyze(mixture, cfg.stft_config(rate))
-    stack, demixed, trace = run_separation(spec, cfg, algorithm,
-                                           constrained_channels, constraint_doas)
-    projected = project_back(demixed, stack, reference)
-    outputs = synthesize(projected)[: mixture.shape[0]]
-    return outputs, stack, demixed, trace
+def _outputs(demixed, stack, reference: int | None, n_samples: int) -> np.ndarray:
+    """Time-domain outputs (samples x channels) cropped to ``n_samples``:
+    ``reference=None`` scales each to its own microphone (identity demixing
+    stays untouched), an integer projects every one back to that microphone."""
+    return synthesize(project_back(demixed, stack, reference))[:n_samples]
 
 
 def _score(projector: _ReferenceProjector, outputs: np.ndarray, order):
@@ -280,7 +274,9 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         refs.append(data[:, 0] if data.ndim == 2 else data)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs, stack, demixed, trace = _separate_signal(mixture, rate, cfg, cfg.algorithm)
+    spec = analyze(mixture, cfg.stft_config(rate))
+    stack, demixed, trace = run_separation(spec, cfg)
+    outputs = _outputs(demixed, stack, None, mixture.shape[0])
 
     for k in range(outputs.shape[1]):
         io.write_wav(out / f"separated{k + 1:02d}.wav", outputs[:, k], rate)
@@ -293,12 +289,12 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         # metrics compare against the first (reference) microphone, so they
         # are computed on reference-projected outputs; the written WAVs keep
         # the per-channel own-microphone scaling
-        ref_outputs = synthesize(project_back(demixed, stack, 0))[: mixture.shape[0]]
+        ref_outputs = _outputs(demixed, stack, 0, mixture.shape[0])
         n = min(ref_outputs.shape[0], min(len(r) for r in refs))
         projector = _ReferenceProjector(np.stack([r[:n] for r in refs]))
         sir, sdr, perm, matched = _score(projector, ref_outputs[:n], range(len(refs)))
-        result = SeparationReport(sir, sdr, perm, matched)
-        report["metrics"] = result.to_dict()
+        report["metrics"] = {"sir_db": sir.tolist(), "sdr_db": sdr.tolist(),
+                             "permutation": list(perm), "permutation_matched": matched}
     report["cost_trace"] = {
         "j_iva": [float(v) for v in trace.j_iva],
         "j_prior": [float(v) for v in trace.j_prior],
@@ -307,25 +303,27 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     return 0
 
 
-def _benchmark_runs(cfg: ExperimentConfig, algorithm: str, doas, mixture, rate):
-    """All (constraint, outputs, intended reference order) runs for one scene.
+def _benchmark_runs(cfg: ExperimentConfig, spec, doas, n_samples: int):
+    """Yields the (constraint, outputs, intended reference order) runs of
+    ``cfg.algorithm`` on one analyzed scene.
 
     Outputs are projected back to the reference microphone, matching the
     ground-truth images the metrics compare against.
     """
-    if algorithm == "aux":
-        outputs, _, _, _ = _separate_signal(mixture, rate, cfg, algorithm, reference=0)
-        return [(-1, outputs, (0, 1))]
-    runs = []
-    for target in range(len(doas)):
-        other = 1 - target
-        constraint_doa = doas[other] if algorithm == "gc-aux" else doas[target]
-        outputs, _, _, _ = _separate_signal(mixture, rate, cfg, algorithm,
-                                            constrained_channels=(0,),
-                                            constraint_doas=(constraint_doa,),
-                                            reference=0)
-        runs.append((target, outputs, (target, other)))
-    return runs
+    if cfg.algorithm == "aux":
+        runs = [(-1, cfg, (0, 1))]
+    else:
+        runs = []
+        for target in range(len(doas)):
+            other = 1 - target
+            doa = doas[other] if cfg.algorithm == "gc-aux" else doas[target]
+            runs.append((target, replace(cfg, constrained_channels=(0,), doas=(doa,)),
+                         (target, other)))
+    for target, run_cfg, order in runs:
+        stack, demixed, _ = run_separation(spec, run_cfg)
+        outputs = _outputs(demixed, stack, 0, n_samples)
+        del stack, demixed  # not held while the caller scores the outputs
+        yield target, outputs, order
 
 
 def cmd_benchmark(cfg: ExperimentConfig) -> int:
@@ -350,9 +348,10 @@ def cmd_benchmark(cfg: ExperimentConfig) -> int:
                 mixture, images = simulate_mixture(scene, geometry, stft_cfg)
                 projector = _ReferenceProjector(images[:, :, 0])
                 input_sir = float(np.mean(projector.score(mixture.T).sir_db))
+                spec = analyze(mixture, stft_cfg)
                 for algorithm in cfg.algorithms:
                     for target, outputs, order in _benchmark_runs(
-                            cfg, algorithm, doas, mixture, cfg.sample_rate):
+                            replace(cfg, algorithm=algorithm), spec, doas, mixture.shape[0]):
                         sir, sdr, _, matched = _score(projector, outputs, order)
                         run_rows.append([
                             label, snr, f"{seed}", algorithm, f"{target}",

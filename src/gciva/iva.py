@@ -107,6 +107,22 @@ class DemixingStack:
         return float(np.min(np.abs(np.linalg.det(self.matrices))))
 
 
+def _constraint_pairs(channels, doas) -> tuple[tuple, tuple]:
+    """Constrained channels and their DOAs as int and float tuples; raises
+    InvalidInputError unless the channels are unique and nonnegative and
+    each has one DOA."""
+    channels = tuple(int(k) for k in channels)
+    doas = tuple(float(d) for d in np.atleast_1d(np.asarray(doas, dtype=float)))
+    if len(set(channels)) != len(channels):
+        raise InvalidInputError("constrained channels must be unique")
+    if any(k < 0 for k in channels):
+        raise InvalidInputError("channel indices must be nonnegative")
+    if len(doas) != len(channels):
+        raise InvalidInputError(f"need one DOA per constrained channel, got "
+                                f"{len(doas)} for {len(channels)}")
+    return channels, doas
+
+
 @dataclass
 class PriorConfig:
     """Directional prior: which channels are constrained, the direction each
@@ -124,14 +140,7 @@ class PriorConfig:
     geometry: ArrayGeometry
 
     def __post_init__(self) -> None:
-        channels = tuple(int(k) for k in self.constrained_channels)
-        doas = tuple(float(d) for d in np.atleast_1d(np.asarray(self.doa_per_channel, dtype=float)))
-        if len(set(channels)) != len(channels):
-            raise InvalidInputError("constrained channels must be unique")
-        if any(k < 0 for k in channels):
-            raise InvalidInputError("channel indices must be nonnegative")
-        if len(doas) != len(channels):
-            raise InvalidInputError("need one DOA per constrained channel")
+        channels, doas = _constraint_pairs(self.constrained_channels, self.doa_per_channel)
         sigma2 = np.asarray(self.sigma2_per_bin, dtype=np.float64)
         if sigma2.ndim != 1 or not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
             raise InvalidInputError("sigma2_per_bin must be a positive 1-D array")
@@ -531,10 +540,7 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     The trace's prior column records the quadratic constraint penalty of the
     baseline rather than a directional-prior term.
     """
-    channels = tuple(int(k) for k in constrained_channels)
-    doas = tuple(float(d) for d in np.atleast_1d(np.asarray(target_doas, dtype=float)))
-    if len(channels) != len(doas):
-        raise InvalidInputError("need one target DOA per constrained channel")
+    channels, doas = _constraint_pairs(constrained_channels, target_doas)
     _check_constraints(channels, geometry, spec)
     h_field = {k: steering_stack(d, geometry, spec.config)
                for k, d in zip(channels, doas)}

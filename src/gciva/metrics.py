@@ -11,7 +11,6 @@ re-synthesized. Ratios are reported in dB, capped at +-100.
 """
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -191,34 +190,6 @@ def decompose_sir_sdr(estimate, references, filter_len: int = DEFAULT_FILTER_LEN
     """
     scores = _ReferenceProjector(references, filter_len).score(np.asarray(estimate)[None])
     return float(scores.sir_db[0]), float(scores.sdr_db[0]), int(scores.best[0])
-
-
-@dataclass
-class SeparationReport:
-    """Per-channel separation metrics and the channel-to-source assignment."""
-
-    sir_db: tuple
-    sdr_db: tuple
-    permutation: tuple
-    permutation_matched: bool
-
-    def __post_init__(self) -> None:
-        perm = tuple(int(p) for p in self.permutation)
-        if sorted(perm) != list(range(len(perm))):
-            raise InvalidInputError("permutation must be a bijection on the channels")
-        self.permutation = perm
-        self.sir_db = tuple(float(v) for v in self.sir_db)
-        self.sdr_db = tuple(float(v) for v in self.sdr_db)
-        if not all(np.isfinite(self.sir_db + self.sdr_db)):
-            raise InvalidInputError("capped dB values must be finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "sir_db": list(self.sir_db),
-            "sdr_db": list(self.sdr_db),
-            "permutation": list(self.permutation),
-            "permutation_matched": self.permutation_matched,
-        }
 
 
 def match_permutation(estimates, references, filter_len: int = DEFAULT_FILTER_LEN):

@@ -285,11 +285,11 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     samples equal those of the scipy formulation bit for bit while loading
     no scipy.
 
-    Raises InvalidInputError unless ``n_sources >= 1``, ``duration > 0`` and
-    ``0 < band_hz[0] < sample_rate / 2``.
+    Raises InvalidInputError unless ``n_sources >= 1``, the duration renders
+    at least one sample and ``0 < band_hz[0] < sample_rate / 2``.
     """
-    if n_sources < 1 or duration <= 0:
-        raise InvalidInputError("need n_sources >= 1 and duration > 0")
+    if n_sources < 1:
+        raise InvalidInputError("need n_sources >= 1")
     nyquist = sample_rate / 2.0
     if not 0.0 < band_hz[0] < nyquist:
         raise InvalidInputError(f"highpass edge {band_hz[0]:g} Hz must lie above 0 and below "
@@ -297,6 +297,9 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
                                 f"{sample_rate:g} Hz sample rate")
     rng = np.random.default_rng(seed)
     n_samples = int(round(duration * sample_rate))
+    if n_samples < 1:
+        raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
+                                f"{n_samples} samples; need at least 1")
     segment = max(1, int(round(sample_rate / envelope_rate_hz)))
     n_nodes = n_samples // segment + 2
     out = np.empty((n_sources, n_samples))

@@ -209,6 +209,24 @@ class TestSimulate:
         assert "config error" in err and "sample_rate 16000.7 Hz is not a whole number" in err
         assert not out.exists()
 
+    def test_duration_without_samples_exits_one(self, tmp_path):
+        out = tmp_path / "scene"
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          "simulate", "--duration", "0.00001", "--out", str(out),
+                          capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "config error: duration 1e-05 s at 16000 Hz renders 0 samples" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
+    def test_colon_doa_exits_one(self, tmp_path, capsys):
+        # simulate places one source per DOA; colon pairs are benchmark's form
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--doa", "45:90", "--duration", "1.0", "--out", out) == 1
+        assert ("simulate --doa takes a comma list like 45,135, got '45:90'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_scene_description_file_with_wav_sources(self, tmp_path):
         rng = np.random.default_rng(8)
         for name in ("a.wav", "b.wav"):
@@ -260,7 +278,12 @@ class TestSeparate:
         assert report["algorithm"] == "gc-aux"
         assert report["iterations"] == 3
         assert len(report["cost_trace"]["j_iva"]) == 4
-        assert report["metrics"]["permutation"] in ([0, 1], [1, 0])
+        metrics = report["metrics"]
+        assert metrics["permutation"] in ([0, 1], [1, 0])
+        for key in ("sir_db", "sdr_db"):
+            assert len(metrics[key]) == 2
+            assert all(isinstance(v, float) and np.isfinite(v) for v in metrics[key])
+        assert isinstance(metrics["permutation_matched"], bool)
         assert report["config"]["sigma2"] == 40.0
         assert "config" not in report["metrics"]  # held once, at top level
         lines = (out / "cost_trace.csv").read_text().splitlines()
@@ -346,6 +369,16 @@ class TestSeparate:
         code = run_cli("separate", scene / "mixture.wav", "--algorithm", "gc-aux",
                        "--iterations", "1", "--doa", "10,20,30", "--out", tmp_path / "x")
         assert code == 1
+
+    @pytest.mark.parametrize("algorithm", ["gc-aux", "gc-grad"])
+    def test_repeated_constrained_channel_exits_one(self, tmp_path, capsys, algorithm):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        code = run_cli("separate", scene / "mixture.wav", "--algorithm", algorithm,
+                       "--iterations", "1", "--constrained-channels", "0,0",
+                       "--doa", "45,90", "--out", tmp_path / "x")
+        assert code == 1
+        assert "config error: constrained channels must be unique" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -461,6 +494,22 @@ class TestBenchmark:
         assert self.bench(out2, extra=("--algorithm", "gc-aux")) == 0
         for name in ("benchmark.csv", "runs.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_one_analysis_per_scene(self, tmp_path, monkeypatch):
+        # the five separations of a scene share one spectrogram
+        calls = []
+        analyze = gciva.cli.analyze
+        monkeypatch.setattr(gciva.cli, "analyze",
+                            lambda *args: calls.append(1) or analyze(*args))
+        assert self.bench(tmp_path / "bench") == 0
+        assert len(calls) == 3  # 3 SNRs x 1 seed x 1 DOA pair
+
+    def test_plain_doa_list_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--doa", "45,135", "--duration", "1.0", "--out", out) == 1
+        assert ("benchmark --doa takes colon pairs like 45:135,45:90, got '45,135'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_one_scene_loads_only_scipy_linalg(self, tmp_path):
         # scene rendering is numpy; only the metric projector's solves use scipy

@@ -663,3 +663,15 @@ class TestSourceModel:
             PriorConfig((0,), (10.0,), np.zeros(4), 1e-3, PAIR)
         with pytest.raises(InvalidInputError):
             PriorConfig((0,), (10.0,), np.ones(4), -1.0, PAIR)
+
+    @pytest.mark.parametrize("channels, doas, message", [
+        ((0, 0), (45.0, 90.0), "constrained channels must be unique"),
+        ((-1,), (45.0,), "channel indices must be nonnegative"),
+        ((0,), (45.0, 90.0), "need one DOA per constrained channel, got 2 for 1"),
+    ])
+    def test_both_constrained_separators_check_constraints_alike(self, channels, doas, message):
+        spec = random_spec(np.random.default_rng(23), 3, 4, 2)
+        with pytest.raises(InvalidInputError, match=message):
+            PriorConfig.constant(channels, doas, PAIR, spec.n_bins)
+        with pytest.raises(InvalidInputError, match=message):
+            run_gradient_iva(spec, channels, doas, PAIR, SourceModel(), 1)

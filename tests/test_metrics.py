@@ -6,7 +6,6 @@ import pytest
 from gciva import (
     DegenerateReferenceError,
     InvalidInputError,
-    SeparationReport,
     decompose_sir_sdr,
     match_permutation,
 )
@@ -204,19 +203,3 @@ class TestOneProjector:
                 assert scores.sdr_db[k] == pytest.approx(sdr, rel=1e-9, abs=1e-9)
                 assert scores.best[k] == order[best]
 
-
-class TestSeparationReport:
-    def test_round_trip_dict(self):
-        report = SeparationReport((20.0, 18.5), (15.0, 14.0), (0, 1), True)
-        payload = report.to_dict()
-        assert payload["sir_db"] == [20.0, 18.5]
-        assert payload["permutation_matched"] is True
-        assert "config" not in payload
-
-    def test_invalid_permutation_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SeparationReport((1.0,), (1.0,), (1,), False)
-
-    def test_nonfinite_metrics_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SeparationReport((np.inf,), (0.0,), (0,), True)

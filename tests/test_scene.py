@@ -168,6 +168,16 @@ class TestSyntheticSources:
         kurtosis = np.mean(x**4) / np.mean(x**2) ** 2
         assert kurtosis > 3.5  # Gaussian would be 3
 
+    @pytest.mark.parametrize("duration, n_samples", [(1e-5, 0), (0.0, 0), (-1.0, -16000)])
+    def test_duration_without_samples_rejected(self, duration, n_samples):
+        with pytest.raises(InvalidInputError) as err:
+            synthetic_sources(2, duration, 16000.0)
+        assert (f"duration {duration:g} s at 16000 Hz renders {n_samples} samples"
+                in str(err.value))
+
+    def test_one_sample_is_rendered(self):
+        assert synthetic_sources(2, 0.6 / 16000.0, 16000.0).shape == (2, 1)
+
 
 RATES = (8000, 16000, 22050, 44100, 48000)
 
