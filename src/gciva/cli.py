@@ -135,10 +135,9 @@ FLAGS = {
     "--refs": ("refs", "comma list of ground-truth image WAVs "
                        "(enables SIR/SDR in the report)"),
 }
-# flag text with colons sets the paired key instead
-_COLON_KEYS = {"doas": "doa_pairs"}
-# the key --doa must set for a command that reads only one, and its form
+# the key --doa sets for each command, and the form its text takes there
 _DOA_FORMS = {"simulate": ("doas", "a comma list like 45,135"),
+              "separate": ("doas", "a comma list like 45,135"),
               "benchmark": ("doa_pairs", "colon pairs like 45:135,45:90")}
 # key -> the other keys a flag setting it also sets, from its parsed value
 _COMPANIONS = {
@@ -157,10 +156,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raw = getattr(args, flag_key, None)
         if raw is None:
             continue
-        key = _COLON_KEYS.get(flag_key, flag_key) if ":" in raw else flag_key
-        form = _DOA_FORMS.get(getattr(args, "command", None)) if flag_key == "doas" else None
-        if form and key != form[0]:
-            raise ConfigError(f"{args.command} --doa takes {form[1]}, got {raw!r}")
+        key = flag_key
+        if flag_key == "doas":
+            key, form = _DOA_FORMS[args.command]
+            if (":" in raw) != (key == "doa_pairs"):
+                raise ConfigError(f"{args.command} --doa takes {form}, got {raw!r}")
         overrides[key] = _coerce(key, raw)
         if key in _COMPANIONS:
             overrides.update(_COMPANIONS[key](overrides[key]))
@@ -272,15 +272,10 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
                   f"mixture has {mixture.shape[0]}; comparing the common length",
                   file=sys.stderr)
         refs.append(data[:, 0] if data.ndim == 2 else data)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    spec = analyze(mixture, cfg.stft_config(rate))
-    stack, demixed, trace = run_separation(spec, cfg)
+    # the spectrogram is not held past the solve, which lowers the peak
+    # memory of the output stage
+    stack, demixed, trace = run_separation(analyze(mixture, cfg.stft_config(rate)), cfg)
     outputs = _outputs(demixed, stack, None, mixture.shape[0])
-
-    for k in range(outputs.shape[1]):
-        io.write_wav(out / f"separated{k + 1:02d}.wav", outputs[:, k], rate)
-    io.write_cost_trace_csv(out / "cost_trace.csv", trace)
 
     report: dict = {"config": cfg.echo(), "algorithm": cfg.algorithm,
                     "iterations": cfg.resolved_iterations(cfg.algorithm),
@@ -299,6 +294,12 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         "j_iva": [float(v) for v in trace.j_iva],
         "j_prior": [float(v) for v in trace.j_prior],
     }
+    # nothing below can reject the run, so a rejected run leaves no directory
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for k in range(outputs.shape[1]):
+        io.write_wav(out / f"separated{k + 1:02d}.wav", outputs[:, k], rate)
+    io.write_cost_trace_csv(out / "cost_trace.csv", trace)
     io.write_json(out / "report.json", report)
     return 0
 
@@ -330,9 +331,6 @@ def cmd_benchmark(cfg: ExperimentConfig) -> int:
     for key in ("doa_pairs", "snrs", "seeds", "algorithms"):
         if not getattr(cfg, key):
             raise ConfigError(f"benchmark needs a non-empty {key} list")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     geometry = cfg.geometry()
     stft_cfg = cfg.stft_config()
     run_rows = []
@@ -371,6 +369,8 @@ def cmd_benchmark(cfg: ExperimentConfig) -> int:
             float(np.mean(sirs)), float(np.mean(sdrs)), float(np.mean(input_sirs)),
             float(np.mean(matches)), f"{len(entries)}",
         ])
+    out = Path(cfg.out_dir)  # made only once the sweep has run
+    out.mkdir(parents=True, exist_ok=True)
     io.write_csv(out / "runs.csv",
                  ["scenario", "snr_db", "seed", "algorithm", "constrained_source",
                   "sir_ch1_db", "sir_ch2_db", "sdr_ch1_db", "sdr_ch2_db",

@@ -24,7 +24,8 @@ class SingularUpdateError(GcivaError):
 
 class CostOverflowError(GcivaError):
     """Raised when a demixing matrix becomes numerically degenerate
-    (|det W| below 1e-300) during cost evaluation."""
+    (|det W| below 1e-300) during cost evaluation, or when a solver's cost
+    is not finite (names the solver and the iteration)."""
 
 
 class DegenerateReferenceError(GcivaError):

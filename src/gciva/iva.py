@@ -5,22 +5,30 @@ The demixing stack holds one K x K matrix per frequency bin; row k of
 channel k, so demixing is ``y[f, n] = matrices[f] @ x[f, n]``.
 
 Both solvers share one loop: from identity, each iteration applies the
-solver's update, then demixes once. That pass yields the cost-trace entry (IVA
-term plus the solver's penalty), the next update's input and, after the last
-iteration, the demixed output. :func:`evaluate_cost` is the public oracle.
+solver's update, then reads the new stack's frame energies, which give the
+cost-trace entry (IVA term plus the solver's penalty) and the next update's
+weights. The loop never demixes: the demixed output is formed once, after the
+last iteration. :func:`evaluate_cost`, :func:`demixed_energies` and
+:func:`demix` demix directly and are the public oracles of the loop.
 
-The data never change during a solve, so each solve holds them once in
-(bin, channel, frame) layout, in which demixing is one matrix product per bin
-and the frame energies reduce over bins; the demixed output returns to the
-spectrogram's (bin, frame, channel) layout once, after the last iteration.
-Each frame's microphone outer products ``x x^H`` are likewise built once per
-solve and stored flat, one row per (bin, i, j) entry and one column per
-frame: F*K^2*N complex values, K times the spectrogram (about 5 MB for a 5 s
-stereo scene at 2048/1024). The weighted covariances
-``V_k = mean_n phi(r_nk) x_n x_n^H`` of all K channels then come from one
-matrix product with the N x K frame weights per iteration, and both updates
-read them: the MM sweep solves against V_k, and the gradient step forms row
-k of its score ``E{phi(y) y^H}`` as ``W[k, :] V_k W^H``.
+The data never change during a solve, so the loop holds them once, in no
+other form than a real Hermitian cache: per bin, the K rows ``|x_i|^2``
+followed by the real and then the imaginary parts of the K(K-1)/2
+upper-triangle products ``x_i conj(x_j)``, one column per frame. That is
+F*K^2*N real values, half the bytes of the frames' complex outer products
+(about 2.6 MB for a 5 s stereo scene at 2048/1024), and it is freed before
+the output is demixed. Two real matrix products per iteration read it:
+
+* the frame energies ``r_nk^2 = sum_f w_k^H x_n x_n^H w_k``, as the (K, F*K^2)
+  quadratic-form coefficients of W's rows against the cache (clamped at 0,
+  since cancellation can leave a silent frame slightly negative);
+* the weighted covariances ``V_k = mean_n phi(r_nk) x_n x_n^H`` of all K
+  channels, as the cache against the N x K frame weights.
+
+Both updates read the covariances: the MM sweep solves against V_k, and the
+gradient step forms row k of its score ``E{phi(y) y^H}`` as ``W[k, :] V_k
+W^H``. With two channels the MM row solve and ``log|det W|`` are elementwise
+2 x 2 adjugate formulas; larger stacks use batched LAPACK.
 
 * :func:`run_informed_iva` performs majorize-minimize row updates; channels
   listed in the prior are updated against the covariance plus the
@@ -232,6 +240,48 @@ def _frame_energies(yt: np.ndarray) -> np.ndarray:
     return np.sqrt(squares.reshape(yt.shape[1], yt.shape[2], 2).sum(axis=2)).T
 
 
+def _upper_pairs(n_ch: int) -> list[tuple[int, int]]:
+    # the (i, j), i < j, of a K x K upper triangle, in the Hermitian cache's order
+    return [(i, j) for i in range(n_ch) for j in range(i + 1, n_ch)]
+
+
+def _hermitian_cache(data: np.ndarray) -> np.ndarray:
+    # (F, K^2, N) real rows of x x^H per bin from (F, N, K) spectrogram data:
+    # the K diagonal entries |x_i|^2, then the real and then the imaginary
+    # parts of x_i conj(x_j) over the upper pairs; C-contiguous, so its flat
+    # (F*K^2, N) view costs no copy per iteration
+    data = np.ascontiguousarray(data)  # the float view needs contiguous channels
+    n_bins, n_frames, n_ch = data.shape
+    pairs = _upper_pairs(n_ch)
+    parts = data.view(np.float64).reshape(n_bins, n_frames, n_ch, 2)
+    cache = np.empty((n_bins, n_ch * n_ch, n_frames))
+    np.einsum("fnkc,fnkc->fkn", parts, parts, out=cache[:, :n_ch])
+    for p, (i, j) in enumerate(pairs):
+        cross = data[:, :, i] * data[:, :, j].conj()
+        cache[:, n_ch + p] = cross.real
+        cache[:, n_ch + len(pairs) + p] = cross.imag
+    return cache
+
+
+def _cache_energies(cache: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    # r[n, k] = sqrt(sum_f w_k^H x_n x_n^H w_k) with w_k^H = matrices[f, k]:
+    # |y_k|^2 = sum_ij W_ki conj(W_kj) x_i conj(x_j), so each cache row's
+    # coefficient is |W_ki|^2 on the diagonal and 2 Re, -2 Im of W_ki conj(W_kj)
+    # for a pair; one (K, F*K^2) x (F*K^2, N) GEMM. Cancellation can leave a
+    # silent frame's square slightly negative, hence the clamp at 0.
+    n_bins, n_ch = matrices.shape[:2]
+    pairs = _upper_pairs(n_ch)
+    rows = matrices.transpose(1, 0, 2)  # (K, F, K)
+    coef = np.empty((n_ch, n_bins, n_ch * n_ch))
+    coef[:, :, :n_ch] = rows.real**2 + rows.imag**2
+    for p, (i, j) in enumerate(pairs):
+        pair = rows[:, :, i] * rows[:, :, j].conj()
+        coef[:, :, n_ch + p] = 2.0 * pair.real
+        coef[:, :, n_ch + len(pairs) + p] = -2.0 * pair.imag
+    squares = coef.reshape(n_ch, -1) @ cache.reshape(-1, cache.shape[2])
+    return np.sqrt(np.maximum(squares, 0.0)).T
+
+
 def demix(spec: ComplexSpectrogram, w: DemixingStack) -> ComplexSpectrogram:
     """Apply the demixing stack to a spectrogram."""
     _check_shapes(spec, w)
@@ -255,24 +305,25 @@ def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -
     return _frame_energies(_demix_data(_transposed(spec.data), w.matrices))[:, channel]
 
 
-def _outer_products(xt: np.ndarray) -> np.ndarray:
-    # P[f, i, j, n] = x[f, i, n] conj(x[f, j, n]) from the (F, K, N) layout; a
-    # C-contiguous xt makes P C-contiguous, so its flat (F*K*K, N) view costs
-    # no copy per iteration
-    return xt[:, :, None, :] * xt.conj()[:, None, :, :]
-
-
 def _source_weights(model: SourceModel, r: np.ndarray) -> np.ndarray:
     # (N, K) source-model weights of every channel's frame energies
     return np.stack([model.weight(r[:, k]) for k in range(r.shape[1])], axis=1)
 
 
-def _weighted_covariances(outer: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _weighted_covariances(cache: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # V[f, c] = mean_n weights[n, c] x[f, n] x[f, n]^H for every weight column c,
-    # all from one GEMM; shape (F, C, K, K)
-    n_bins, n_ch, _, n_frames = outer.shape
-    v = (outer.reshape(-1, n_frames) @ weights) / n_frames
-    return v.reshape(n_bins, n_ch, n_ch, -1).transpose(0, 3, 1, 2)
+    # all from one real GEMM against the Hermitian cache; shape (F, C, K, K)
+    n_bins, n_rows, n_frames = cache.shape
+    n_ch = math.isqrt(n_rows)
+    pairs = _upper_pairs(n_ch)
+    v = ((cache.reshape(-1, n_frames) @ weights) / n_frames).reshape(n_bins, n_rows, -1)
+    out = np.empty((n_bins, v.shape[2], n_ch, n_ch), dtype=np.complex128)
+    for i in range(n_ch):
+        out[:, :, i, i] = v[:, i]
+    for p, (i, j) in enumerate(pairs):
+        out[:, :, i, j] = v[:, n_ch + p] + 1j * v[:, n_ch + len(pairs) + p]
+        out[:, :, j, i] = out[:, :, i, j].conj()
+    return out
 
 
 def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, f: int) -> np.ndarray:
@@ -287,19 +338,33 @@ def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, 
     if energies.shape != (spec.n_frames,):
         raise InvalidInputError("energies must hold one value per frame")
     weights = model.weight(energies)[:, None]
-    return _weighted_covariances(_outer_products(_transposed(spec.data[f : f + 1])),
+    return _weighted_covariances(_hermitian_cache(spec.data[f : f + 1]),
                                  weights)[0, 0]
 
 
-def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched ``solve(a, b)[..., 0]``; a bin whose LU meets an exact zero
-    pivot comes back NaN. Only a failed batch pays for locating them."""
+def _inverse_columns(matrices: np.ndarray, systems: np.ndarray, channel: int) -> np.ndarray:
+    """Column ``channel`` of ``(W_f M_f)^-1`` per bin, i.e. the solution of
+    ``(W_f M_f) u = e_k``; a bin without one comes back non-finite.
+
+    Two channels form ``W_f M_f`` and its adjugate column over the
+    determinant elementwise. Larger stacks run a batched LU, which locates
+    the bins with an exact zero pivot only when the batch meets one.
+    """
+    if matrices.shape[1] == 2:
+        w, m = matrices, systems
+        a = [[w[:, i, 0] * m[:, 0, j] + w[:, i, 1] * m[:, 1, j] for j in (0, 1)] for i in (0, 1)]
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        column = (a[1][1], -a[1][0]) if channel == 0 else (-a[0][1], a[0][0])
+        return np.stack(column, axis=1) / det[:, None]
+    a = matrices @ systems
+    rhs = np.zeros(a.shape[:2] + (1,), dtype=np.complex128)
+    rhs[:, channel, 0] = 1.0
     try:
-        return np.linalg.solve(a, b)[:, :, 0]
+        return np.linalg.solve(a, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
         ok = np.abs(np.linalg.det(a)) > 0.0
-        u = np.full(b.shape[:2], np.nan, dtype=np.complex128)
-        u[ok] = np.linalg.solve(a[ok], b[ok])[:, :, 0]
+        u = np.full(a.shape[:2], np.nan, dtype=np.complex128)
+        u[ok] = np.linalg.solve(a[ok], rhs[ok])[:, :, 0]
         return u
 
 
@@ -308,27 +373,27 @@ def _solve_rows(matrices: np.ndarray, systems: np.ndarray, channel: int,
     """New demixing vectors for one channel across a stack of bins.
 
     Solves ``(W_f M_f) w = e_k`` per bin and rescales so ``w^H M_f w = 1``.
-    The bins whose system is singular are retried once, together, with a
-    small trace-scaled diagonal load on ``M_f``; a bin still singular raises
-    a SingularUpdateError.
+    The bins whose solution is not finite or has ``w^H M_f w <= 0`` are
+    retried once, together, with a small trace-scaled diagonal load on
+    ``M_f``; a bin that fails again raises a SingularUpdateError.
     """
-    n_bins, n_ch = matrices.shape[0], matrices.shape[1]
-    rhs = np.zeros((n_bins, n_ch, 1), dtype=np.complex128)
-    rhs[:, channel, 0] = 1.0
+    n_ch = matrices.shape[1]
 
     def quad_form(m, u):  # w^H M w per bin, and where it is unusable
         quad = np.real(np.einsum("fi,fij,fj->f", u.conj(), m, u))
         return quad, ~(np.isfinite(quad) & (quad > 0.0) & np.all(np.isfinite(u), axis=1))
 
-    u = _solve_or_nan(matrices @ systems, rhs)
-    quad, failed = quad_form(systems, u)
+    with np.errstate(all="ignore"):  # a bin without a usable solution is retried
+        u = _inverse_columns(matrices, systems, channel)
+        quad, failed = quad_form(systems, u)
     bad = np.flatnonzero(failed)
     if bad.size:
         m = systems[bad]
         load = 1e-10 * np.real(np.trace(m, axis1=1, axis2=2)) / n_ch
         m = m + load[:, None, None] * np.eye(n_ch)
-        u[bad] = _solve_or_nan(matrices[bad] @ m, rhs[bad])
-        quad[bad], failed = quad_form(m, u[bad])
+        with np.errstate(all="ignore"):
+            u[bad] = _inverse_columns(matrices[bad], m, channel)
+            quad[bad], failed = quad_form(m, u[bad])
         if np.any(failed):
             raise SingularUpdateError(
                 f"singular update system at bin {bad[failed][0]}, channel {channel}{context}"
@@ -369,10 +434,20 @@ def _check_update_args(w: DemixingStack, cov: np.ndarray, f: int, channel: int) 
         raise InvalidInputError("covariance must be K x K")
 
 
+def _log_abs_det(matrices: np.ndarray) -> np.ndarray:
+    # log|det W_f| per bin: elementwise for 2 x 2 stacks, batched LU otherwise;
+    # an exactly singular bin gives -inf, a 2 x 2 product that overflows +inf
+    if matrices.shape[1] == 2:
+        det = matrices[:, 0, 0] * matrices[:, 1, 1] - matrices[:, 0, 1] * matrices[:, 1, 0]
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(det))
+    return np.linalg.slogdet(matrices)[1]
+
+
 def _iva_cost(r: np.ndarray, matrices: np.ndarray, model: SourceModel) -> float:
     # averaged contrast of the frame energies r minus twice the log-determinants
-    _, logdet = np.linalg.slogdet(matrices)
-    if np.any(~np.isfinite(logdet)) or np.any(logdet < _LOG_DET_FLOOR):
+    logdet = _log_abs_det(matrices)
+    if np.any(logdet < _LOG_DET_FLOOR):
         raise CostOverflowError("demixing matrix determinant below 1e-300")
     return float(np.sum(np.mean(model.contrast(r), axis=0))) - 2.0 * float(np.sum(logdet))
 
@@ -415,25 +490,29 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
 
 
 def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update,
-           penalty, callback) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
+           penalty, callback, solver: str) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
     # update(it, w, cov) returns the next stack from w and the (F, K, K, K)
     # weighted covariances cov[:, k] of w's outputs; penalty(w) fills the
-    # trace's second column
+    # trace's second column; solver names the algorithm in a CostOverflowError
     if iterations < 0:
         raise InvalidInputError("iterations must be nonnegative")
     w = DemixingStack.identity(spec.n_bins, spec.n_channels)
-    xt = _transposed(spec.data)
-    outer = _outer_products(xt)
+    cache = _hermitian_cache(spec.data)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
-        if it:
-            w = update(it, w, _weighted_covariances(outer, _source_weights(model, r)))
-        yt = _demix_data(xt, w.matrices)
-        r = _frame_energies(yt)
-        trace.append((_iva_cost(r, w.matrices, model), penalty(w)))
+        # an overflow shows as a non-finite cost, which ends the solve here
+        with np.errstate(over="ignore", invalid="ignore"):
+            if it:
+                w = update(it, w, _weighted_covariances(cache, _source_weights(model, r)))
+            r = _cache_energies(cache, w.matrices)
+            entry = (_iva_cost(r, w.matrices, model), penalty(w))
+        if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
+            raise CostOverflowError(f"{solver} cost is not finite at iteration {it}")
+        trace.append(entry)
         if it and callback is not None:
             callback(it, w.copy())
-    return w, ComplexSpectrogram(_transposed(yt), spec.config), CostTrace(*np.array(trace).T)
+    del cache  # not held while the output is demixed
+    return w, demix(spec, w), CostTrace(*np.array(trace).T)
 
 
 def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
@@ -458,7 +537,7 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
     def sweep(it, w, covs):
         # Channel k's energies depend on row k alone, which no earlier
         # channel of the sweep changes, so every channel's covariance comes
-        # from the iteration's one demixing pass.
+        # from the iteration's one pass over the cache.
         for channel in range(spec.n_channels):
             cov = covs[:, channel]
             # The tight majorizer of the contrast term carries a factor 1/2
@@ -471,7 +550,8 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
         return w
 
     return _solve(spec, model, iterations, sweep,
-                  lambda w: _prior_cost(w.matrices, stacks), callback)
+                  lambda w: _prior_cost(w.matrices, stacks), callback,
+                  "gc-aux" if stacks else "aux")
 
 
 def _residual(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -525,9 +605,9 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     frame magnitude.
     """
     _check_shapes(spec, w)
-    xt = _transposed(spec.data)
-    weights = _source_weights(model, _frame_energies(_demix_data(xt, w.matrices)))
-    cov = _weighted_covariances(_outer_products(xt), weights)
+    weights = _source_weights(model, _frame_energies(_demix_data(_transposed(spec.data),
+                                                                 w.matrices)))
+    cov = _weighted_covariances(_hermitian_cache(spec.data), weights)
     return _gradient_step(w, cov, h_field, stepsize, constraint_weight)
 
 
@@ -552,7 +632,7 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     return _solve(spec, model, iterations,
                   lambda it, w, cov: _gradient_step(w, cov, h_field, stepsize,
                                                     constraint_weight),
-                  penalty, callback)
+                  penalty, callback, "gc-grad")
 
 
 def project_back(demixed: ComplexSpectrogram, w: DemixingStack,

@@ -137,8 +137,10 @@ class TestConfigResolution:
         path = tmp_path / "exp.cfg"
         path.write_text(config_text)
         parser = build_parser()
-        from_file = resolve_config(parser.parse_args(["separate", "m.wav", "--config", str(path)]))
-        from_flag = resolve_config(parser.parse_args(["separate", "m.wav", flag, text]))
+        # colon DOA pairs are benchmark's --doa form; separate takes a comma list
+        command = ["benchmark"] if flag == "--doa" and ":" in text else ["separate", "m.wav"]
+        from_file = resolve_config(parser.parse_args([*command, "--config", str(path)]))
+        from_flag = resolve_config(parser.parse_args([*command, flag, text]))
         assert from_flag == from_file != ExperimentConfig()
 
     def test_unknown_algorithm_exits_one(self, tmp_path):
@@ -370,6 +372,43 @@ class TestSeparate:
                        "--iterations", "1", "--doa", "10,20,30", "--out", tmp_path / "x")
         assert code == 1
 
+    def test_colon_doa_exits_one(self, tmp_path, capsys):
+        # separate reads one DOA per constrained channel, not benchmark's pairs
+        out = tmp_path / "sep"
+        assert run_cli("separate", tmp_path / "m.wav", "--algorithm", "gc-aux",
+                       "--doa", "45:90", "--out", out) == 1
+        assert ("separate --doa takes a comma list like 45,135, got '45:90'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        out = tmp_path / "sep"
+        code = run_cli("separate", scene / "mixture.wav", "--algorithm", "gc-aux",
+                       "--iterations", "1", "--constrained-channels", "2", "--doa", "45",
+                       "--out", out)
+        assert code == 1
+        assert "constrained channel outside the channel range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_gradient_exits_three(self, tmp_path):
+        # twice the default level makes gc-grad's step overflow; the solve
+        # stops at the first non-finite cost instead of running all 350 iterations
+        scene = tmp_path / "scene"
+        assert run_cli("simulate", "--out", scene, "--seed", "0", "--snr", "20",
+                       "--doa", "45,135", "--duration", "5.0") == 0
+        mixture, rate = gio.read_wav(scene / "mixture.wav")
+        gio.write_wav(tmp_path / "loud.wav", 2.0 * mixture, rate)
+        out = tmp_path / "sep"
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          "separate", str(tmp_path / "loud.wav"), "--algorithm", "gc-grad",
+                          "--doa", "45", "--out", str(out), capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "numerical failure: gc-grad cost is not finite at iteration" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("algorithm", ["gc-aux", "gc-grad"])
     def test_repeated_constrained_channel_exits_one(self, tmp_path, capsys, algorithm):
         scene = tmp_path / "scene"
@@ -509,6 +548,13 @@ class TestBenchmark:
         assert run_cli("benchmark", "--doa", "45,135", "--duration", "1.0", "--out", out) == 1
         assert ("benchmark --doa takes colon pairs like 45:135,45:90, got '45,135'"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_rejected_sweep_leaves_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--doa", "45:135", "--snr", "20", "--seed", "0",
+                       "--duration", "0.00001", "--out", out) == 1
+        assert "renders 0 samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_scene_loads_only_scipy_linalg(self, tmp_path):

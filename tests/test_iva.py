@@ -153,9 +153,13 @@ class TestCovarianceKernel:
         rng = np.random.default_rng(20 + n_ch)
         spec = random_spec(rng, 4, 7, n_ch)
         weights = rng.uniform(0.2, 3.0, size=(7, n_ch))
-        outer = gciva.iva._outer_products(gciva.iva._transposed(spec.data))
-        assert outer.flags.c_contiguous  # else every GEMM copies the cache first
-        v = gciva.iva._weighted_covariances(outer, weights)
+        cache = gciva.iva._hermitian_cache(spec.data)
+        assert cache.dtype == np.float64 and cache.shape == (4, n_ch * n_ch, 7)
+        # a strided view of the same data gives the same cache
+        strided = np.swapaxes(np.swapaxes(spec.data, 1, 2).copy(), 1, 2)
+        np.testing.assert_array_equal(gciva.iva._hermitian_cache(strided), cache)
+        assert cache.flags.c_contiguous  # else every GEMM copies the cache first
+        v = gciva.iva._weighted_covariances(cache, weights)
         assert v.shape == (4, n_ch, n_ch, n_ch)
         expected = np.zeros_like(v)
         for f in range(4):
@@ -167,6 +171,21 @@ class TestCovarianceKernel:
         assert np.max(np.abs(v - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n_ch", [2, 3])
+    def test_cache_energies_match_loop_oracle(self, n_ch):
+        rng = np.random.default_rng(40 + n_ch)
+        spec = random_spec(rng, 4, 7, n_ch)
+        w = rng.standard_normal((4, n_ch, n_ch)) + 1j * rng.standard_normal((4, n_ch, n_ch))
+        cache = gciva.iva._hermitian_cache(spec.data)
+        r = gciva.iva._cache_energies(cache, w)
+        assert r.shape == (7, n_ch)
+        expected = np.zeros((7, n_ch))
+        for n in range(7):
+            for k in range(n_ch):
+                expected[n, k] = np.sqrt(sum(abs(w[f, k] @ spec.data[f, n]) ** 2
+                                             for f in range(4)))
+        np.testing.assert_allclose(r, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_ch", [2, 3])
     def test_gradient_score_matches_direct_formula(self, n_ch):
         rng = np.random.default_rng(30 + n_ch)
         spec = random_spec(rng, 4, 9, n_ch)
@@ -175,11 +194,71 @@ class TestCovarianceKernel:
         r = np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
         phi = np.stack([SourceModel().weight(r[:, k]) for k in range(n_ch)], axis=1)
         expected = np.einsum("fnk,fnl->fkl", phi[None] * y, y.conj()) / 9
-        xt = gciva.iva._transposed(spec.data)
-        cov = gciva.iva._weighted_covariances(gciva.iva._outer_products(xt),
+        cov = gciva.iva._weighted_covariances(gciva.iva._hermitian_cache(spec.data),
                                               gciva.iva._source_weights(SourceModel(), r))
         score = gciva.iva._score(w, cov)
         assert np.max(np.abs(score - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_two_channel_closed_forms_match_lapack(self):
+        # the K = 2 row solve and log|det| against batched LU on
+        # well-conditioned stacks
+        rng = np.random.default_rng(50)
+        w = np.stack([np.eye(2) + 0.3 * (rng.standard_normal((2, 2))
+                                         + 1j * rng.standard_normal((2, 2)))
+                      for _ in range(64)])
+        m = np.stack([random_hpd(rng, 2) + np.eye(2) for _ in range(64)])
+        assert np.max(np.linalg.cond(w @ m)) < 1e3
+        for channel in range(2):
+            u = gciva.iva._inverse_columns(w, m, channel)
+            expected = np.linalg.solve(w @ m, np.eye(2)[channel][None, :, None]
+                                       .repeat(64, axis=0))[:, :, 0]
+            np.testing.assert_allclose(u, expected, rtol=1e-12)
+        np.testing.assert_allclose(gciva.iva._log_abs_det(w), np.linalg.slogdet(w)[1],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_nulled_frame_energy_clamped_at_zero(self):
+        # row 0 cancels the frame exactly in every bin (w^H x = x1 x0 - x0 x1),
+        # so its quadratic form is 0 up to rounding of either sign
+        rng = np.random.default_rng(51)
+        for _ in range(40):
+            x = rng.standard_normal((3, 1, 2)) + 1j * rng.standard_normal((3, 1, 2))
+            w = np.zeros((3, 2, 2), dtype=complex)
+            w[:, 0, 0], w[:, 0, 1], w[:, 1, 1] = x[:, 0, 1], -x[:, 0, 0], 1.0
+            with np.errstate(invalid="raise"):
+                r = gciva.iva._cache_energies(gciva.iva._hermitian_cache(x), w)
+            scale = np.sqrt(np.sum(np.sum(np.abs(w[:, 0]) ** 2, axis=1)
+                                   * np.sum(np.abs(x[:, 0]) ** 2, axis=1)))
+            assert 0.0 <= r[0, 0] <= 1e-7 * scale
+
+    def test_silent_frames_keep_cache_energies_exact_and_trace_monotone(self):
+        # frames of exact silence and of one source alone, where the
+        # quadratic form cancels most: the cache energies stay within rounding
+        # of the direct demix and never go negative
+        config = StftConfig(window_length=256, hop=128)
+        sources = synthetic_sources(2, 0.6, 16000.0, 9)
+        sources[:, 2000:4000] = 0.0
+        sources[1, 6000:8000] = 0.0
+        mixture, _ = simulate_mixture(SceneSpec(sources, (45.0, 135.0), np.inf, seed=9),
+                                      PAIR, config)
+        spec = analyze(mixture, config)
+        x_norms = np.sum(np.abs(spec.data) ** 2, axis=2)  # (F, N) ||x_fn||^2
+        assert np.any(np.all(x_norms == 0.0, axis=0))  # some frames are silent
+        prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
+        snaps = [DemixingStack.identity(config.n_bins, 2)]
+        _, _, trace = run_informed_iva(spec, prior, SourceModel(), 15,
+                                       callback=lambda l, w: snaps.append(w))
+        total = trace.total
+        assert np.all(np.diff(total) <= 1e-8 * np.abs(total[:-1]))
+        cache = gciva.iva._hermitian_cache(spec.data)
+        eps = np.finfo(np.float64).eps
+        for w in snaps:
+            r = gciva.iva._cache_energies(cache, w.matrices)
+            assert np.all(r >= 0.0)
+            w_norms = np.sum(np.abs(w.matrices) ** 2, axis=2)  # (F, K) ||w_fk||^2
+            bound = eps * (w_norms.T @ x_norms).T  # (N, K)
+            for k in range(2):
+                direct = demixed_energies(spec, w, k) ** 2
+                assert np.all(np.abs(r[:, k] ** 2 - direct) <= 16 * bound[:, k])
 
 
 class TestPriorMatrix:
@@ -575,16 +654,31 @@ class TestSharedSolverLoop:
             monkeypatch.setattr(gciva.iva, name, counted)
 
         for name in ("evaluate_cost", "prior_matrices", "steering_stack", "_demix_data",
-                     "_outer_products"):
+                     "_hermitian_cache"):
             count(name)
         spec, _, config = anechoic_scene(8, duration=0.5, window=128)
         prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
         run_informed_iva(spec, prior, SourceModel(), 5)
-        assert dict(counts) == {"prior_matrices": 1, "steering_stack": 1, "_demix_data": 6,
-                                "_outer_products": 1}
+        # the loop reads the cache; the output is demixed once, at the end
+        assert dict(counts) == {"prior_matrices": 1, "steering_stack": 1, "_demix_data": 1,
+                                "_hermitian_cache": 1}
         counts.clear()
         run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 5)
-        assert dict(counts) == {"steering_stack": 1, "_demix_data": 6, "_outer_products": 1}
+        assert dict(counts) == {"steering_stack": 1, "_demix_data": 1, "_hermitian_cache": 1}
+
+    def test_diverging_gradient_fails_fast(self):
+        # twice the level of the default 5 s scene drives the natural-gradient
+        # step to overflow; the solve stops at the first non-finite cost
+        config = StftConfig(2048, 1024, 16000.0, "hamming")
+        sources = synthetic_sources(2, 5.0, 16000.0, 0)
+        mixture, _ = simulate_mixture(SceneSpec(sources, (45.0, 135.0), 20.0, seed=0),
+                                      PAIR, config)
+        spec = analyze(2.0 * mixture, config)
+        done = []
+        with pytest.raises(CostOverflowError, match=r"gc-grad cost is not finite at iteration"):
+            run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 350,
+                             callback=lambda l, w: done.append(l))
+        assert len(done) < 50
 
 
 class TestProjectBack:
