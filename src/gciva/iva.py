@@ -4,6 +4,10 @@ The demixing stack holds one K x K matrix per frequency bin; row k of
 ``matrices[f]`` is the conjugate-transposed demixing vector for output
 channel k, so demixing is ``y[f, n] = matrices[f] @ x[f, n]``.
 
+The data come in two layouts only: the spectrogram's own (F, N, K), which
+:func:`demix` multiplies by each bin's transposed stack without making a
+transposed copy, and the solver loop's (F, K^2, N) Hermitian cache below.
+
 Both solvers share one loop: from identity, each iteration applies the
 solver's update, then reads the new stack's frame energies, which give the
 cost-trace entry (IVA term plus the solver's penalty) and the next update's
@@ -55,24 +59,18 @@ _LOG_DET_FLOOR = math.log(1e-300)
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Spherical source prior: contrast G(r) and contribution weight G'(r)/r.
+    """Laplacian spherical source prior: contrast ``G(r) = r`` and
+    contribution weight ``G'(r)/r``.
 
-    Only the Laplacian model ``G(r) = r`` is implemented; its weight is
-    ``1 / max(r, floor)`` with a floor relative to the mean frame energy so
-    near-silent frames cannot blow up the statistics.
+    The weight is ``1 / max(r, floor)`` with a floor relative to the mean
+    frame energy so near-silent frames cannot blow up the statistics.
     """
 
-    kind: str = "laplace"
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.kind != "laplace":
-            raise InvalidInputError(f"unknown source model kind: {self.kind!r}")
         if not np.isfinite(self.epsilon) or self.epsilon <= 0:
             raise InvalidInputError("epsilon must be positive")
-
-    def contrast(self, r) -> np.ndarray:
-        return np.asarray(r, dtype=np.float64)
 
     def weight(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
@@ -191,6 +189,12 @@ class CostTrace:
         return self.j_iva / j0
 
 
+def _prior_formula(h: np.ndarray, sigma2, lambda_e: float) -> np.ndarray:
+    # (lambda_e * I + h h^H) / sigma2 over the leading axes of h (..., M) and sigma2
+    outer = h[..., :, None] * h[..., None, :].conj()
+    return (lambda_e * np.eye(h.shape[-1]) + outer) / np.asarray(sigma2)[..., None, None]
+
+
 def prior_matrix(h: np.ndarray, sigma2: float, lambda_e: float) -> np.ndarray:
     """Prior matrix ``(lambda_e * I + h h^H) / sigma2`` for one bin."""
     if not np.isfinite(sigma2) or sigma2 <= 0:
@@ -200,7 +204,7 @@ def prior_matrix(h: np.ndarray, sigma2: float, lambda_e: float) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1:
         raise InvalidInputError("steering vector must be 1-D")
-    return (lambda_e * np.eye(h.shape[0]) + np.outer(h, h.conj())) / sigma2
+    return _prior_formula(h, sigma2, lambda_e)
 
 
 def prior_matrices(prior: PriorConfig, config: StftConfig) -> dict[int, np.ndarray]:
@@ -210,34 +214,19 @@ def prior_matrices(prior: PriorConfig, config: StftConfig) -> dict[int, np.ndarr
         raise InvalidInputError(
             f"sigma2_per_bin has {prior.sigma2_per_bin.shape[0]} entries, expected {n_bins}"
         )
-    n_mics = prior.geometry.n_mics
-    eye = np.eye(n_mics)
-    out = {}
-    for channel, doa in zip(prior.constrained_channels, prior.doa_per_channel):
-        h = steering_stack(doa, prior.geometry, config)  # (F, M)
-        outer = h[:, :, None] * h[:, None, :].conj()
-        out[channel] = (prior.lambda_e * eye[None] + outer) / prior.sigma2_per_bin[:, None, None]
-    return out
+    return {channel: _prior_formula(steering_stack(doa, prior.geometry, config),
+                                    prior.sigma2_per_bin, prior.lambda_e)
+            for channel, doa in zip(prior.constrained_channels, prior.doa_per_channel)}
 
 
-def _transposed(data: np.ndarray) -> np.ndarray:
-    # C-contiguous (F, K, N) copy of (F, N, K) data (or back): the layout in
-    # which demixing is one plain GEMM per bin
-    return np.ascontiguousarray(data.transpose(0, 2, 1))
+def _demix_data(data: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    # y[f, n, k] = sum_j matrices[f, k, j] x[f, n, j], both in (F, N, K) layout
+    return np.matmul(data, matrices.transpose(0, 2, 1))
 
 
-def _demix_data(xt: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    # y[f, k, n] = sum_j matrices[f, k, j] x[f, j, n], both in (F, K, N) layout
-    return np.matmul(matrices, xt)
-
-
-def _frame_energies(yt: np.ndarray) -> np.ndarray:
-    # r[n, k] = ||y[:, k, n]||_2 over all bins, from (F, K, N) outputs: the
-    # squares of the interleaved (re, im) float view summed over bins, then
-    # each (re, im) pair added, which skips abs()'s hypot per value
-    parts = yt.view(np.float64)
-    squares = np.einsum("fkn,fkn->kn", parts, parts)
-    return np.sqrt(squares.reshape(yt.shape[1], yt.shape[2], 2).sum(axis=2)).T
+def _frame_energies(y: np.ndarray) -> np.ndarray:
+    # r[n, k] = ||y[:, n, k]||_2 over all bins, from (F, N, K) outputs
+    return np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
 
 
 def _upper_pairs(n_ch: int) -> list[tuple[int, int]]:
@@ -285,8 +274,7 @@ def _cache_energies(cache: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 def demix(spec: ComplexSpectrogram, w: DemixingStack) -> ComplexSpectrogram:
     """Apply the demixing stack to a spectrogram."""
     _check_shapes(spec, w)
-    return ComplexSpectrogram(_transposed(_demix_data(_transposed(spec.data), w.matrices)),
-                              spec.config)
+    return ComplexSpectrogram(_demix_data(spec.data, w.matrices), spec.config)
 
 
 def _check_shapes(spec: ComplexSpectrogram, w: DemixingStack) -> None:
@@ -302,7 +290,7 @@ def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -
     _check_shapes(spec, w)
     if not 0 <= channel < spec.n_channels:
         raise InvalidInputError(f"channel {channel} outside [0, {spec.n_channels})")
-    return _frame_energies(_demix_data(_transposed(spec.data), w.matrices))[:, channel]
+    return _frame_energies(_demix_data(spec.data, w.matrices))[:, channel]
 
 
 def _source_weights(model: SourceModel, r: np.ndarray) -> np.ndarray:
@@ -401,37 +389,39 @@ def _solve_rows(matrices: np.ndarray, systems: np.ndarray, channel: int,
     return u / np.sqrt(quad)[:, None]
 
 
-def update_unconstrained(w: DemixingStack, cov: np.ndarray, f: int, channel: int) -> np.ndarray:
-    """Majorize-minimize row update without a prior.
-
-    Replaces row ``channel`` of bin ``f`` in place and returns the new
-    demixing vector, normalized so that ``w^H V w = 1``.
-    """
-    _check_update_args(w, cov, f, channel)
-    vec = _solve_rows(w.matrices[f : f + 1], cov[None], channel)[0]
-    w.matrices[f, channel, :] = vec.conj()
-    return vec
-
-
-def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
-                       f: int, channel: int) -> np.ndarray:
-    """Majorize-minimize row update against covariance plus prior matrix,
-    normalized so that ``w^H (V + D) w = 1``."""
-    _check_update_args(w, cov, f, channel)
-    if prior_mat.shape != cov.shape:
-        raise InvalidInputError("prior matrix shape must match covariance")
-    vec = _solve_rows(w.matrices[f : f + 1], (cov + prior_mat)[None], channel)[0]
-    w.matrices[f, channel, :] = vec.conj()
-    return vec
-
-
-def _check_update_args(w: DemixingStack, cov: np.ndarray, f: int, channel: int) -> None:
+def _update_row(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray | None,
+                f: int, channel: int) -> np.ndarray:
+    # the row update of bin f against cov, plus prior_mat unless it is None
     if not 0 <= f < w.n_bins:
         raise InvalidInputError(f"bin index {f} outside [0, {w.n_bins})")
     if not 0 <= channel < w.n_channels:
         raise InvalidInputError(f"channel {channel} outside [0, {w.n_channels})")
     if cov.shape != (w.n_channels, w.n_channels):
         raise InvalidInputError("covariance must be K x K")
+    system = cov
+    if prior_mat is not None:
+        if prior_mat.shape != cov.shape:
+            raise InvalidInputError("prior matrix shape must match covariance")
+        system = cov + prior_mat
+    vec = _solve_rows(w.matrices[f : f + 1], system[None], channel)[0]
+    w.matrices[f, channel, :] = vec.conj()
+    return vec
+
+
+def update_unconstrained(w: DemixingStack, cov: np.ndarray, f: int, channel: int) -> np.ndarray:
+    """Majorize-minimize row update without a prior.
+
+    Replaces row ``channel`` of bin ``f`` in place and returns the new
+    demixing vector, normalized so that ``w^H V w = 1``.
+    """
+    return _update_row(w, cov, None, f, channel)
+
+
+def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
+                       f: int, channel: int) -> np.ndarray:
+    """Majorize-minimize row update against covariance plus prior matrix,
+    normalized so that ``w^H (V + D) w = 1``."""
+    return _update_row(w, cov, prior_mat, f, channel)
 
 
 def _log_abs_det(matrices: np.ndarray) -> np.ndarray:
@@ -444,12 +434,13 @@ def _log_abs_det(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.slogdet(matrices)[1]
 
 
-def _iva_cost(r: np.ndarray, matrices: np.ndarray, model: SourceModel) -> float:
-    # averaged contrast of the frame energies r minus twice the log-determinants
+def _iva_cost(r: np.ndarray, matrices: np.ndarray) -> float:
+    # averaged Laplacian contrast G(r) = r of the frame energies minus twice
+    # the log-determinants
     logdet = _log_abs_det(matrices)
     if np.any(logdet < _LOG_DET_FLOOR):
         raise CostOverflowError("demixing matrix determinant below 1e-300")
-    return float(np.sum(np.mean(model.contrast(r), axis=0))) - 2.0 * float(np.sum(logdet))
+    return float(np.sum(np.mean(r, axis=0))) - 2.0 * float(np.sum(logdet))
 
 
 def _check_constraints(channels, geometry: ArrayGeometry, spec: ComplexSpectrogram) -> None:
@@ -480,13 +471,13 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
                   prior: PriorConfig | None = None) -> tuple[float, float]:
     """Source-separation cost split into its IVA and prior terms.
 
-    The IVA term is the averaged source contrast minus twice the summed
-    log-magnitude determinants; the prior term is the nonnegative quadratic
+    The IVA term is the averaged Laplacian contrast ``G(r) = r`` of the
+    outputs' frame energies minus twice the summed log-magnitude determinants; the prior term is the nonnegative quadratic
     form of the constrained rows against their prior matrices.
     """
     _check_shapes(spec, w)
-    r = _frame_energies(_demix_data(_transposed(spec.data), w.matrices))
-    return _iva_cost(r, w.matrices, model), _prior_cost(w.matrices, _prior_stacks(prior, spec))
+    r = _frame_energies(_demix_data(spec.data, w.matrices))
+    return _iva_cost(r, w.matrices), _prior_cost(w.matrices, _prior_stacks(prior, spec))
 
 
 def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update,
@@ -505,7 +496,7 @@ def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update
             if it:
                 w = update(it, w, _weighted_covariances(cache, _source_weights(model, r)))
             r = _cache_energies(cache, w.matrices)
-            entry = (_iva_cost(r, w.matrices, model), penalty(w))
+            entry = (_iva_cost(r, w.matrices), penalty(w))
         if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
             raise CostOverflowError(f"{solver} cost is not finite at iteration {it}")
         trace.append(entry)
@@ -581,13 +572,17 @@ def _score(matrices: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.matmul(rows, matrices.conj().transpose(0, 2, 1))
 
 
-def _gradient_step(w: DemixingStack, cov: np.ndarray, h_field: dict, stepsize: float,
-                   constraint_weight: float) -> DemixingStack:
-    # gradient_update from the weighted covariances cov[:, k] of w's outputs
+def _check_step(stepsize: float, constraint_weight: float) -> None:
     if not np.isfinite(stepsize) or stepsize < 0:
         raise InvalidInputError("stepsize must be nonnegative")
     if not np.isfinite(constraint_weight) or constraint_weight < 0:
         raise InvalidInputError("constraint_weight must be nonnegative")
+
+
+def _gradient_step(w: DemixingStack, cov: np.ndarray, h_field: dict, stepsize: float,
+                   constraint_weight: float) -> DemixingStack:
+    # gradient_update from the weighted covariances cov[:, k] of w's outputs,
+    # with parameters already checked by _check_step
     if stepsize == 0.0:
         return w.copy()
     delta = np.matmul(np.eye(w.n_channels)[None] - _score(w.matrices, cov), w.matrices)
@@ -605,8 +600,8 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     frame magnitude.
     """
     _check_shapes(spec, w)
-    weights = _source_weights(model, _frame_energies(_demix_data(_transposed(spec.data),
-                                                                 w.matrices)))
+    _check_step(stepsize, constraint_weight)
+    weights = _source_weights(model, _frame_energies(_demix_data(spec.data, w.matrices)))
     cov = _weighted_covariances(_hermitian_cache(spec.data), weights)
     return _gradient_step(w, cov, h_field, stepsize, constraint_weight)
 
@@ -622,6 +617,7 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     """
     channels, doas = _constraint_pairs(constrained_channels, target_doas)
     _check_constraints(channels, geometry, spec)
+    _check_step(stepsize, constraint_weight)
     h_field = {k: steering_stack(d, geometry, spec.config)
                for k, d in zip(channels, doas)}
 

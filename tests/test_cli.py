@@ -392,6 +392,20 @@ class TestSeparate:
         assert "constrained channel outside the channel range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("iterations", ["0", "1"])
+    def test_negative_stepsize_exits_one(self, tmp_path, capsys, iterations):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        config = tmp_path / "grad.cfg"
+        config.write_text("stepsize = -1\n")
+        out = tmp_path / "sep"
+        code = run_cli("separate", scene / "mixture.wav", "--config", config,
+                       "--algorithm", "gc-grad", "--doa", "45", "--iterations", iterations,
+                       "--out", out)
+        assert code == 1
+        assert "stepsize must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverging_gradient_exits_three(self, tmp_path):
         # twice the default level makes gc-grad's step overflow; the solve
         # stops at the first non-finite cost instead of running all 350 iterations

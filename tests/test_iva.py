@@ -107,6 +107,39 @@ class TestDemixedEnergies:
             demixed_energies(spec, DemixingStack.identity(2, 2), 2)
 
 
+class TestDemixLayout:
+    @staticmethod
+    def per_bin_loop(data, mats):
+        # y[f, n] = W_f x[f, n], one bin and frame at a time
+        out = np.empty(data.shape, dtype=complex)
+        for f in range(data.shape[0]):
+            for n in range(data.shape[1]):
+                out[f, n] = mats[f] @ data[f, n]
+        return out
+
+    @pytest.mark.parametrize("n_ch", [2, 3])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_demix_and_energies_match_per_bin_loop(self, n_ch, strided):
+        rng = np.random.default_rng(40 + n_ch)
+        n_bins, n_frames = 5, 7
+        full = rng.standard_normal((n_bins, 2 * n_frames, n_ch + 1)) + 1j * rng.standard_normal(
+            (n_bins, 2 * n_frames, n_ch + 1))
+        # every other frame and all but the last channel: a non-contiguous view
+        data = full[:, ::2, :n_ch] if strided else np.ascontiguousarray(full[:, :n_frames, :n_ch])
+        spec = ComplexSpectrogram(data, tiny_config(n_bins))
+        assert spec.data.flags.c_contiguous != strided
+        w = DemixingStack(rng.standard_normal((n_bins, n_ch, n_ch))
+                          + 1j * rng.standard_normal((n_bins, n_ch, n_ch)))
+        expected = self.per_bin_loop(data, w.matrices)
+        demixed = demix(spec, w)
+        assert demixed.data.shape == (n_bins, n_frames, n_ch)
+        np.testing.assert_allclose(demixed.data, expected, rtol=1e-12)
+        for channel in range(n_ch):
+            np.testing.assert_allclose(demixed_energies(spec, w, channel),
+                                       np.sqrt(np.sum(np.abs(expected[:, :, channel]) ** 2,
+                                                      axis=0)), rtol=1e-12)
+
+
 class TestWeightedCovariance:
     def test_single_frame(self):
         x = np.array([[1.0, 1.0j]])
@@ -456,6 +489,21 @@ class TestGradientUpdate:
         out = gradient_update(w, spec, SourceModel(), field, 0.005, 10.0)
         assert residual(out) < residual(w)
 
+    @pytest.mark.parametrize("iterations", [0, 1])
+    @pytest.mark.parametrize("step, message", [
+        ({"stepsize": -1.0}, "stepsize must be nonnegative"),
+        ({"stepsize": np.nan}, "stepsize must be nonnegative"),
+        ({"constraint_weight": -2.0}, "constraint_weight must be nonnegative"),
+    ], ids=["negative-stepsize", "nan-stepsize", "negative-weight"])
+    def test_bad_step_parameters_rejected_before_any_step(self, iterations, step, message):
+        spec = random_spec(np.random.default_rng(12), 3, 4, 2)
+        with pytest.raises(InvalidInputError, match=message):
+            run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), iterations, **step)
+        args = {"stepsize": 0.05, "constraint_weight": 0.5, **step}
+        with pytest.raises(InvalidInputError, match=message):
+            gradient_update(DemixingStack.identity(3, 2), spec, SourceModel(), {},
+                            args["stepsize"], args["constraint_weight"])
+
 
 class TestEvaluateCost:
     def test_identity_demixing_no_prior(self):
@@ -745,10 +793,6 @@ class TestSourceModel:
         weights = model.weight(r)
         assert np.all(np.isfinite(weights))
         assert np.all(weights > 0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SourceModel(kind="cauchy")
 
     def test_prior_config_validation(self):
         with pytest.raises(InvalidInputError):
