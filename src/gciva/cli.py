@@ -23,7 +23,7 @@ from .errors import (
     SingularUpdateError,
 )
 from .iva import PriorConfig, SourceModel, project_back, run_gradient_iva, run_informed_iva
-from .metrics import _ReferenceProjector
+from .metrics import ReferenceProjector
 from .scene import ArrayGeometry, SceneSpec, simulate_mixture, synthetic_sources
 from .stft import StftConfig, analyze, synthesize
 
@@ -162,6 +162,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             if (":" in raw) != (key == "doa_pairs"):
                 raise ConfigError(f"{args.command} --doa takes {form}, got {raw!r}")
         overrides[key] = _coerce(key, raw)
+        if key == "snrs" and args.command == "simulate" and len(overrides[key]) != 1:
+            raise ConfigError(f"simulate --snr takes one SNR in dB like 20 or inf, got {raw!r}")
         if key in _COMPANIONS:
             overrides.update(_COMPANIONS[key](overrides[key]))
     cfg = replace(cfg, **overrides)
@@ -173,10 +175,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _load_sources(cfg: ExperimentConfig) -> np.ndarray:
+def _load_sources(cfg: ExperimentConfig, n_synthetic: int) -> np.ndarray:
     if not cfg.sources:
-        doas = cfg.doas or (45.0, 135.0)
-        return synthetic_sources(len(doas), cfg.duration, cfg.sample_rate, cfg.seed)
+        return synthetic_sources(n_synthetic, cfg.duration, cfg.sample_rate, cfg.seed)
     signals = []
     for path in cfg.sources:
         data, rate = io.read_wav(path)
@@ -217,7 +218,7 @@ def _outputs(demixed, stack, reference: int | None, n_samples: int) -> np.ndarra
     return synthesize(project_back(demixed, stack, reference))[:n_samples]
 
 
-def _score(projector: _ReferenceProjector, outputs: np.ndarray, order):
+def _score(projector: ReferenceProjector, outputs: np.ndarray, order):
     """Per-channel SIR/SDR of ``outputs`` (samples x channels), the best
     assignment of channels to the references taken in ``order``, and
     whether that assignment is the identity."""
@@ -231,7 +232,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"sample_rate {cfg.sample_rate:g} Hz is not a whole number, "
                           f"which the WAV header needs")
     doas = cfg.doas or (45.0, 135.0)
-    signals = _load_sources(cfg)
+    signals = _load_sources(cfg, len(doas))
     scene = SceneSpec(signals, doas, cfg.snr_db, seed=cfg.seed)
     mixture, images = simulate_mixture(scene, cfg.geometry(), cfg.stft_config())
     out = Path(cfg.out_dir)
@@ -286,7 +287,7 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         # the per-channel own-microphone scaling
         ref_outputs = _outputs(demixed, stack, 0, mixture.shape[0])
         n = min(ref_outputs.shape[0], min(len(r) for r in refs))
-        projector = _ReferenceProjector(np.stack([r[:n] for r in refs]))
+        projector = ReferenceProjector(np.stack([r[:n] for r in refs]))
         sir, sdr, perm, matched = _score(projector, ref_outputs[:n], range(len(refs)))
         report["metrics"] = {"sir_db": sir.tolist(), "sdr_db": sdr.tolist(),
                              "permutation": list(perm), "permutation_matched": matched}
@@ -344,7 +345,7 @@ def cmd_benchmark(cfg: ExperimentConfig) -> int:
                 doas = (pair[0], pair[1]) if swap == 0 else (pair[1], pair[0])
                 scene = SceneSpec(signals, doas, snr, seed=seed)
                 mixture, images = simulate_mixture(scene, geometry, stft_cfg)
-                projector = _ReferenceProjector(images[:, :, 0])
+                projector = ReferenceProjector(images[:, :, 0])
                 input_sir = float(np.mean(projector.score(mixture.T).sir_db))
                 spec = analyze(mixture, stft_cfg)
                 for algorithm in cfg.algorithms:

@@ -62,8 +62,10 @@ class SourceModel:
     """Laplacian spherical source prior: contrast ``G(r) = r`` and
     contribution weight ``G'(r)/r``.
 
-    The weight is ``1 / max(r, floor)`` with a floor relative to the mean
-    frame energy so near-silent frames cannot blow up the statistics.
+    ``weight(r)`` of magnitudes shaped (N,) or (N, K), one column per
+    channel, is C-contiguous ``1 / max(r, floor)``; each column's floor is
+    ``epsilon`` times its RMS, so near-silent frames cannot blow up the
+    statistics and the weights scale as 1/gain.
     """
 
     epsilon: float = 1e-8
@@ -73,10 +75,10 @@ class SourceModel:
             raise InvalidInputError("epsilon must be positive")
 
     def weight(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        mean_energy = float(np.mean(r**2)) if r.size else 0.0
-        floor = self.epsilon * mean_energy if mean_energy > 0.0 else self.epsilon
-        return 1.0 / np.maximum(r, floor)
+        r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+        rms = np.sqrt(np.sum(r**2, axis=0) / max(r.shape[0], 1))
+        floor = np.where(rms > 0.0, self.epsilon * rms, self.epsilon)
+        return np.ascontiguousarray(1.0 / np.maximum(r, floor))
 
 
 @dataclass
@@ -293,11 +295,6 @@ def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -
     return _frame_energies(_demix_data(spec.data, w.matrices))[:, channel]
 
 
-def _source_weights(model: SourceModel, r: np.ndarray) -> np.ndarray:
-    # (N, K) source-model weights of every channel's frame energies
-    return np.stack([model.weight(r[:, k]) for k in range(r.shape[1])], axis=1)
-
-
 def _weighted_covariances(cache: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # V[f, c] = mean_n weights[n, c] x[f, n] x[f, n]^H for every weight column c,
     # all from one real GEMM against the Hermitian cache; shape (F, C, K, K)
@@ -494,7 +491,7 @@ def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update
         # an overflow shows as a non-finite cost, which ends the solve here
         with np.errstate(over="ignore", invalid="ignore"):
             if it:
-                w = update(it, w, _weighted_covariances(cache, _source_weights(model, r)))
+                w = update(it, w, _weighted_covariances(cache, model.weight(r)))
             r = _cache_energies(cache, w.matrices)
             entry = (_iva_cost(r, w.matrices), penalty(w))
         if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
@@ -601,7 +598,7 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     """
     _check_shapes(spec, w)
     _check_step(stepsize, constraint_weight)
-    weights = _source_weights(model, _frame_energies(_demix_data(spec.data, w.matrices)))
+    weights = model.weight(_frame_energies(_demix_data(spec.data, w.matrices)))
     cov = _weighted_covariances(_hermitian_cache(spec.data), weights)
     return _gradient_step(w, cov, h_field, stepsize, constraint_weight)
 

@@ -19,6 +19,7 @@ from .errors import DegenerateReferenceError, InvalidInputError
 
 DEFAULT_FILTER_LEN = 512
 DB_CAP = 100.0
+COPY_MATCH = 1e-3  # a 30 dB match, see ReferenceProjector
 
 
 def _db_ratio(num: float, den: float) -> float:
@@ -64,7 +65,7 @@ class Scores(NamedTuple):
         return tuple(best_perm)
 
 
-class _ReferenceProjector:
+class ReferenceProjector:
     """Shared least-squares machinery for one set of references.
 
     Precomputes the Gram matrix G of delayed reference copies (via FFT
@@ -73,6 +74,9 @@ class _ReferenceProjector:
     span. A projection is its coefficient vector c, and energies are
     quadratic forms such as ``c @ G @ c``: no signal is re-synthesized.
     Build one per reference set and score every estimate with ``score``.
+    A silent reference, or one that another's span explains to within
+    ``COPY_MATCH`` of its energy (a scaled or delayed copy), raises
+    DegenerateReferenceError.
     """
 
     def __init__(self, references, filter_len: int = DEFAULT_FILTER_LEN):
@@ -132,15 +136,14 @@ class _ReferenceProjector:
         return coeffs, target, energy - 2.0 * float(cross[span] @ coeffs) + target
 
     def _check_distinguishable(self) -> None:
-        # a reference that is a filtered copy of another makes source
-        # attribution ambiguous; reference i's cross vector is Gram column i * flen
+        # reference i's cross vector is Gram column i * flen
         for i in range(self.refs.shape[0]):
             energy = float(self.gram[i * self.flen, i * self.flen])
             if energy == 0.0:
                 raise DegenerateReferenceError(f"reference {i} is silent")
             cross = self.gram[:, i * self.flen]
             for j in range(self.refs.shape[0]):
-                if j != i and self._project_single(cross, j, energy)[2] <= 1e-10 * energy:
+                if j != i and self._project_single(cross, j, energy)[2] <= COPY_MATCH * energy:
                     raise DegenerateReferenceError(
                         f"reference {i} is a filtered copy of reference {j}"
                     )
@@ -188,7 +191,7 @@ def decompose_sir_sdr(estimate, references, filter_len: int = DEFAULT_FILTER_LEN
     Returns ``(sir_db, sdr_db, best_index)`` where ``best_index`` is the
     reference whose filtered span captures the most estimate energy.
     """
-    scores = _ReferenceProjector(references, filter_len).score(np.asarray(estimate)[None])
+    scores = ReferenceProjector(references, filter_len).score(np.asarray(estimate)[None])
     return float(scores.sir_db[0]), float(scores.sdr_db[0]), int(scores.best[0])
 
 
@@ -202,5 +205,5 @@ def match_permutation(estimates, references, filter_len: int = DEFAULT_FILTER_LE
     """
     estimates = np.atleast_2d(estimates)
     n = estimates.shape[0]
-    perm = _ReferenceProjector(references, filter_len).score(estimates).assignment(range(n))
+    perm = ReferenceProjector(references, filter_len).score(estimates).assignment(range(n))
     return perm, perm == tuple(range(n))

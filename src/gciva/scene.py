@@ -1,10 +1,11 @@
 """Free-field steering vectors and anechoic multichannel scene rendering.
 
-Directions of arrival are measured in degrees against the array axis, so a
-microphone pair on the x-axis sees a plane wave from 0 degrees end-fire and
-90 degrees broadside. Rendering uses fractional delays realized with a
-63-tap windowed sinc, which keeps the time-domain channels consistent with
-the frequency-domain steering model up to the interpolator's error.
+Directions of arrival are degrees in the array's x-y plane from +x, so a pair
+on the x-axis sees 0 degrees end-fire and 90 broadside, and each delay is a
+microphone's offset from the reference projected on (cos doa, sin doa, 0):
+:meth:`ArrayGeometry.path_offsets`. Rendering uses fractional delays realized
+with a 63-tap windowed sinc, which keeps the time-domain channels consistent
+with the frequency-domain steering model up to the interpolator's error.
 
 Everything here is numpy, so rendering a scene loads no scipy. The synthetic
 sources' Butterworth highpass and their IIR filtering repeat scipy's
@@ -56,16 +57,17 @@ class ArrayGeometry:
     def n_mics(self) -> int:
         return self.mic_positions.shape[0]
 
-    def reference_distances(self) -> np.ndarray:
-        """Euclidean distance of every microphone to the reference one."""
-        return np.linalg.norm(self.mic_positions - self.mic_positions[0], axis=1)
+    def path_offsets(self, doa_deg: float) -> np.ndarray:
+        """Microphone offsets from the reference (m) projected on (cos doa, sin doa, 0)."""
+        d = self.mic_positions - self.mic_positions[0]
+        return d[:, 0] * _cos_degrees(doa_deg) + d[:, 1] * np.sin(np.deg2rad(doa_deg))
 
 
 def steering_vector(f: int, doa_deg: float, geometry: ArrayGeometry, config: StftConfig) -> np.ndarray:
     """Free-field relative transfer function of bin ``f`` for one DOA.
 
-    Entry m is ``exp(j * 2*pi*nu_f / c * ||r_m - r_1|| * cos(doa))``; the
-    reference microphone entry is exactly 1 and all entries have unit modulus.
+    Entry m is ``exp(j * 2*pi*nu_f / c * (r_m - r_1) . (cos doa, sin doa, 0))``;
+    the reference microphone entry is exactly 1 and all have unit modulus.
     """
     if not 0 <= f < config.n_bins:
         raise InvalidInputError(f"bin index {f} outside [0, {config.n_bins})")
@@ -77,7 +79,7 @@ def steering_stack(doa_deg: float, geometry: ArrayGeometry, config: StftConfig) 
     if not 0.0 <= doa_deg <= 180.0:
         raise InvalidInputError(f"DOA {doa_deg} outside [0, 180] degrees")
     nu = config.bin_frequency(np.arange(config.n_bins))  # (F,)
-    proj = geometry.reference_distances() * _cos_degrees(doa_deg)  # (M,)
+    proj = geometry.path_offsets(doa_deg)  # (M,)
     phase = 2.0 * np.pi / geometry.speed_of_sound * nu[:, None] * proj[None, :]
     return np.exp(1j * phase)
 
@@ -191,18 +193,13 @@ def simulate_mixture(spec: SceneSpec, geometry: ArrayGeometry, config: StftConfi
             spectra = np.fft.rfft(spec.source_signals[k], size) * np.fft.rfft(spec.rirs[k], size)
             images[k] = np.fft.irfft(spectra, size)[:, :n_samples].T
     else:
-        dists = geometry.reference_distances()
-        # plane-wave arrival offsets in samples, shifted to be causal
-        offsets = np.array(
-            [[-d * _cos_degrees(doa) / geometry.speed_of_sound * fs for d in dists]
-             for doa in spec.source_doas]
-        )  # (source, mic)
+        # plane-wave arrival offsets in samples (source, mic), shifted to be causal
+        offsets = np.array([-geometry.path_offsets(doa) / geometry.speed_of_sound * fs
+                            for doa in spec.source_doas])
         base = max(0.0, -offsets.min())
         for k in range(spec.n_sources):
             for m in range(n_mics):
-                images[k, :, m] = fractional_delay(
-                    spec.source_signals[k], base + offsets[k, m]
-                )
+                images[k, :, m] = fractional_delay(spec.source_signals[k], base + offsets[k, m])
 
     clean = images.sum(axis=0)
     if np.isinf(spec.snr_db):

@@ -10,9 +10,8 @@ import pytest
 from scipy.io import wavfile
 
 import gciva
-from gciva import io as gio
+from gciva import ReferenceProjector, io as gio
 from gciva.cli import FLAGS, ExperimentConfig, main, resolve_config, build_parser, load_config
-from gciva.metrics import _ReferenceProjector
 
 
 def run_cli(*args):
@@ -229,6 +228,15 @@ class TestSimulate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["10,30", ","])
+    def test_snr_list_exits_one(self, tmp_path, capsys, snr):
+        # simulate renders one scene, so it takes exactly one SNR
+        out = tmp_path / "scene"
+        assert simulate_small(out, snr=snr) == 1
+        assert (f"simulate --snr takes one SNR in dB like 20 or inf, got {snr!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_scene_description_file_with_wav_sources(self, tmp_path):
         rng = np.random.default_rng(8)
         for name in ("a.wav", "b.wav"):
@@ -437,13 +445,13 @@ class TestSeparate:
 @pytest.fixture
 def projector_builds(monkeypatch):
     builds = []
-    original = _ReferenceProjector.__init__
+    original = ReferenceProjector.__init__
 
     def counting_init(self, *args, **kwargs):
         builds.append(1)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(_ReferenceProjector, "__init__", counting_init)
+    monkeypatch.setattr(ReferenceProjector, "__init__", counting_init)
     return builds
 
 
@@ -499,6 +507,19 @@ class TestReferenceMetrics:
         assert proc.returncode == 1
         assert "--refs" in proc.stderr and "1 reference" in proc.stderr
         assert "2-channel" in proc.stderr
+        assert not out.exists()
+
+    def test_delayed_copy_reference_exits_three(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert run_cli("simulate", "--out", scene, "--seed", "0", "--duration", "3") == 0
+        image, rate = gio.read_wav(scene / "source01.wav")
+        copy = np.zeros_like(image[:, 0])
+        copy[5:] = 0.5 * image[:-5, 0]
+        gio.write_wav(tmp_path / "d.wav", copy, rate)
+        out = tmp_path / "sep"
+        assert self.separate(scene, out, [scene / "source01.wav", tmp_path / "d.wav"]) == 3
+        assert ("numerical failure: reference 1 is a filtered copy of reference 0"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_reference_length_mismatch_warns(self, tmp_path, capsys):

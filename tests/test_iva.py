@@ -228,7 +228,7 @@ class TestCovarianceKernel:
         phi = np.stack([SourceModel().weight(r[:, k]) for k in range(n_ch)], axis=1)
         expected = np.einsum("fnk,fnl->fkl", phi[None] * y, y.conj()) / 9
         cov = gciva.iva._weighted_covariances(gciva.iva._hermitian_cache(spec.data),
-                                              gciva.iva._source_weights(SourceModel(), r))
+                                              SourceModel().weight(r))
         score = gciva.iva._score(w, cov)
         assert np.max(np.abs(score - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -553,7 +553,7 @@ class TestEvaluateCost:
             expected_iva -= 2.0 * np.log(abs(np.linalg.det(w.matrices[f])))
         assert j_iva == pytest.approx(expected_iva, rel=1e-10)
 
-        dists = PAIR.reference_distances()
+        dists = np.array([0.0, 0.21])  # PAIR's microphones on the x-axis
         expected_prior = 0.0
         for f in range(3):
             nu = config.bin_frequency(f)
@@ -793,6 +793,23 @@ class TestSourceModel:
         weights = model.weight(r)
         assert np.all(np.isfinite(weights))
         assert np.all(weights > 0)
+
+    @pytest.mark.parametrize("gain", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_weight_scales_as_inverse_gain(self, gain):
+        # the first frame is near-silent, so the floor acts on it
+        model = SourceModel()
+        r = np.array([1e-12, 1.0, 2.0, 3.0])
+        np.testing.assert_allclose(gain * model.weight(gain * r), model.weight(r), rtol=1e-12)
+        assert model.weight(r)[0] == pytest.approx(1e8 / np.sqrt(np.mean(r**2)), rel=1e-12)
+
+    def test_weight_columns_match_per_channel_calls(self):
+        rng = np.random.default_rng(60)
+        r = np.abs(rng.standard_normal((3, 9))).T  # (N, K), F-ordered
+        r[4, 1] = 0.0
+        weights = SourceModel().weight(r)
+        assert weights.flags.c_contiguous
+        for k in range(3):
+            np.testing.assert_array_equal(weights[:, k], SourceModel().weight(r[:, k]))
 
     def test_prior_config_validation(self):
         with pytest.raises(InvalidInputError):

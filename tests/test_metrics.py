@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from gciva import (
+    ArrayGeometry,
     DegenerateReferenceError,
     InvalidInputError,
+    ReferenceProjector,
+    SceneSpec,
+    StftConfig,
     decompose_sir_sdr,
     match_permutation,
+    simulate_mixture,
+    synthetic_sources,
 )
-from gciva.metrics import _ReferenceProjector
 
 
 def oracle_projection(references, estimate, flen, indices):
@@ -73,7 +78,7 @@ class TestDecompose:
         estimate = np.convolve(refs[0], taps)[:1500] + leak * refs[1] \
             + 0.1 * rng.standard_normal(1500)
 
-        scores = _ReferenceProjector(refs, flen).score(estimate[None])
+        scores = ReferenceProjector(refs, flen).score(estimate[None])
         per_ref, p_full_energy = scores.energies[0], scores.full_energy[0]
 
         oracle_full = oracle_projection(refs, estimate, flen, [0, 1])
@@ -102,7 +107,7 @@ class TestDecompose:
         rng = np.random.default_rng(3)
         refs = rng.standard_normal((2, 3000))
         estimate = 0.8 * refs[0] + 0.4 * refs[1] + 0.2 * rng.standard_normal(3000)
-        scores = _ReferenceProjector(refs, 64).score(estimate[None])
+        scores = ReferenceProjector(refs, 64).score(estimate[None])
         per_ref, p_full_energy = scores.energies[0], scores.full_energy[0]
         for target, interference, _ in per_ref:
             assert p_full_energy == pytest.approx(target + interference, rel=1e-9)
@@ -128,6 +133,43 @@ class TestDecompose:
         refs = make_refs()
         with pytest.raises(InvalidInputError):
             decompose_sir_sdr(refs[0][:-1], refs, filter_len=8)
+
+
+def delayed(signal, n):
+    out = np.zeros_like(signal)
+    out[n:] = signal[:-n]
+    return out
+
+
+@pytest.fixture(scope="module")
+def scene_images():
+    # first-microphone images of the seed-0 3 s scene, sources at 45 and 135 degrees
+    config = StftConfig()
+    sources = synthetic_sources(2, 3.0, config.sample_rate, seed=0)
+    _, images = simulate_mixture(SceneSpec(sources, (45.0, 135.0)),
+                                 ArrayGeometry.linear_pair(0.21), config)
+    return images[:, :, 0]
+
+
+class TestReferenceCheck:
+    def test_delayed_copy_rejected(self, scene_images):
+        # the truncated tail leaves about 2.5e-6 of the copy's energy unexplained
+        copy = 0.5 * delayed(scene_images[0], 5)
+        with pytest.raises(DegenerateReferenceError,
+                           match="reference 1 is a filtered copy of reference 0"):
+            ReferenceProjector(np.stack([scene_images[0], copy]))
+
+    def test_copy_delayed_past_the_filter_accepted(self, scene_images):
+        copy = 0.5 * delayed(scene_images[0], 600)  # beyond the 512-tap filter
+        ReferenceProjector(np.stack([scene_images[0], copy]))
+
+    def test_distinct_images_accepted(self, scene_images):
+        ReferenceProjector(scene_images)
+
+    def test_silent_reference_rejected(self, scene_images):
+        refs = np.stack([scene_images[0], np.zeros_like(scene_images[0])])
+        with pytest.raises(DegenerateReferenceError, match="reference 1 is silent"):
+            ReferenceProjector(refs)
 
 
 class TestMatchPermutation:
@@ -193,7 +235,7 @@ class TestOneProjector:
         refs = rng.standard_normal((3, 2000))
         mixing = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)[[1, 2, 0]]
         estimates = mixing @ refs + 0.2 * rng.standard_normal((3, 2000))
-        scores = _ReferenceProjector(refs, 16).score(estimates)
+        scores = ReferenceProjector(refs, 16).score(estimates)
         for order in itertools.permutations(range(3)):
             ordered = refs[list(order)]
             assert scores.assignment(order) == match_permutation(estimates, ordered, 16)[0]

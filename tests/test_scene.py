@@ -17,6 +17,7 @@ from gciva.scene import _butter_highpass2, _tilt_highpass
 
 CONFIG = StftConfig()  # 2048-sample window at 16 kHz
 PAIR = ArrayGeometry.linear_pair(0.21)
+MIRRORED_PAIR = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [-0.21, 0.0, 0.0]]))
 
 
 class TestSteeringVector:
@@ -43,6 +44,22 @@ class TestSteeringVector:
             stack = steering_stack(doa, geometry, CONFIG)
             np.testing.assert_allclose(np.abs(stack), 1.0, atol=1e-12)
             np.testing.assert_array_equal(stack[:, 0], np.ones(CONFIG.n_bins))
+
+    @pytest.mark.parametrize("doa", [0.0, 20.0, 45.0, 135.0])
+    def test_mirrored_pair_sees_the_mirrored_direction(self, doa):
+        # the second microphone on -x: a wave from doa reaches it as one
+        # from 180 - doa reaches the pair on +x
+        np.testing.assert_allclose(steering_stack(doa, MIRRORED_PAIR, CONFIG),
+                                   steering_stack(180.0 - doa, PAIR, CONFIG),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_y_axis_microphone_phase_uses_sin(self):
+        geometry = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]]))
+        np.testing.assert_array_equal(geometry.path_offsets(90.0), [0.0, 0.0, 0.1])
+        h = steering_vector(128, 90.0, geometry, CONFIG)  # 1000 Hz
+        phi = 2.0 * np.pi * 1000.0 * 0.1 / 343.0  # 1.83 rad
+        assert np.angle(h[2]) == pytest.approx(phi, rel=1e-12)
+        assert h[1] == 1.0 + 0.0j
 
     def test_out_of_range_bin_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -123,6 +140,11 @@ class TestSimulateMixture:
         # window leakage slightly shrinks the magnitude; phase is the model
         assert abs(np.angle(ratio / h[1])) < 0.02
         assert abs(ratio) == pytest.approx(1.0, abs=0.05)
+
+    def test_mirrored_pair_renders_the_mirrored_scene(self):
+        mirrored, _ = simulate_mixture(self._scene((45.0, 100.0)), MIRRORED_PAIR, CONFIG)
+        normal, _ = simulate_mixture(self._scene((135.0, 80.0)), PAIR, CONFIG)
+        np.testing.assert_allclose(mirrored, normal, rtol=0.0, atol=1e-12)
 
     def test_rir_branch_convolves(self):
         n = 4000
