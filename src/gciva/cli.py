@@ -147,10 +147,23 @@ _COMPANIONS = {
 }
 
 
+def _check_one_snr(command: str, snrs, source: str, text: str) -> None:
+    # simulate renders one scene, so it takes exactly one SNR
+    if command == "simulate" and len(snrs) != 1:
+        raise ConfigError(f"simulate {source} takes one SNR in dB like 20 or inf, got {text!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config(args.config))
+        loaded = load_config(args.config)
+        # a file's snrs sets simulate's SNR like --snr does, unless the file
+        # names snr_db itself or the flag overrides it
+        if "snrs" in loaded and "snr_db" not in loaded and getattr(args, "snrs", None) is None:
+            text = ", ".join(f"{snr:g}" for snr in loaded["snrs"])
+            _check_one_snr(args.command, loaded["snrs"], f"snrs in {args.config}", text)
+            loaded.update(_COMPANIONS["snrs"](loaded["snrs"]))
+        cfg = replace(cfg, **loaded)
     overrides = {}
     for flag_key, _ in FLAGS.values():
         raw = getattr(args, flag_key, None)
@@ -162,8 +175,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             if (":" in raw) != (key == "doa_pairs"):
                 raise ConfigError(f"{args.command} --doa takes {form}, got {raw!r}")
         overrides[key] = _coerce(key, raw)
-        if key == "snrs" and args.command == "simulate" and len(overrides[key]) != 1:
-            raise ConfigError(f"simulate --snr takes one SNR in dB like 20 or inf, got {raw!r}")
+        if key == "snrs":
+            _check_one_snr(args.command, overrides[key], "--snr", raw)
         if key in _COMPANIONS:
             overrides.update(_COMPANIONS[key](overrides[key]))
     cfg = replace(cfg, **overrides)

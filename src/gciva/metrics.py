@@ -65,6 +65,26 @@ class Scores(NamedTuple):
         return tuple(best_perm)
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the FFT splits into small radices."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            length = odd
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
+
+
 class ReferenceProjector:
     """Shared least-squares machinery for one set of references.
 
@@ -73,10 +93,10 @@ class ReferenceProjector:
     factors of its loaded form, for the full span and each single-reference
     span. A projection is its coefficient vector c, and energies are
     quadratic forms such as ``c @ G @ c``: no signal is re-synthesized.
-    Build one per reference set and score every estimate with ``score``.
-    A silent reference, or one that another's span explains to within
-    ``COPY_MATCH`` of its energy (a scaled or delayed copy), raises
-    DegenerateReferenceError.
+    Build one per reference set and score every estimate with ``score``,
+    which handles all of its rows at once. A silent reference, or one that
+    another's span explains to within ``COPY_MATCH`` of its energy (a scaled
+    or delayed copy), raises DegenerateReferenceError.
     """
 
     def __init__(self, references, filter_len: int = DEFAULT_FILTER_LEN):
@@ -95,28 +115,28 @@ class ReferenceProjector:
         self.refs = references
         self.flen = filter_len
         n_refs, n_samples = references.shape
-        n_fft = self.n_fft = int(2 ** np.ceil(np.log2(n_samples + filter_len - 1)))
-        self.spectra = np.fft.rfft(references, n=n_fft, axis=1)
+        # long enough that no lag within the filter wraps around
+        self.n_fft = _smooth_length(n_samples + filter_len - 1)
+        self.spectra = np.fft.rfft(references, n=self.n_fft, axis=1)
 
+        # block (i, j) is Toeplitz: its first column is reference j's cross
+        # vector against the copies of reference i, its first row reference
+        # i's against those of j
+        cross = self._cross(self.spectra)
         gram = self.gram = np.empty((n_refs * filter_len, n_refs * filter_len))
         for i in range(n_refs):
             for j in range(i + 1):
-                corr = np.fft.irfft(self.spectra[i] * self.spectra[j].conj(), n=n_fft)
-                block = toeplitz(
-                    np.concatenate(([corr[0]], corr[-1 : -filter_len : -1])),
-                    r=corr[:filter_len],
-                )
-                gram[i * filter_len : (i + 1) * filter_len,
-                     j * filter_len : (j + 1) * filter_len] = block
-                gram[j * filter_len : (j + 1) * filter_len,
-                     i * filter_len : (i + 1) * filter_len] = block.T
-        load = 1e-10 * np.trace(gram) / gram.shape[0]
-        loaded = gram + load * np.eye(gram.shape[0])
-        try:
-            self.factor_full = cho_factor(loaded)
+                block = toeplitz(cross[self._span(i), j], r=cross[self._span(j), i])
+                gram[self._span(i), self._span(j)] = block
+                gram[self._span(j), self._span(i)] = block.T
+        if not np.all(np.isfinite(gram)):
+            raise InvalidInputError("metric inputs overflow the reference correlations")
+        loaded = gram.copy()
+        loaded.flat[:: gram.shape[0] + 1] += 1e-10 * np.trace(gram) / gram.shape[0]
+        try:  # the Gram matrix is checked finite above
+            self.factor_full = cho_factor(loaded, check_finite=False)
             self.factor_single = [
-                cho_factor(loaded[i * filter_len : (i + 1) * filter_len,
-                                  i * filter_len : (i + 1) * filter_len])
+                cho_factor(loaded[self._span(i), self._span(i)], check_finite=False)
                 for i in range(n_refs)
             ]
         except np.linalg.LinAlgError as exc:
@@ -125,36 +145,52 @@ class ReferenceProjector:
             ) from exc
         self._check_distinguishable()
 
-    def _project_single(self, cross: np.ndarray, j: int, energy: float):
-        """Project a signal of ``energy`` with cross vector ``cross`` onto
-        reference ``j``'s span: ``(coefficients, target energy, leftover
-        energy)``, the leftover being what that span leaves unexplained."""
+    def _span(self, i: int) -> slice:
+        return slice(i * self.flen, (i + 1) * self.flen)
+
+    def _cross(self, spectra: np.ndarray) -> np.ndarray:
+        """Cross vectors of the signals whose ``rfft`` rows are ``spectra``:
+        column m holds the inner products of signal m with every delayed
+        reference copy, reference by reference, shaped (n_refs * flen, n)."""
+        lags = -np.arange(self.flen)  # copy delayed by d: correlation lag -d
+        cross = np.empty((self.refs.shape[0] * self.flen, spectra.shape[0]))
+        # one conjugate and one product buffer for all references: fewer
+        # MB-sized temporaries keep a long sweep's heap from fragmenting
+        conj = spectra.conj()
+        product = np.empty_like(conj)
+        for i in range(self.refs.shape[0]):
+            np.multiply(self.spectra[i], conj, out=product)
+            corr = np.fft.irfft(product, n=self.n_fft, axis=1)
+            cross[self._span(i)] = corr[:, lags].T
+        return cross
+
+    def _project_single(self, cross: np.ndarray, j: int, energy: np.ndarray):
+        """Project signals with cross vectors ``cross`` (one column each) and
+        energies ``energy`` onto reference ``j``'s span: ``(coefficients,
+        G[:, span] @ coefficients, target energies, leftover energies)``, the
+        leftover being what that span leaves unexplained. Callers pass only
+        cross vectors already checked finite, so the solve skips the scan."""
         from scipy.linalg import cho_solve  # lazy: slow to import
-        span = slice(j * self.flen, (j + 1) * self.flen)
-        coeffs = cho_solve(self.factor_single[j], cross[span])
-        target = float(coeffs @ self.gram[span, span] @ coeffs)
-        return coeffs, target, energy - 2.0 * float(cross[span] @ coeffs) + target
+        span = self._span(j)
+        coeffs = cho_solve(self.factor_single[j], cross[span], check_finite=False)
+        gram_coeffs = self.gram[:, span] @ coeffs
+        target = _column_dots(coeffs, gram_coeffs[span])
+        return coeffs, gram_coeffs, target, energy - 2.0 * _column_dots(cross[span], coeffs) + target
 
     def _check_distinguishable(self) -> None:
         # reference i's cross vector is Gram column i * flen
-        for i in range(self.refs.shape[0]):
-            energy = float(self.gram[i * self.flen, i * self.flen])
-            if energy == 0.0:
+        n_refs = self.refs.shape[0]
+        cross = self.gram[:, :: self.flen]
+        energy = np.diagonal(self.gram)[:: self.flen]
+        leftover = [self._project_single(cross, j, energy)[3] for j in range(n_refs)]
+        for i in range(n_refs):
+            if energy[i] == 0.0:
                 raise DegenerateReferenceError(f"reference {i} is silent")
-            cross = self.gram[:, i * self.flen]
-            for j in range(self.refs.shape[0]):
-                if j != i and self._project_single(cross, j, energy)[2] <= COPY_MATCH * energy:
+            for j in range(n_refs):
+                if j != i and leftover[j][i] <= COPY_MATCH * energy[i]:
                     raise DegenerateReferenceError(
                         f"reference {i} is a filtered copy of reference {j}"
                     )
-
-    def cross_vector(self, estimate: np.ndarray) -> np.ndarray:
-        est_spectrum = np.fft.rfft(estimate, n=self.n_fft)
-        parts = []
-        for i in range(self.refs.shape[0]):
-            corr = np.fft.irfft(self.spectra[i] * est_spectrum.conj(), n=self.n_fft)
-            parts.append(np.concatenate(([corr[0]], corr[-1 : -self.flen : -1])))
-        return np.concatenate(parts)
 
     def score(self, estimates) -> Scores:
         """Decompose each row of ``estimates`` (n_estimates, n_samples) once
@@ -166,18 +202,21 @@ class ReferenceProjector:
         if not np.all(np.isfinite(estimates)):
             raise InvalidInputError("metric inputs contain non-finite samples")
         n_est, n_refs = estimates.shape[0], self.refs.shape[0]
+        cross = self._cross(np.fft.rfft(estimates, n=self.n_fft, axis=1))
+        if not np.all(np.isfinite(cross)):
+            raise InvalidInputError("metric inputs overflow the cross-correlations")
+        energy = np.einsum("ij,ij->i", estimates, estimates)
+        full = cho_solve(self.factor_full, cross, check_finite=False)
+        gram_full = self.gram @ full
+        full_energy = _column_dots(full, gram_full)
         energies = np.empty((n_est, n_refs, 3))
-        full_energy = np.empty(n_est)
-        for i, estimate in enumerate(estimates):
-            cross, energy = self.cross_vector(estimate), float(estimate @ estimate)
-            full = cho_solve(self.factor_full, cross)
-            full_energy[i] = full @ self.gram @ full
-            for j in range(n_refs):
-                coeffs, target, distortion = self._project_single(cross, j, energy)
-                # the interference filter itself, so no two large energies cancel
-                rest = full.copy()
-                rest[j * self.flen : (j + 1) * self.flen] -= coeffs
-                energies[i, j] = target, rest @ self.gram @ rest, distortion
+        for j in range(n_refs):
+            coeffs, gram_coeffs, target, distortion = self._project_single(cross, j, energy)
+            # the interference filter itself, so no two large energies cancel
+            rest = full.copy()
+            rest[self._span(j)] -= coeffs
+            energies[:, j] = np.stack(
+                (target, _column_dots(rest, gram_full - gram_coeffs), distortion), axis=1)
         sir_matrix = np.array([[_db_ratio(t, e) for t, e, _ in row] for row in energies])
         best = np.argmax(energies[:, :, 0], axis=1)
         rows = np.arange(n_est)

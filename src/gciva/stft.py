@@ -159,6 +159,6 @@ def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
     # edge samples where the window vanishes (Hann endpoints) are lost by
     # the analysis and stay zero instead of dividing by zero
     covered = norm > 1e-12 * norm.max()
-    out[covered] /= norm[covered, None]
+    np.divide(out, norm[:, None], out=out, where=covered[:, None])
     out[~covered] = 0.0
     return out

@@ -237,6 +237,41 @@ class TestSimulate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_config_snrs_sets_the_rendered_snr(self, tmp_path):
+        # a file's one-entry snrs renders like --snr with the same text
+        config = tmp_path / "exp.cfg"
+        config.write_text("snrs = 10\n")
+        from_file, from_flag = tmp_path / "file", tmp_path / "flag"
+        assert run_cli("simulate", "--config", config, "--seed", "0", "--duration", "1.0",
+                       "--out", from_file) == 0
+        assert simulate_small(from_flag, snr="10") == 0
+        assert json.loads((from_file / "scene.json").read_text())["snr_db"] == 10.0
+        assert ((from_file / "mixture.wav").read_bytes()
+                == (from_flag / "mixture.wav").read_bytes())
+
+    def test_config_snr_list_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("snrs = 10, 30\n")
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 1
+        assert (f"simulate snrs in {config} takes one SNR in dB like 20 or inf, got '10, 30'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        # --snr replaces the file's list, and a file's own snr_db is kept
+        assert run_cli("simulate", "--config", config, "--snr", "15", "--duration", "1.0",
+                       "--out", out) == 0
+        assert json.loads((out / "scene.json").read_text())["snr_db"] == 15.0
+        config.write_text("snrs = 10, 30\nsnr_db = 25\n")
+        assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 0
+        assert json.loads((out / "scene.json").read_text())["snr_db"] == 25.0
+
+    def test_config_without_snrs_renders_at_20_db(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text("seed = 0\n")
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 0
+        assert json.loads((out / "scene.json").read_text())["snr_db"] == 20.0
+
     def test_scene_description_file_with_wav_sources(self, tmp_path):
         rng = np.random.default_rng(8)
         for name in ("a.wav", "b.wav"):

@@ -232,6 +232,23 @@ class TestCovarianceKernel:
         score = gciva.iva._score(w, cov)
         assert np.max(np.abs(score - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("n_ch", [2, 3])
+    def test_gradient_step_matches_matmul_formula(self, n_ch):
+        # W + mu (I - W V W^H) W - mu grad_penalty with batched matmul, row k
+        # of the score taken against channel k's covariance
+        rng = np.random.default_rng(60 + n_ch)
+        w = rng.standard_normal((5, n_ch, n_ch)) + 1j * rng.standard_normal((5, n_ch, n_ch))
+        cov = np.stack([np.stack([random_hpd(rng, n_ch) for _ in range(n_ch)])
+                        for _ in range(5)])
+        h_field = {0: rng.standard_normal((5, n_ch)) + 1j * rng.standard_normal((5, n_ch))}
+        stack, mu, weight = DemixingStack(w), 0.05, 0.5
+        score = np.stack([np.stack([w[f, k] @ cov[f, k] @ w[f].conj().T
+                                    for k in range(n_ch)]) for f in range(5)])
+        expected = (w + mu * np.matmul(np.eye(n_ch) - score, w)
+                    - mu * penalty_gradient(stack, h_field, weight))
+        step = gciva.iva._gradient_step(stack, cov, h_field, mu, weight).matrices
+        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_two_channel_closed_forms_match_lapack(self):
         # the K = 2 row solve and log|det| against batched LU on
         # well-conditioned stacks

@@ -134,6 +134,14 @@ class TestDecompose:
         with pytest.raises(InvalidInputError):
             decompose_sir_sdr(refs[0][:-1], refs, filter_len=8)
 
+    def test_correlations_that_overflow_rejected(self):
+        # finite samples whose correlations exceed the float range
+        refs = make_refs()
+        with pytest.raises(InvalidInputError, match="overflow the reference correlations"):
+            ReferenceProjector(1e300 * refs, 8)
+        with pytest.raises(InvalidInputError, match="overflow the cross-correlations"):
+            ReferenceProjector(refs, 8).score(1e306 * refs[:1])
+
 
 def delayed(signal, n):
     out = np.zeros_like(signal)
@@ -245,3 +253,73 @@ class TestOneProjector:
                 assert scores.sdr_db[k] == pytest.approx(sdr, rel=1e-9, abs=1e-9)
                 assert scores.best[k] == order[best]
 
+
+
+class TestBatchedScore:
+    """``score`` handles all rows at once; each row must come out as if it
+    were scored alone, and every cross vector must be a plain correlation."""
+
+    @staticmethod
+    def estimates(refs, rng, n_rows):
+        # filtered mixtures of both references plus noise, so that no energy
+        # of the decomposition is a tiny difference of large ones
+        n = refs.shape[1]
+        rows = []
+        for _ in range(n_rows):
+            taps = rng.standard_normal((2, 6))
+            mixed = sum(np.convolve(refs[i], taps[i])[:n] for i in range(2))
+            rows.append(mixed + 0.3 * rng.standard_normal(n))
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 12])
+    def test_rows_scored_together_match_rows_scored_alone(self, n_rows):
+        rng = np.random.default_rng(70 + n_rows)
+        refs = make_refs()
+        projector = ReferenceProjector(refs, 64)
+        estimates = self.estimates(refs, rng, n_rows)
+        together = projector.score(estimates)
+        for i, row in enumerate(estimates):
+            alone = projector.score(row[None])
+            np.testing.assert_allclose(together.energies[i], alone.energies[0], rtol=1e-12)
+            np.testing.assert_allclose(together.full_energy[i], alone.full_energy[0],
+                                       rtol=1e-12)
+            assert together.best[i] == alone.best[0]
+
+    def test_cross_vectors_and_gram_are_direct_correlations(self):
+        # <reference i delayed by d, signal> is np.correlate(signal, ref_i) at
+        # lag d; estimates concentrated in their first or last flen samples
+        # meet any wrap-around of a too-short FFT at the negative or the
+        # positive lags
+        flen, n = 64, 6000
+        rng = np.random.default_rng(80)
+        refs = rng.standard_normal((2, n))
+        projector = ReferenceProjector(refs, flen)
+        estimates = np.zeros((2, n))
+        estimates[0, :flen] = rng.standard_normal(flen)
+        estimates[1, -flen:] = rng.standard_normal(flen)
+        lags = np.arange(-(flen - 1), flen)
+        est_cross = projector._cross(np.fft.rfft(estimates, n=projector.n_fft))
+        for signals, cross in ((estimates, est_cross), (refs, projector.gram[:, ::flen])):
+            for m, signal in enumerate(signals):
+                for i, ref in enumerate(refs):
+                    direct = np.correlate(signal, ref, "full")[lags + n - 1]
+                    np.testing.assert_allclose(cross[i * flen : (i + 1) * flen, m],
+                                               direct[flen - 1 :], atol=1e-9)
+        # block (0, 1) holds every lag -(flen-1)..flen-1 of the reference
+        # pair: entry (d, e) is lag d - e
+        direct = np.correlate(refs[1], refs[0], "full")[lags + n - 1]
+        block = projector.gram[:flen, flen:]
+        for d in range(flen):
+            np.testing.assert_allclose(block[d], direct[d : d + flen][::-1], atol=1e-9)
+
+    @pytest.mark.parametrize("n, flen", [(6000, 64), (80000, 512), (8192, 1), (12289, 100)])
+    def test_fft_length_is_the_smallest_5_smooth_cover(self, n, flen):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        n_fft = ReferenceProjector(make_refs(n), flen).n_fft
+        assert smooth(n_fft) and n_fft >= n + flen - 1
+        assert not any(smooth(m) for m in range(n + flen - 1, n_fft))
