@@ -139,7 +139,8 @@ FLAGS = {
 _DOA_FORMS = {"simulate": ("doas", "a comma list like 45,135"),
               "separate": ("doas", "a comma list like 45,135"),
               "benchmark": ("doa_pairs", "colon pairs like 45:135,45:90")}
-# key -> the other keys a flag setting it also sets, from its parsed value
+# key -> the other keys it also sets, from its parsed value, unless the same
+# source (the config file or the flags) names them itself
 _COMPANIONS = {
     "algorithm": lambda algorithm: {"algorithms": (algorithm,)},
     "seed": lambda seed: {"seeds": (seed,)},
@@ -147,39 +148,34 @@ _COMPANIONS = {
 }
 
 
-def _check_one_snr(command: str, snrs, source: str, text: str) -> None:
-    # simulate renders one scene, so it takes exactly one SNR
-    if command == "simulate" and len(snrs) != 1:
-        raise ConfigError(f"simulate {source} takes one SNR in dB like 20 or inf, got {text!r}")
-
-
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    # (how the source names snrs, key -> text), in rising precedence
+    sources = []
     if getattr(args, "config", None):
-        loaded = load_config(args.config)
-        # a file's snrs sets simulate's SNR like --snr does, unless the file
-        # names snr_db itself or the flag overrides it
-        if "snrs" in loaded and "snr_db" not in loaded and getattr(args, "snrs", None) is None:
-            text = ", ".join(f"{snr:g}" for snr in loaded["snrs"])
-            _check_one_snr(args.command, loaded["snrs"], f"snrs in {args.config}", text)
-            loaded.update(_COMPANIONS["snrs"](loaded["snrs"]))
-        cfg = replace(cfg, **loaded)
-    overrides = {}
-    for flag_key, _ in FLAGS.values():
-        raw = getattr(args, flag_key, None)
-        if raw is None:
-            continue
-        key = flag_key
-        if flag_key == "doas":
-            key, form = _DOA_FORMS[args.command]
-            if (":" in raw) != (key == "doa_pairs"):
-                raise ConfigError(f"{args.command} --doa takes {form}, got {raw!r}")
-        overrides[key] = _coerce(key, raw)
-        if key == "snrs":
-            _check_one_snr(args.command, overrides[key], "--snr", raw)
-        if key in _COMPANIONS:
-            overrides.update(_COMPANIONS[key](overrides[key]))
-    cfg = replace(cfg, **overrides)
+        sources.append((f"snrs in {args.config}", io.read_keyvalue(args.config)))
+    flags = {key: raw for key, _ in FLAGS.values()
+             if (raw := getattr(args, key, None)) is not None}
+    if "doas" in flags:
+        # only --doa maps to a key by command; a config file names the key
+        key, form = _DOA_FORMS[args.command]
+        if (":" in flags["doas"]) != (key == "doa_pairs"):
+            raise ConfigError(f"{args.command} --doa takes {form}, got {flags['doas']!r}")
+        flags[key] = flags.pop("doas")
+    sources.append(("--snr", flags))
+    values, snr_source = {}, None
+    for snrs_name, texts in sources:
+        parsed = {key: _coerce(key, raw) for key, raw in texts.items()}
+        for key, value in parsed.items():
+            if key in _COMPANIONS:
+                values.update(_COMPANIONS[key](value))
+        values.update(parsed)  # after the companions, so a key the source names wins
+        if "snrs" in texts:
+            snr_source = None if "snr_db" in texts else (snrs_name, texts["snrs"])
+    cfg = replace(ExperimentConfig(), **values)
+    # simulate renders one scene, so the snrs that set its SNR hold exactly one
+    if args.command == "simulate" and snr_source and len(cfg.snrs) != 1:
+        name, text = snr_source
+        raise ConfigError(f"simulate {name} takes one SNR in dB like 20 or inf, got {text!r}")
     for name in (cfg.algorithm, *cfg.algorithms):
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
@@ -188,17 +184,22 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _read_channel0(kind: str, paths, rate: float) -> list[np.ndarray]:
+    """Channel 0 of each ``kind`` WAV in ``paths``, each checked to be at ``rate`` Hz."""
+    signals = []
+    for path in paths:
+        data, file_rate = io.read_wav(path)
+        if file_rate != rate:
+            raise ConfigError(f"{kind} {path} has rate {file_rate} Hz, expected {rate:g} Hz")
+        signals.append(data[:, 0] if data.ndim == 2 else data)
+    return signals
+
+
 def _load_sources(cfg: ExperimentConfig, n_synthetic: int) -> np.ndarray:
     if not cfg.sources:
         return synthetic_sources(n_synthetic, cfg.duration, cfg.sample_rate, cfg.seed)
-    signals = []
-    for path in cfg.sources:
-        data, rate = io.read_wav(path)
-        if rate != cfg.sample_rate:
-            raise ConfigError(f"source {path} has rate {rate}, expected {cfg.sample_rate}")
-        signals.append(data[:, 0] if data.ndim == 2 else data)
-    lengths = {len(s) for s in signals}
-    if len(lengths) != 1:
+    signals = _read_channel0("source", cfg.sources, cfg.sample_rate)
+    if len({len(s) for s in signals}) != 1:
         raise InvalidInputError("source signals must all have the same length")
     return np.stack(signals)
 
@@ -275,17 +276,12 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     if cfg.refs and len(cfg.refs) != mixture.shape[1]:
         raise ConfigError(f"--refs names {len(cfg.refs)} reference WAVs; the "
                           f"{mixture.shape[1]}-channel mixture needs {mixture.shape[1]}")
-    refs = []
-    for path in cfg.refs:
-        data, ref_rate = io.read_wav(path)
-        if ref_rate != rate:
-            raise ConfigError(f"reference {path} has rate {ref_rate} Hz, "
-                              f"mixture has {rate} Hz")
-        if data.shape[0] != mixture.shape[0]:
-            print(f"gc-iva: warning: reference {path} has {data.shape[0]} samples, "
+    refs = _read_channel0("reference", cfg.refs, rate)
+    for path, ref in zip(cfg.refs, refs):
+        if len(ref) != mixture.shape[0]:
+            print(f"gc-iva: warning: reference {path} has {len(ref)} samples, "
                   f"mixture has {mixture.shape[0]}; comparing the common length",
                   file=sys.stderr)
-        refs.append(data[:, 0] if data.ndim == 2 else data)
     # the spectrogram is not held past the solve, which lowers the peak
     # memory of the output stage
     stack, demixed, trace = run_separation(analyze(mixture, cfg.stft_config(rate)), cfg)

@@ -117,18 +117,19 @@ class ReferenceProjector:
         n_refs, n_samples = references.shape
         # long enough that no lag within the filter wraps around
         self.n_fft = _smooth_length(n_samples + filter_len - 1)
-        self.spectra = np.fft.rfft(references, n=self.n_fft, axis=1)
-
-        # block (i, j) is Toeplitz: its first column is reference j's cross
-        # vector against the copies of reference i, its first row reference
-        # i's against those of j
-        cross = self._cross(self.spectra)
-        gram = self.gram = np.empty((n_refs * filter_len, n_refs * filter_len))
-        for i in range(n_refs):
-            for j in range(i + 1):
-                block = toeplitz(cross[self._span(i), j], r=cross[self._span(j), i])
-                gram[self._span(i), self._span(j)] = block
-                gram[self._span(j), self._span(i)] = block.T
+        # finite samples can still overflow here; the check below rejects that
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.spectra = np.fft.rfft(references, n=self.n_fft, axis=1)
+            # block (i, j) is Toeplitz: its first column is reference j's
+            # cross vector against the copies of reference i, its first row
+            # reference i's against those of j
+            cross = self._cross(self.spectra)
+            gram = self.gram = np.empty((n_refs * filter_len, n_refs * filter_len))
+            for i in range(n_refs):
+                for j in range(i + 1):
+                    block = toeplitz(cross[self._span(i), j], r=cross[self._span(j), i])
+                    gram[self._span(i), self._span(j)] = block
+                    gram[self._span(j), self._span(i)] = block.T
         if not np.all(np.isfinite(gram)):
             raise InvalidInputError("metric inputs overflow the reference correlations")
         loaded = gram.copy()
@@ -202,7 +203,8 @@ class ReferenceProjector:
         if not np.all(np.isfinite(estimates)):
             raise InvalidInputError("metric inputs contain non-finite samples")
         n_est, n_refs = estimates.shape[0], self.refs.shape[0]
-        cross = self._cross(np.fft.rfft(estimates, n=self.n_fft, axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            cross = self._cross(np.fft.rfft(estimates, n=self.n_fft, axis=1))
         if not np.all(np.isfinite(cross)):
             raise InvalidInputError("metric inputs overflow the cross-correlations")
         energy = np.einsum("ij,ij->i", estimates, estimates)

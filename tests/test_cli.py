@@ -141,6 +141,29 @@ class TestConfigResolution:
         from_file = resolve_config(parser.parse_args([*command, "--config", str(path)]))
         from_flag = resolve_config(parser.parse_args([*command, flag, text]))
         assert from_flag == from_file != ExperimentConfig()
+        # a file's key sets its companions as the flag does (seed = 4 alone)
+        path.write_text(config_text.splitlines(keepends=True)[0])
+        assert resolve_config(parser.parse_args([*command, "--config", str(path)])) == from_flag
+
+    def test_file_seed_and_algorithm_narrow_a_benchmark(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 3\nalgorithm = aux\n")
+        parser = build_parser()
+        from_file = resolve_config(parser.parse_args(["benchmark", "--config", str(path)]))
+        from_flags = resolve_config(parser.parse_args(
+            ["benchmark", "--seed", "3", "--algorithm", "aux"]))
+        assert from_file == from_flags
+        assert (from_file.seeds, from_file.algorithms) == ((3,), ("aux",))
+
+    @pytest.mark.parametrize("config_text, flags, seeds", [
+        ("seeds = 1,2\nseed = 3\n", [], (1, 2)),  # a companion the source names is kept
+        ("seeds = 1,2\n", ["--seed", "5"], (5,)),  # a later source's companion wins
+    ])
+    def test_companion_precedence(self, tmp_path, config_text, flags, seeds):
+        path = tmp_path / "exp.cfg"
+        path.write_text(config_text)
+        args = build_parser().parse_args(["benchmark", "--config", str(path), *flags])
+        assert resolve_config(args).seeds == seeds
 
     def test_unknown_algorithm_exits_one(self, tmp_path):
         code = run_cli("separate", tmp_path / "none.wav", "--algorithm", "fastica")
@@ -271,6 +294,32 @@ class TestSimulate:
         out = tmp_path / "scene"
         assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 0
         assert json.loads((out / "scene.json").read_text())["snr_db"] == 20.0
+
+    def sources_config(self, tmp_path, *wavs):
+        """A config file naming ``wavs``, each given as (name, samples, rate)."""
+        rng = np.random.default_rng(8)
+        for name, n, rate in wavs:
+            gio.write_wav(tmp_path / name, 0.1 * rng.standard_normal(n), rate)
+        config = tmp_path / "scene.cfg"
+        config.write_text(f"sources = {','.join(str(tmp_path / w[0]) for w in wavs)}\n")
+        return config
+
+    def test_source_rate_mismatch_exits_one(self, tmp_path, capsys):
+        config = self.sources_config(tmp_path, ("a.wav", 16000, 16000),
+                                     ("slow.wav", 8000, 8000))
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "slow.wav" in err and "8000" in err and "16000" in err
+        assert not out.exists()
+
+    def test_source_length_mismatch_exits_one(self, tmp_path, capsys):
+        config = self.sources_config(tmp_path, ("a.wav", 16000, 16000),
+                                     ("b.wav", 12000, 16000))
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--out", out) == 1
+        assert "source signals must all have the same length" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scene_description_file_with_wav_sources(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -637,6 +686,15 @@ class TestBenchmark:
                           capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "runs.csv").exists()
+
+    def test_config_file_narrows_the_sweep(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text("doa_pairs = 45:135\nsnrs = 20\nseed = 0\nalgorithm = aux\n"
+                          "duration = 1\niterations = 2\n")
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--config", config, "--out", out) == 0
+        rows = [line.split(",") for line in (out / "runs.csv").read_text().splitlines()[1:]]
+        assert [row[:4] for row in rows] == [["45-135", "20", "0", "aux"]]
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         code = run_cli("benchmark", "--out", tmp_path, "--snr", "", "--duration", "1.0")

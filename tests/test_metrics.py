@@ -134,8 +134,10 @@ class TestDecompose:
         with pytest.raises(InvalidInputError):
             decompose_sir_sdr(refs[0][:-1], refs, filter_len=8)
 
+    @pytest.mark.filterwarnings("error")
     def test_correlations_that_overflow_rejected(self):
-        # finite samples whose correlations exceed the float range
+        # finite samples whose correlations exceed the float range, rejected
+        # without a numpy warning
         refs = make_refs()
         with pytest.raises(InvalidInputError, match="overflow the reference correlations"):
             ReferenceProjector(1e300 * refs, 8)
