@@ -24,7 +24,7 @@ from .errors import (
 )
 from .iva import PriorConfig, SourceModel, project_back, run_gradient_iva, run_informed_iva
 from .metrics import ReferenceProjector
-from .scene import ArrayGeometry, SceneSpec, simulate_mixture, synthetic_sources
+from .scene import SPEED_OF_SOUND, ArrayGeometry, SceneSpec, simulate_mixture, synthetic_sources
 from .stft import StftConfig, analyze, synthesize
 
 ALGORITHMS = ("aux", "gc-aux", "gc-grad")
@@ -41,10 +41,10 @@ class ExperimentConfig:
     algorithm: str = "gc-aux"
     algorithms: tuple[str, ...] = ALGORITHMS
     iterations: int | None = None
-    window_length: int = 2048
-    hop: int = 1024
-    sample_rate: float = 16000.0
-    window_kind: str = "hamming"
+    window_length: int = StftConfig.window_length
+    hop: int = StftConfig.hop
+    sample_rate: float = StftConfig.sample_rate
+    window_kind: str = StftConfig.window_kind
     sigma2: float = 40.0
     lambda_e: float = 1e-3
     doas: tuple[float, ...] = ()
@@ -58,7 +58,7 @@ class ExperimentConfig:
     seed: int = 0
     duration: float = 5.0
     mic_spacing: float = 0.21
-    speed_of_sound: float = 343.0
+    speed_of_sound: float = SPEED_OF_SOUND
     sources: tuple[str, ...] = ()
     refs: tuple[str, ...] = ()
     out_dir: str = "."
@@ -215,14 +215,12 @@ def run_separation(spec, cfg: ExperimentConfig):
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     iterations = cfg.resolved_iterations(cfg.algorithm)
     model = SourceModel()
-    if cfg.algorithm == "aux":
-        return run_informed_iva(spec, None, model, iterations)
-    if cfg.algorithm == "gc-aux":
-        prior = PriorConfig.constant(cfg.constrained_channels, cfg.doas, cfg.geometry(),
-                                     spec.n_bins, cfg.sigma2, cfg.lambda_e)
-        return run_informed_iva(spec, prior, model, iterations)
-    return run_gradient_iva(spec, cfg.constrained_channels, cfg.doas, cfg.geometry(), model,
-                            iterations, cfg.stepsize, cfg.constraint_weight)
+    if cfg.algorithm == "gc-grad":
+        return run_gradient_iva(spec, cfg.constrained_channels, cfg.doas, cfg.geometry(), model,
+                                iterations, cfg.stepsize, cfg.constraint_weight)
+    prior = None if cfg.algorithm == "aux" else PriorConfig.constant(
+        cfg.constrained_channels, cfg.doas, cfg.geometry(), spec.n_bins, cfg.sigma2, cfg.lambda_e)
+    return run_informed_iva(spec, prior, model, iterations)
 
 
 def _outputs(demixed, stack, reference: int | None, n_samples: int) -> np.ndarray:
@@ -315,22 +313,22 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
 
 
 def _benchmark_runs(cfg: ExperimentConfig, spec, doas, n_samples: int):
-    """Yields the (constraint, outputs, intended reference order) runs of
-    ``cfg.algorithm`` on one analyzed scene.
+    """Yields the (constrained source, outputs, intended reference order)
+    runs of ``cfg.algorithm`` on one analyzed two-source scene.
 
-    Outputs are projected back to the reference microphone, matching the
-    ground-truth images the metrics compare against.
+    aux runs once, unconstrained (constrained source -1), with the reference
+    order (0, 1). gc-aux and gc-grad run once per target source with output
+    channel 0 constrained and the reference order (target, other): gc-aux
+    nulls the other source's DOA, gc-grad preserves the target's. Outputs are
+    projected back to the reference microphone, matching the ground-truth
+    images the metrics compare against.
     """
-    if cfg.algorithm == "aux":
-        runs = [(-1, cfg, (0, 1))]
-    else:
-        runs = []
-        for target in range(len(doas)):
+    for target in (-1,) if cfg.algorithm == "aux" else range(len(doas)):
+        run_cfg, order = cfg, (0, 1)
+        if target >= 0:
             other = 1 - target
             doa = doas[other] if cfg.algorithm == "gc-aux" else doas[target]
-            runs.append((target, replace(cfg, constrained_channels=(0,), doas=(doa,)),
-                         (target, other)))
-    for target, run_cfg, order in runs:
+            run_cfg, order = replace(cfg, constrained_channels=(0,), doas=(doa,)), (target, other)
         stack, demixed, _ = run_separation(spec, run_cfg)
         outputs = _outputs(demixed, stack, 0, n_samples)
         del stack, demixed  # not held while the caller scores the outputs
@@ -344,7 +342,6 @@ def cmd_benchmark(cfg: ExperimentConfig) -> int:
     geometry = cfg.geometry()
     stft_cfg = cfg.stft_config()
     run_rows = []
-    aggregates: dict[tuple, list] = {}
     for pair in cfg.doa_pairs:
         label = f"{pair[0]:g}-{pair[1]:g}"
         for snr in cfg.snrs:
@@ -364,21 +361,18 @@ def cmd_benchmark(cfg: ExperimentConfig) -> int:
                         run_rows.append([
                             label, snr, f"{seed}", algorithm, f"{target}",
                             sir[0], sir[1], sdr[0], sdr[1], input_sir,
-                            f"{int(matched)}",
+                            int(matched),
                         ])
-                        key = (label, snr, algorithm)
-                        aggregates.setdefault(key, []).append(
-                            (np.mean(sir), np.mean(sdr), input_sir, matched)
-                        )
 
+    groups: dict[tuple, list] = {}  # (scenario, snr_db, algorithm) -> its runs.csv rows
+    for row in run_rows:
+        groups.setdefault((row[0], row[1], row[3]), []).append(row)
     agg_rows = []
-    for (label, snr, algorithm), entries in aggregates.items():
-        sirs, sdrs, input_sirs, matches = zip(*entries)
-        agg_rows.append([
-            label, snr, algorithm,
-            float(np.mean(sirs)), float(np.mean(sdrs)), float(np.mean(input_sirs)),
-            float(np.mean(matches)), f"{len(entries)}",
-        ])
+    for key, rows in groups.items():
+        # SIR and SDR: the mean over runs of each run's channel mean
+        columns = ([np.mean(r[5:7]) for r in rows], [np.mean(r[7:9]) for r in rows],
+                   [r[9] for r in rows], [r[10] for r in rows])
+        agg_rows.append([*key, *(float(np.mean(c)) for c in columns), f"{len(rows)}"])
     out = Path(cfg.out_dir)  # made only once the sweep has run
     out.mkdir(parents=True, exist_ok=True)
     io.write_csv(out / "runs.csv",

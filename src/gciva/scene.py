@@ -24,6 +24,12 @@ SPEED_OF_SOUND = 343.0
 FRACTIONAL_DELAY_TAPS = 63
 
 
+def _check_doa(doa_deg: float) -> None:
+    """The one range rule for a source direction: [0, 180] degrees."""
+    if not 0.0 <= doa_deg <= 180.0:
+        raise InvalidInputError(f"DOA {doa_deg} outside [0, 180] degrees")
+
+
 def _cos_degrees(theta_deg: float) -> float:
     # sin(90 - theta) so broadside (90 deg) gives exactly 0
     return float(np.sin(np.deg2rad(90.0 - theta_deg)))
@@ -76,8 +82,7 @@ def steering_vector(f: int, doa_deg: float, geometry: ArrayGeometry, config: Stf
 
 def steering_stack(doa_deg: float, geometry: ArrayGeometry, config: StftConfig) -> np.ndarray:
     """Steering vectors for all bins at once, shape (n_bins, n_mics)."""
-    if not 0.0 <= doa_deg <= 180.0:
-        raise InvalidInputError(f"DOA {doa_deg} outside [0, 180] degrees")
+    _check_doa(doa_deg)
     nu = config.bin_frequency(np.arange(config.n_bins))  # (F,)
     proj = geometry.path_offsets(doa_deg)  # (M,)
     phase = 2.0 * np.pi / geometry.speed_of_sound * nu[:, None] * proj[None, :]
@@ -115,8 +120,7 @@ class SceneSpec:
         if len(doas) != sig.shape[0]:
             raise InvalidInputError("need one DOA per source")
         for d in doas:
-            if not 0.0 <= d <= 180.0:
-                raise InvalidInputError(f"DOA {d} outside [0, 180] degrees")
+            _check_doa(d)
         self.source_doas = doas
         if np.isnan(self.snr_db) or (np.isinf(self.snr_db) and self.snr_db < 0):
             raise InvalidInputError("snr_db must be finite or +inf")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -251,6 +252,12 @@ class TestSimulate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_out_of_range_doa_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        assert simulate_small(out, doa="45,200") == 1
+        assert "DOA 200.0 outside [0, 180] degrees" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("snr", ["10,30", ","])
     def test_snr_list_exits_one(self, tmp_path, capsys, snr):
         # simulate renders one scene, so it takes exactly one SNR
@@ -464,6 +471,15 @@ class TestSeparate:
                        "--iterations", "1", "--doa", "10,20,30", "--out", tmp_path / "x")
         assert code == 1
 
+    def test_out_of_range_doa_exits_one(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        out = tmp_path / "sep"
+        assert run_cli("separate", scene / "mixture.wav", "--algorithm", "gc-aux",
+                       "--iterations", "1", "--doa", "200", "--out", out) == 1
+        assert "DOA 200.0 outside [0, 180] degrees" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_colon_doa_exits_one(self, tmp_path, capsys):
         # separate reads one DOA per constrained channel, not benchmark's pairs
         out = tmp_path / "sep"
@@ -661,6 +677,59 @@ class TestBenchmark:
                             lambda *args: calls.append(1) or analyze(*args))
         assert self.bench(tmp_path / "bench") == 0
         assert len(calls) == 3  # 3 SNRs x 1 seed x 1 DOA pair
+
+    def two_seed_sweep(self, tmp_path):
+        """A sweep over seeds 0 and 2 (set from a config file) at two SNRs;
+        seed 0 swaps the 45:135 pair to (135, 45), seed 2 keeps it."""
+        config = tmp_path / "seeds.cfg"
+        config.write_text("seeds = 0,2\n")
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--config", config, "--out", out, "--doa", "45:135",
+                       "--snr", "10,30", "--duration", "1", "--iterations", "2") == 0
+        return out
+
+    def test_benchmark_rows_are_group_means_of_runs(self, tmp_path):
+        out = self.two_seed_sweep(tmp_path)
+        with open(out / "runs.csv", newline="") as f:
+            runs = list(csv.DictReader(f))
+        with open(out / "benchmark.csv", newline="") as f:
+            bench = list(csv.DictReader(f))
+        groups = {}
+        for row in runs:
+            groups.setdefault((row["scenario"], row["snr_db"], row["algorithm"]), []).append(row)
+        # one row per group, in the order the groups first appear in runs.csv
+        assert [(r["scenario"], r["snr_db"], r["algorithm"]) for r in bench] == list(groups)
+        assert len(bench) == 2 * 3
+        for row in bench:
+            rows = groups[row["scenario"], row["snr_db"], row["algorithm"]]
+            assert int(row["n_runs"]) == len(rows)
+            for name in ("sir", "sdr"):
+                channel_means = [(float(r[f"{name}_ch1_db"]) + float(r[f"{name}_ch2_db"])) / 2
+                                 for r in rows]
+                # abs guards a mean near 0 dB against the CSV's 12 significant digits
+                assert float(row[f"{name}_db"]) == pytest.approx(
+                    np.mean(channel_means), rel=1e-9, abs=1e-9)
+            assert float(row["input_sir_db"]) == pytest.approx(
+                np.mean([float(r["input_sir_db"]) for r in rows]), rel=1e-9)
+            assert float(row["perm_success_rate"]) == pytest.approx(
+                np.mean([int(r["perm_matched"]) for r in rows]), rel=1e-9)
+
+    def test_runs_each_separator_makes(self, tmp_path, monkeypatch):
+        calls = []
+        run_separation = gciva.cli.run_separation
+        monkeypatch.setattr(gciva.cli, "run_separation", lambda spec, cfg: calls.append(
+            (cfg.algorithm, cfg.constrained_channels, cfg.doas)) or run_separation(spec, cfg))
+        self.two_seed_sweep(tmp_path)
+        assert len(calls) == 4 * 5
+        scenes = [calls[i:i + 5] for i in range(0, len(calls), 5)]
+        # SNR 10 then 30, each with seed 0 (pair swapped) then seed 2
+        for scene, (first, second) in zip(scenes, [(135.0, 45.0), (45.0, 135.0)] * 2):
+            assert [algorithm for algorithm, _, _ in scene] == [
+                "aux", "gc-aux", "gc-aux", "gc-grad", "gc-grad"]
+            # target 0, then target 1: gc-aux nulls the other source's DOA,
+            # gc-grad preserves the target's
+            assert scene[1:] == [("gc-aux", (0,), (second,)), ("gc-aux", (0,), (first,)),
+                                 ("gc-grad", (0,), (first,)), ("gc-grad", (0,), (second,))]
 
     def test_plain_doa_list_exits_one(self, tmp_path, capsys):
         out = tmp_path / "bench"

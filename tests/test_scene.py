@@ -68,6 +68,8 @@ class TestSteeringVector:
     def test_out_of_range_doa_rejected(self):
         with pytest.raises(InvalidInputError):
             steering_vector(0, 181.0, PAIR, CONFIG)
+        with pytest.raises(InvalidInputError, match=r"^DOA 200\.0 outside \[0, 180\] degrees$"):
+            steering_stack(200.0, PAIR, CONFIG)
 
 
 class TestFractionalDelay:
@@ -173,6 +175,8 @@ class TestSimulateMixture:
             SceneSpec(np.zeros((2, 100)), (45.0, 135.0), snr_db=np.nan)
         with pytest.raises(InvalidInputError):
             SceneSpec(np.zeros((2, 100)), (45.0, 190.0))
+        with pytest.raises(InvalidInputError, match=r"^DOA 200\.0 outside \[0, 180\] degrees$"):
+            SceneSpec(np.zeros((2, 100)), (45.0, 200.0))
 
 
 class TestSyntheticSources:
