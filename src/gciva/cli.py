@@ -113,10 +113,6 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"invalid value for {key!r}: {raw!r}") from exc
 
 
-def load_config(path) -> dict:
-    return {key: _coerce(key, raw) for key, raw in io.read_keyvalue(path).items()}
-
-
 # flag -> (config key, help). A flag's text is parsed exactly like the key's
 # value in a config file.
 FLAGS = {
@@ -195,13 +191,10 @@ def _read_channel0(kind: str, paths, rate: float) -> list[np.ndarray]:
     return signals
 
 
-def _load_sources(cfg: ExperimentConfig, n_synthetic: int) -> np.ndarray:
+def _load_sources(cfg: ExperimentConfig, n_synthetic: int):
     if not cfg.sources:
         return synthetic_sources(n_synthetic, cfg.duration, cfg.sample_rate, cfg.seed)
-    signals = _read_channel0("source", cfg.sources, cfg.sample_rate)
-    if len({len(s) for s in signals}) != 1:
-        raise InvalidInputError("source signals must all have the same length")
-    return np.stack(signals)
+    return _read_channel0("source", cfg.sources, cfg.sample_rate)  # SceneSpec checks lengths
 
 
 def run_separation(spec, cfg: ExperimentConfig):
@@ -247,6 +240,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     signals = _load_sources(cfg, len(doas))
     scene = SceneSpec(signals, doas, cfg.snr_db, seed=cfg.seed)
     mixture, images = simulate_mixture(scene, cfg.geometry(), cfg.stft_config())
+    for samples in (mixture, images):  # source WAVs may carry any level
+        io.check_wav_samples(samples)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     io.write_wav(out / "mixture.wav", mixture, int(cfg.sample_rate))
@@ -302,6 +297,7 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         "j_iva": [float(v) for v in trace.j_iva],
         "j_prior": [float(v) for v in trace.j_prior],
     }
+    io.check_wav_samples(outputs)
     # nothing below can reject the run, so a rejected run leaves no directory
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -417,9 +413,7 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         if args.command == "separate":
             return cmd_separate(cfg, args.mixture)
-        if args.command == "benchmark":
-            return cmd_benchmark(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_benchmark(cfg)  # the parser admits no other command
     except (ConfigError, InvalidInputError) as exc:
         print(f"gc-iva: config error: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,7 @@ WAV audio goes through a small RIFF codec over ``struct`` and
 accepts RIFF and RIFX files of 8-, 16-, 24- or 32-bit integer PCM or 32- or
 64-bit IEEE float, plain or ``WAVE_FORMAT_EXTENSIBLE``, and raises OSError
 naming the path and the cause for any other file (see :func:`read_wav`). The
-writer stores float32 samples.
+writer stores float32 samples and rejects any beyond float32's range.
 
 All numeric text output is formatted with ``%.12g`` so repeated runs with the
 same seed produce byte-identical artifacts.
@@ -18,8 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-
-DEFAULT_SAMPLE_RATE = 16000
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 _FORMATS = {(_PCM, 8), (_PCM, 16), (_PCM, 24), (_PCM, 32), (_IEEE_FLOAT, 32), (_IEEE_FLOAT, 64)}
@@ -117,9 +115,17 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     raise _unreadable(path, "no data chunk" if fmt is not None else "no fmt chunk")
 
 
-def write_wav(path, data, rate: int = DEFAULT_SAMPLE_RATE) -> None:
-    """Write samples as a float32 WAV file. Float32 keeps any finite level,
-    so a mixture peaking above 1 is stored unclipped.
+def check_wav_samples(data) -> None:
+    """Raise InvalidInputError naming the peak unless every sample is finite
+    and at most float32's largest value in magnitude."""
+    peak = float(np.max(np.abs(np.asarray(data, dtype=np.float64)), initial=0.0))
+    if not peak <= float(np.finfo(np.float32).max):  # a NaN peak fails too
+        raise InvalidInputError(f"WAV samples peak at {peak:g}, beyond float32's range")
+
+
+def write_wav(path, data, rate: int) -> None:
+    """Write samples unclipped as a float32 WAV file, after
+    :func:`check_wav_samples`; a level above 1 is kept.
 
     The header is an 18-byte ``fmt `` chunk (``cbSize = 0``), a ``fact``
     chunk holding the frame count, then the ``data`` chunk. Raises
@@ -128,8 +134,7 @@ def write_wav(path, data, rate: int = DEFAULT_SAMPLE_RATE) -> None:
     x = np.asarray(data, dtype=np.float64)
     if x.ndim not in (1, 2) or x.size == 0:
         raise InvalidInputError("WAV data must be a non-empty 1-D or 2-D array")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("WAV data contains non-finite samples")
+    check_wav_samples(x)
     channels = 1 if x.ndim == 1 else x.shape[1]
     max_rate = (2**32 - 1) // (4 * channels)
     if not (0 < rate <= max_rate and float(rate).is_integer()):

@@ -388,39 +388,28 @@ def _solve_rows(matrices: np.ndarray, systems: np.ndarray, channel: int,
     return u / np.sqrt(quad)[:, None]
 
 
-def _update_row(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray | None,
-                f: int, channel: int) -> np.ndarray:
-    # the row update of bin f against cov, plus prior_mat unless it is None
+def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
+                       f: int, channel: int) -> np.ndarray:
+    """Majorize-minimize row update of bin ``f`` against covariance plus prior
+    matrix: replaces row ``channel`` in place and returns the new demixing
+    vector, normalized so that ``w^H (V + D) w = 1``."""
     if not 0 <= f < w.n_bins:
         raise InvalidInputError(f"bin index {f} outside [0, {w.n_bins})")
     if not 0 <= channel < w.n_channels:
         raise InvalidInputError(f"channel {channel} outside [0, {w.n_channels})")
     if cov.shape != (w.n_channels, w.n_channels):
         raise InvalidInputError("covariance must be K x K")
-    system = cov
-    if prior_mat is not None:
-        if prior_mat.shape != cov.shape:
-            raise InvalidInputError("prior matrix shape must match covariance")
-        system = cov + prior_mat
-    vec = _solve_rows(w.matrices[f : f + 1], system[None], channel)[0]
+    if prior_mat.shape != cov.shape:
+        raise InvalidInputError("prior matrix shape must match covariance")
+    vec = _solve_rows(w.matrices[f : f + 1], (cov + prior_mat)[None], channel)[0]
     w.matrices[f, channel, :] = vec.conj()
     return vec
 
 
 def update_unconstrained(w: DemixingStack, cov: np.ndarray, f: int, channel: int) -> np.ndarray:
-    """Majorize-minimize row update without a prior.
-
-    Replaces row ``channel`` of bin ``f`` in place and returns the new
-    demixing vector, normalized so that ``w^H V w = 1``.
-    """
-    return _update_row(w, cov, None, f, channel)
-
-
-def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
-                       f: int, channel: int) -> np.ndarray:
-    """Majorize-minimize row update against covariance plus prior matrix,
-    normalized so that ``w^H (V + D) w = 1``."""
-    return _update_row(w, cov, prior_mat, f, channel)
+    """Majorize-minimize row update without a prior, normalized so that
+    ``w^H V w = 1``: :func:`update_constrained` with a zero prior matrix."""
+    return update_constrained(w, cov, np.zeros_like(cov), f, channel)
 
 
 def _log_abs_det(matrices: np.ndarray) -> np.ndarray:
@@ -481,28 +470,29 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
 
 def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update,
            penalty, callback, solver: str) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
-    # update(it, w, cov) returns the next stack from w and the (F, K, K, K)
-    # weighted covariances cov[:, k] of w's outputs; penalty(w) fills the
-    # trace's second column; solver names the algorithm in a CostOverflowError
+    # update(it, w, cov) returns the next (F, K, K) array from w and the
+    # (F, K, K, K) weighted covariances cov[:, k] of w's outputs; penalty(w)
+    # fills the trace's second column; solver names the algorithm in a CostOverflowError
     if iterations < 0:
         raise InvalidInputError("iterations must be nonnegative")
-    w = DemixingStack.identity(spec.n_bins, spec.n_channels)
-    cache = _hermitian_cache(spec.data)
+    w = DemixingStack.identity(spec.n_bins, spec.n_channels).matrices
+    with np.errstate(over="ignore", invalid="ignore"):  # any overflow shows in the cost
+        cache = _hermitian_cache(spec.data)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
-        # an overflow shows as a non-finite cost, which ends the solve here
         with np.errstate(over="ignore", invalid="ignore"):
             if it:
                 w = update(it, w, _weighted_covariances(cache, model.weight(r)))
-            r = _cache_energies(cache, w.matrices)
-            entry = (_iva_cost(r, w.matrices), penalty(w))
+            r = _cache_energies(cache, w)
+            entry = (_iva_cost(r, w), penalty(w))
         if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
             raise CostOverflowError(f"{solver} cost is not finite at iteration {it}")
         trace.append(entry)
         if it and callback is not None:
-            callback(it, w.copy())
+            callback(it, DemixingStack(w.copy()))
     del cache  # not held while the output is demixed
-    return w, demix(spec, w), CostTrace(*np.array(trace).T)
+    stack = DemixingStack(w)
+    return stack, demix(spec, stack), CostTrace(*np.array(trace).T)
 
 
 def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
@@ -535,12 +525,12 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
             # keeps the total cost non-increasing. The prior term is exact
             # and enters with its own coefficient.
             systems = 0.5 * cov + stacks[channel] if channel in stacks else 0.5 * cov
-            rows = _solve_rows(w.matrices, systems, channel, context=f", iteration {it}")
-            w.matrices[:, channel, :] = rows.conj()
+            rows = _solve_rows(w, systems, channel, context=f", iteration {it}")
+            w[:, channel, :] = rows.conj()
         return w
 
     return _solve(spec, model, iterations, sweep,
-                  lambda w: _prior_cost(w.matrices, stacks), callback,
+                  lambda w: _prior_cost(w, stacks), callback,
                   "gc-aux" if stacks else "aux")
 
 
@@ -554,13 +544,23 @@ def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
     stored rows, in the real/imaginary (Wirtinger, factor two) convention so
     it matches finite differences on the real and imaginary parts directly.
     """
-    grad = np.zeros_like(w.matrices)
+    _check_field(w, h_field)
+    return _penalty_gradient(w.matrices, h_field, constraint_weight)
+
+
+def _check_field(w: DemixingStack, h_field: dict) -> None:
     for channel, h in h_field.items():
         if not 0 <= channel < w.n_channels:
             raise InvalidInputError(f"constrained channel {channel} outside stack")
         if h.shape != (w.n_bins, w.n_channels):
             raise InvalidInputError("steering field must be (n_bins, K) per channel")
-        residual = _residual(w.matrices[:, channel, :], h)
+
+
+def _penalty_gradient(matrices: np.ndarray, h_field: dict, constraint_weight: float) -> np.ndarray:
+    # penalty_gradient of the (F, K, K) array, with h_field already checked
+    grad = np.zeros_like(matrices)
+    for channel, h in h_field.items():
+        residual = _residual(matrices[:, channel, :], h)
         grad[:, channel, :] = 2.0 * constraint_weight * residual[:, None] * h.conj()
     return grad
 
@@ -588,15 +588,14 @@ def _check_step(stepsize: float, constraint_weight: float) -> None:
         raise InvalidInputError("constraint_weight must be nonnegative")
 
 
-def _gradient_step(w: DemixingStack, cov: np.ndarray, h_field: dict, stepsize: float,
-                   constraint_weight: float) -> DemixingStack:
-    # gradient_update from the weighted covariances cov[:, k] of w's outputs,
-    # with parameters already checked by _check_step
+def _gradient_step(w: np.ndarray, cov: np.ndarray, h_field: dict, stepsize: float,
+                   constraint_weight: float) -> np.ndarray:
+    # gradient_update of the (F, K, K) array w from the weighted covariances
+    # cov[:, k] of its outputs, with parameters already checked by _check_step
     if stepsize == 0.0:
         return w.copy()
-    delta = _row_products(np.eye(w.n_channels) - _score(w.matrices, cov), w.matrices[:, None])
-    return DemixingStack(w.matrices + stepsize * delta
-                         - stepsize * penalty_gradient(w, h_field, constraint_weight))
+    delta = _row_products(np.eye(w.shape[1]) - _score(w, cov), w[:, None])
+    return w + stepsize * delta - stepsize * _penalty_gradient(w, h_field, constraint_weight)
 
 
 def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceModel,
@@ -610,9 +609,10 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     """
     _check_shapes(spec, w)
     _check_step(stepsize, constraint_weight)
+    _check_field(w, h_field)
     weights = model.weight(_frame_energies(_demix_data(spec.data, w.matrices)))
     cov = _weighted_covariances(_hermitian_cache(spec.data), weights)
-    return _gradient_step(w, cov, h_field, stepsize, constraint_weight)
+    return DemixingStack(_gradient_step(w.matrices, cov, h_field, stepsize, constraint_weight))
 
 
 def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas,
@@ -630,8 +630,8 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     h_field = {k: steering_stack(d, geometry, spec.config)
                for k, d in zip(channels, doas)}
 
-    def penalty(w: DemixingStack) -> float:
-        return sum(constraint_weight * float(np.sum(np.abs(_residual(w.matrices[:, k], h)) ** 2))
+    def penalty(w: np.ndarray) -> float:
+        return sum(constraint_weight * float(np.sum(np.abs(_residual(w[:, k], h)) ** 2))
                    for k, h in h_field.items())
 
     return _solve(spec, model, iterations,

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,7 +14,7 @@ from scipy.io import wavfile
 
 import gciva
 from gciva import ReferenceProjector, io as gio
-from gciva.cli import FLAGS, ExperimentConfig, main, resolve_config, build_parser, load_config
+from gciva.cli import FLAGS, ExperimentConfig, main, resolve_config, build_parser
 
 
 def run_cli(*args):
@@ -45,6 +47,11 @@ def test_cli_import_skips_scipy_signal():
     proc = run_python(f"import sys, gciva, gciva.cli; {scipy_check(set())}",
                       capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def resolve_file(path):
+    """The configuration a ``--config`` file alone resolves to."""
+    return resolve_config(argparse.Namespace(command="benchmark", config=str(path)))
 
 
 def simulate_small(out_dir, seed=0, snr="20", doa="45,135"):
@@ -86,7 +93,7 @@ class TestConfigResolution:
         path = tmp_path / "exp.cfg"
         path.write_text("sigma3 = 1\n")
         with pytest.raises(Exception, match="sigma3"):
-            load_config(path)
+            resolve_file(path)
 
     def test_defaults_round_trip_through_config_text(self, tmp_path):
         def text(value):
@@ -101,15 +108,15 @@ class TestConfigResolution:
         path = tmp_path / "defaults.cfg"
         path.write_text("".join(f"{f.name} = {text(getattr(defaults, f.name))}\n"
                                 for f in fields(ExperimentConfig)))
-        loaded = load_config(path)
-        assert loaded == {f.name: getattr(defaults, f.name) for f in fields(ExperimentConfig)}
+        assert resolve_file(path) == defaults
 
     def test_infinite_snr_spellings(self, tmp_path):
         path = tmp_path / "exp.cfg"
         inf = float("inf")
         for spelling in ("inf", "infinite", "Infinite"):
             path.write_text(f"snr_db = {spelling}\nsnrs = 10, {spelling}\n")
-            assert load_config(path) == {"snr_db": inf, "snrs": (10.0, inf)}
+            loaded = resolve_file(path)
+            assert (loaded.snr_db, loaded.snrs) == (inf, (10.0, inf))
             cfg = resolve_config(build_parser().parse_args(["simulate", "--snr", spelling]))
             assert (cfg.snr_db, cfg.snrs) == (inf, (inf,))
 
@@ -328,6 +335,18 @@ class TestSimulate:
         assert "source signals must all have the same length" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sources_beyond_float32_exit_one(self, tmp_path, capsys):
+        # float64 source WAVs at 1e39 render a scene no float32 WAV can hold
+        rng = np.random.default_rng(8)
+        for name in ("a.wav", "b.wav"):
+            wavfile.write(str(tmp_path / name), 16000, 1e39 * rng.standard_normal(16000))
+        config = tmp_path / "scene.cfg"
+        config.write_text(f"sources = {tmp_path / 'a.wav'},{tmp_path / 'b.wav'}\n")
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--out", out) == 1
+        assert "WAV samples peak at" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scene_description_file_with_wav_sources(self, tmp_path):
         rng = np.random.default_rng(8)
         for name in ("a.wav", "b.wav"):
@@ -529,6 +548,36 @@ class TestSeparate:
         assert proc.returncode == 3
         assert "numerical failure: gc-grad cost is not finite at iteration" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
+
+    def test_overflowing_gradient_step_exits_three(self, tmp_path, capsys):
+        # a step of 1e308 overflows the demixing stack itself on the first
+        # iteration; the solve loop reports it as a numerical failure
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        config = tmp_path / "grad.cfg"
+        config.write_text("stepsize = 1e308\n")
+        out = tmp_path / "sep"
+        code = run_cli("separate", scene / "mixture.wav", "--config", config,
+                       "--algorithm", "gc-grad", "--doa", "45", "--iterations", "5",
+                       "--out", out)
+        assert code == 3
+        assert ("numerical failure: gc-grad cost is not finite at iteration 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_output_beyond_float32_exits_one(self, tmp_path, capsys):
+        # a float64 mixture at 1e39 separates, but float32 WAVs cannot hold it
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        mixture, rate = gio.read_wav(scene / "mixture.wav")
+        wavfile.write(str(tmp_path / "huge.wav"), rate, 1e39 * mixture)
+        out = tmp_path / "sep"
+        code = run_cli("separate", tmp_path / "huge.wav", "--algorithm", "aux",
+                       "--iterations", "3", "--out", out)
+        assert code == 1
+        assert re.search(r"config error: WAV samples peak at \d\.\d+e\+(39|40), "
+                         r"beyond float32's range", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("algorithm", ["gc-aux", "gc-grad"])

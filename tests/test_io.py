@@ -42,6 +42,13 @@ class TestWav:
         with pytest.raises(InvalidInputError):
             gio.write_wav(tmp_path / "bad.wav", np.array([np.nan]), 16000)
 
+    def test_rejects_samples_beyond_float32(self, tmp_path):
+        # finite in float64, but float32 would store it as inf
+        with pytest.raises(InvalidInputError, match=r"WAV samples peak at 1e\+39"):
+            gio.write_wav(tmp_path / "big.wav", np.array([0.5, -1e39, 0.25]), 16000)
+        assert not (tmp_path / "big.wav").exists()
+        gio.check_wav_samples(np.array([np.finfo(np.float32).max, 0.0]))  # the edge is kept
+
     @pytest.mark.parametrize("rate", [0, -1, 16000.5, -16000.0, 2**29, float("nan")])
     def test_rejects_rate_that_the_header_cannot_hold(self, tmp_path, rate):
         # the byte rate, rate * 4 bytes * 2 channels, must fit a uint32

@@ -246,7 +246,7 @@ class TestCovarianceKernel:
                                     for k in range(n_ch)]) for f in range(5)])
         expected = (w + mu * np.matmul(np.eye(n_ch) - score, w)
                     - mu * penalty_gradient(stack, h_field, weight))
-        step = gciva.iva._gradient_step(stack, cov, h_field, mu, weight).matrices
+        step = gciva.iva._gradient_step(w, cov, h_field, mu, weight)
         assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_two_channel_closed_forms_match_lapack(self):
@@ -265,6 +265,32 @@ class TestCovarianceKernel:
             np.testing.assert_allclose(u, expected, rtol=1e-12)
         np.testing.assert_allclose(gciva.iva._log_abs_det(w), np.linalg.slogdet(w)[1],
                                    rtol=1e-12, atol=1e-12)
+
+    def test_three_channel_log_abs_det_matches_per_bin_slogdet(self):
+        # K > 2 takes batched LU; an exactly singular bin gives -inf
+        rng = np.random.default_rng(52)
+        w = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        w[4, 2] = 0.0
+        logdet = gciva.iva._log_abs_det(w)
+        expected = [np.linalg.slogdet(w[f])[1] for f in range(6)]
+        np.testing.assert_allclose(logdet, expected, rtol=1e-12, atol=1e-12)
+        assert logdet[4] == -np.inf and np.all(np.isfinite(np.delete(logdet, 4)))
+
+    def test_three_channel_singular_bin_comes_back_nan(self):
+        # one exactly singular system makes the batched solve raise; the
+        # other bins keep np.linalg.solve's answer
+        rng = np.random.default_rng(53)
+        w = np.eye(3) + 0.3 * (rng.standard_normal((5, 3, 3))
+                               + 1j * rng.standard_normal((5, 3, 3)))
+        m = np.stack([random_hpd(rng, 3) + np.eye(3) for _ in range(5)])
+        m[2] = 0.0
+        for channel in range(3):
+            u = gciva.iva._inverse_columns(w, m, channel)
+            assert np.all(np.isnan(u[2]))
+            ok = [0, 1, 3, 4]
+            expected = np.linalg.solve((w @ m)[ok], np.eye(3)[channel][None, :, None]
+                                       .repeat(4, axis=0))[:, :, 0]
+            np.testing.assert_allclose(u[ok], expected, rtol=1e-12)
 
     def test_nulled_frame_energy_clamped_at_zero(self):
         # row 0 cancels the frame exactly in every bin (w^H x = x1 x0 - x0 x1),
@@ -744,6 +770,39 @@ class TestSharedSolverLoop:
             run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 350,
                              callback=lambda l, w: done.append(l))
         assert len(done) < 50
+
+    @pytest.mark.parametrize("algorithm", ["aux", "gc-aux", "gc-grad"])
+    def test_overflowing_data_fails_at_iteration_zero(self, algorithm):
+        # |x|^2 of a 1e200-level spectrogram overflows in the Hermitian cache;
+        # the loop reports it as a non-finite cost, without a numpy warning
+        spec, _, config = anechoic_scene(10, duration=0.5, window=128)
+        spec = ComplexSpectrogram(1e200 * spec.data, config)
+        with pytest.raises(CostOverflowError, match="cost is not finite at iteration 0"):
+            if algorithm == "gc-grad":
+                run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 3)
+            else:
+                prior = (PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
+                         if algorithm == "gc-aux" else None)
+                run_informed_iva(spec, prior, SourceModel(), 3)
+
+
+class TestThreeMicrophones:
+    LINE = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["aux", "gc-aux"])
+    def test_total_cost_monotone(self, constrained):
+        # K = 3 runs the batched-LU row solve and log|det| inside the loop
+        config = StftConfig(512, 256)
+        sources = synthetic_sources(3, 2.0, config.sample_rate, 0)
+        mixture, _ = simulate_mixture(SceneSpec(sources, (30.0, 90.0, 150.0), 20.0, seed=0),
+                                      self.LINE, config)
+        spec = analyze(mixture, config)
+        prior = (PriorConfig.constant((0,), (90.0,), self.LINE, config.n_bins)
+                 if constrained else None)
+        stack, _, trace = run_informed_iva(spec, prior, SourceModel(), 30)
+        assert stack.n_channels == 3
+        total = trace.total
+        assert np.all(np.diff(total) <= 1e-8 * np.abs(total[:-1]))
 
 
 class TestProjectBack:
