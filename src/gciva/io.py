@@ -7,7 +7,9 @@ accepts RIFF and RIFX files of 8-, 16-, 24- or 32-bit integer PCM or 32- or
 naming the path and the cause for any other file (see :func:`read_wav`). The
 writer stores float32 samples and rejects any beyond float32's range.
 
-All numeric text output is formatted with ``%.12g`` so repeated runs with the
+CSV numbers are written with ``%.12g``; JSON floats with the shortest repr
+that round-trips (``json.dumps``), so ``report.json`` keeps 16 to 17
+significant digits. Both formats are deterministic, so repeated runs with the
 same seed produce byte-identical artifacts.
 """
 

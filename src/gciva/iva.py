@@ -6,7 +6,7 @@ channel k, so demixing is ``y[f, n] = matrices[f] @ x[f, n]``.
 
 The data come in two layouts only: the spectrogram's own (F, N, K), which
 :func:`demix` multiplies by each bin's transposed stack without making a
-transposed copy, and the solver loop's (F, K^2, N) Hermitian cache below.
+transposed copy, and the solver loop's (N, K^2, F) Hermitian cache below.
 
 Both solvers share one loop: from identity, each iteration applies the
 solver's update, then reads the new stack's frame energies, which give the
@@ -16,25 +16,34 @@ last iteration. :func:`evaluate_cost`, :func:`demixed_energies` and
 :func:`demix` demix directly and are the public oracles of the loop.
 
 The data never change during a solve, so the loop holds them once, in no
-other form than a real Hermitian cache: per bin, the K rows ``|x_i|^2``
-followed by the real and then the imaginary parts of the K(K-1)/2
-upper-triangle products ``x_i conj(x_j)``, one column per frame. That is
-F*K^2*N real values, half the bytes of the frames' complex outer products
-(about 2.6 MB for a 5 s stereo scene at 2048/1024), and it is freed before
-the output is demixed. Two real matrix products per iteration read it:
+other form than a real Hermitian cache. A Hermitian K x K matrix X is held in
+the *cache layout*: the K diagonal entries, then the real and then the
+imaginary parts of the K(K-1)/2 upper-triangle entries, K^2 reals per bin.
+The cache holds ``x_n x_n^H`` of every frame and bin in that layout, frame
+by frame: F*K^2*N real values, half the bytes of the frames' complex outer
+products (about 2.6 MB for a 5 s stereo scene at 2048/1024), freed before
+the output is demixed. One helper, :func:`_form_coefficients`, turns a row
+``a`` into the K^2 real coefficients with ``a X a^H = coef . X`` for any X
+in that layout, and every Hermitian form of the solvers goes through it. Two
+real matrix products per iteration read the cache, and they are nearly all of
+an iteration's memory traffic:
 
-* the frame energies ``r_nk^2 = sum_f w_k^H x_n x_n^H w_k``, as the (K, F*K^2)
-  quadratic-form coefficients of W's rows against the cache (clamped at 0,
-  since cancellation can leave a silent frame slightly negative);
+* the frame energies ``r_nk^2 = sum_f w_k^H x_n x_n^H w_k``, as the cache
+  against the (K, K^2*F) form coefficients of W's rows (clamped at 0, since
+  cancellation can leave a silent frame slightly negative);
 * the weighted covariances ``V_k = mean_n phi(r_nk) x_n x_n^H`` of all K
-  channels, as the cache against the N x K frame weights.
+  channels in the cache layout, as the N x K frame weights against the cache.
 
-Both updates read the covariances: the MM sweep solves against V_k, and the
-gradient step forms row k of its score ``E{phi(y) y^H}`` as ``W[k, :] V_k
-W^H``. With two channels the MM row solve and ``log|det W|`` are elementwise
-2 x 2 adjugate formulas; larger stacks use batched LAPACK. The gradient step's
-K x K products are sums of broadcast products at every K, which beat batched
-matmul on stacks this small.
+Inside the loop every per-bin array keeps the bins on its last axis: the
+demixing stack as (K, K, F), so each elementwise operation runs over all F
+bins at once. The MM sweep solves against ``V_k`` and normalizes each new
+row by its form against the same system; those coefficients, rescaled, are
+also the next energies' coefficients, and the prior term is their dot
+product with the prior matrices. The gradient step forms row k of its score
+``E{phi(y) y^H}`` as ``W[k, :] V_k W^H``. With two channels the MM row
+solve and ``log|det W|`` are elementwise 2 x 2 adjugate formulas; larger
+stacks use batched LAPACK. The K x K products are sums of K broadcast
+products at every K, which beat batched matmul on stacks this small.
 
 * :func:`run_informed_iva` performs majorize-minimize row updates; channels
   listed in the prior are updated against the covariance plus the
@@ -78,7 +87,7 @@ class SourceModel:
 
     def weight(self, r) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        rms = np.sqrt(np.sum(r**2, axis=0) / max(r.shape[0], 1))
+        rms = np.sqrt((r**2).sum(axis=0) / max(r.shape[0], 1))
         floor = np.where(rms > 0.0, self.epsilon * rms, self.epsilon)
         return np.ascontiguousarray(1.0 / np.maximum(r, floor))
 
@@ -233,46 +242,84 @@ def _frame_energies(y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(y) ** 2, axis=0))
 
 
+def _bins_last(matrices: np.ndarray) -> np.ndarray:
+    # (F, K, K) stack -> C-contiguous (K, K, F) copy
+    return np.ascontiguousarray(matrices.transpose(1, 2, 0))
+
+
 def _upper_pairs(n_ch: int) -> list[tuple[int, int]]:
-    # the (i, j), i < j, of a K x K upper triangle, in the Hermitian cache's order
+    # the (i, j), i < j, of a K x K upper triangle, in the cache layout's order
     return [(i, j) for i in range(n_ch) for j in range(i + 1, n_ch)]
 
 
 def _hermitian_cache(data: np.ndarray) -> np.ndarray:
-    # (F, K^2, N) real rows of x x^H per bin from (F, N, K) spectrogram data:
-    # the K diagonal entries |x_i|^2, then the real and then the imaginary
-    # parts of x_i conj(x_j) over the upper pairs; C-contiguous, so its flat
-    # (F*K^2, N) view costs no copy per iteration
-    data = np.ascontiguousarray(data)  # the float view needs contiguous channels
+    # (N, K^2, F) cache of x x^H per frame and bin, from (F, N, K)
+    # spectrogram data, each frame in the cache layout. C-contiguous, so its
+    # flat (N, K^2*F) view costs no copy per iteration, and frame-major,
+    # the order in which BLAS streams it fastest through both GEMMs.
     n_bins, n_frames, n_ch = data.shape
     pairs = _upper_pairs(n_ch)
-    parts = data.view(np.float64).reshape(n_bins, n_frames, n_ch, 2)
-    cache = np.empty((n_bins, n_ch * n_ch, n_frames))
-    np.einsum("fnkc,fnkc->fkn", parts, parts, out=cache[:, :n_ch])
+    x = data.transpose(1, 2, 0)  # (N, K, F)
+    cache = np.empty((n_frames, n_ch * n_ch, n_bins))
+    for i in range(n_ch):
+        np.square(x[:, i].real, out=cache[:, i])
+        cache[:, i] += np.square(x[:, i].imag)
     for p, (i, j) in enumerate(pairs):
-        cross = data[:, :, i] * data[:, :, j].conj()
+        cross = x[:, i] * x[:, j].conj()
         cache[:, n_ch + p] = cross.real
         cache[:, n_ch + len(pairs) + p] = cross.imag
     return cache
 
 
-def _cache_energies(cache: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    # r[n, k] = sqrt(sum_f w_k^H x_n x_n^H w_k) with w_k^H = matrices[f, k]:
-    # |y_k|^2 = sum_ij W_ki conj(W_kj) x_i conj(x_j), so each cache row's
-    # coefficient is |W_ki|^2 on the diagonal and 2 Re, -2 Im of W_ki conj(W_kj)
-    # for a pair; one (K, F*K^2) x (F*K^2, N) GEMM. Cancellation can leave a
-    # silent frame's square slightly negative, hence the clamp at 0.
-    n_bins, n_ch = matrices.shape[:2]
+def _cache_layout(matrices: np.ndarray) -> np.ndarray:
+    # (K^2, F) cache layout of an (F, K, K) Hermitian stack, from its upper triangle
+    n_ch = matrices.shape[1]
+    rows, cols = np.triu_indices(n_ch, 1)
+    upper = matrices[:, rows, cols].T
+    diagonal = np.diagonal(matrices, axis1=1, axis2=2).T
+    return np.concatenate([diagonal.real, upper.real, upper.imag])
+
+
+def _hermitian_matrices(h: np.ndarray) -> np.ndarray:
+    # (..., K, K, F) complex Hermitian stacks from their (..., K^2, F) cache layout
+    n_ch = math.isqrt(h.shape[-2])
     pairs = _upper_pairs(n_ch)
-    rows = matrices.transpose(1, 0, 2)  # (K, F, K)
-    coef = np.empty((n_ch, n_bins, n_ch * n_ch))
-    coef[:, :, :n_ch] = rows.real**2 + rows.imag**2
+    out = np.empty(h.shape[:-2] + (n_ch, n_ch, h.shape[-1]), dtype=np.complex128)
+    for i in range(n_ch):
+        out[..., i, i, :] = h[..., i, :]
     for p, (i, j) in enumerate(pairs):
-        pair = rows[:, :, i] * rows[:, :, j].conj()
-        coef[:, :, n_ch + p] = 2.0 * pair.real
-        coef[:, :, n_ch + len(pairs) + p] = -2.0 * pair.imag
-    squares = coef.reshape(n_ch, -1) @ cache.reshape(-1, cache.shape[2])
-    return np.sqrt(np.maximum(squares, 0.0)).T
+        re, im = h[..., n_ch + p, :], h[..., n_ch + len(pairs) + p, :]
+        out.real[..., i, j, :] = re
+        out.imag[..., i, j, :] = im
+        out.real[..., j, i, :] = re
+        # a copy, not np.negative(im, out=...): numpy 2.4.6 writes wrong values
+        # through that call into some strided outputs such as this one
+        out.imag[..., j, i, :] = -im
+    return out
+
+
+def _form_coefficients(rows: np.ndarray) -> np.ndarray:
+    # the (..., K^2, F) real c with a X a^H = sum_r c[..., r, f] h[r, f] for
+    # every row a = rows[..., :, f] and Hermitian X in the cache layout h:
+    # |a_i|^2 on the diagonal, 2 Re and -2 Im of a_i conj(a_j) for a pair
+    n_ch = rows.shape[-2]
+    pairs = _upper_pairs(n_ch)
+    coef = np.empty(rows.shape[:-2] + (n_ch * n_ch, rows.shape[-1]))
+    np.add(np.square(rows.real), np.square(rows.imag), out=coef[..., :n_ch, :])
+    for p, (i, j) in enumerate(pairs):
+        pair = rows[..., i, :] * rows[..., j, :].conj()
+        np.multiply(pair.real, 2.0, out=coef[..., n_ch + p, :])
+        np.multiply(pair.imag, -2.0, out=coef[..., n_ch + len(pairs) + p, :])
+    return coef
+
+
+def _cache_energies(cache: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    # r[n, k] = sqrt(sum_f w_k^H x_n x_n^H w_k) from the (K, K^2, F) form
+    # coefficients of a stack's rows w_k^H: one (N, K^2*F) x (K^2*F, K) GEMM
+    # of the cache against them. Cancellation can leave a silent frame's
+    # square slightly negative, hence the clamp at 0.
+    squares = cache.reshape(cache.shape[0], -1) @ coef.reshape(coef.shape[0], -1).T
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
 def demix(spec: ComplexSpectrogram, w: DemixingStack) -> ComplexSpectrogram:
@@ -298,19 +345,11 @@ def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -
 
 
 def _weighted_covariances(cache: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # V[f, c] = mean_n weights[n, c] x[f, n] x[f, n]^H for every weight column c,
-    # all from one real GEMM against the Hermitian cache; shape (F, C, K, K)
-    n_bins, n_rows, n_frames = cache.shape
-    n_ch = math.isqrt(n_rows)
-    pairs = _upper_pairs(n_ch)
-    v = ((cache.reshape(-1, n_frames) @ weights) / n_frames).reshape(n_bins, n_rows, -1)
-    out = np.empty((n_bins, v.shape[2], n_ch, n_ch), dtype=np.complex128)
-    for i in range(n_ch):
-        out[:, :, i, i] = v[:, i]
-    for p, (i, j) in enumerate(pairs):
-        out[:, :, i, j] = v[:, n_ch + p] + 1j * v[:, n_ch + len(pairs) + p]
-        out[:, :, j, i] = out[:, :, i, j].conj()
-    return out
+    # V_c = mean_n weights[n, c] x_n x_n^H for every weight column c, in the
+    # cache layout: (C, K^2, F) from one real GEMM against the cache
+    n_frames = cache.shape[0]
+    v = (weights / n_frames).T @ cache.reshape(n_frames, -1)
+    return v.reshape((-1,) + cache.shape[1:])
 
 
 def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, f: int) -> np.ndarray:
@@ -325,67 +364,104 @@ def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, 
     if energies.shape != (spec.n_frames,):
         raise InvalidInputError("energies must hold one value per frame")
     weights = model.weight(energies)[:, None]
-    return _weighted_covariances(_hermitian_cache(spec.data[f : f + 1]),
-                                 weights)[0, 0]
+    cov = _weighted_covariances(_hermitian_cache(spec.data[f : f + 1]), weights)
+    return _hermitian_matrices(cov[0])[:, :, 0]
+
+
+def _times_hermitian(matrices: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # W M per bin for a bins-last (K, K, F) W and Hermitian M in the (K^2, F)
+    # cache layout, column by column: A[:, j] = sum_l W[:, l] M[l, j]
+    n_ch = matrices.shape[0]
+    pairs = _upper_pairs(n_ch)
+    entries = {}  # the off-diagonal M[l, j] as complex (F,) arrays
+    for p, (i, j) in enumerate(pairs):
+        m = np.empty(h.shape[-1], dtype=np.complex128)
+        m.real, m.imag = h[n_ch + p], h[n_ch + len(pairs) + p]
+        entries[i, j], entries[j, i] = m, m.conj()
+    a = np.empty_like(matrices)
+    for j in range(n_ch):
+        np.multiply(matrices[:, j], h[j], out=a[:, j])
+        for l in range(n_ch):
+            if l != j:
+                a[:, j] += matrices[:, l] * entries[l, j]
+    return a
 
 
 def _inverse_columns(matrices: np.ndarray, systems: np.ndarray, channel: int) -> np.ndarray:
-    """Column ``channel`` of ``(W_f M_f)^-1`` per bin, i.e. the solution of
-    ``(W_f M_f) u = e_k``; a bin without one comes back non-finite.
+    """Column ``channel`` of ``(W_f M_f)^-1`` per bin, for a bins-last
+    (K, K, F) W and Hermitian M in the (K^2, F) cache layout: the (K, F)
+    solution of ``(W_f M_f) u = e_k``; a bin without one comes back
+    non-finite.
 
-    Two channels form ``W_f M_f`` and its adjugate column over the
-    determinant elementwise. Larger stacks run a batched LU, which locates
-    the bins with an exact zero pivot only when the batch meets one.
+    Two channels take the adjugate column of ``W_f M_f`` over its
+    determinant. Larger stacks run a batched LU, which locates the bins with
+    an exact zero pivot only when the batch meets one.
     """
-    if matrices.shape[1] == 2:
-        w, m = matrices, systems
-        a = [[w[:, i, 0] * m[:, 0, j] + w[:, i, 1] * m[:, 1, j] for j in (0, 1)] for i in (0, 1)]
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        column = (a[1][1], -a[1][0]) if channel == 0 else (-a[0][1], a[0][0])
-        return np.stack(column, axis=1) / det[:, None]
-    a = matrices @ systems
+    a = _times_hermitian(matrices, systems)
+    if a.shape[0] == 2:
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        # (a11, -a10) / det for channel 0, (-a01, a00) / det for channel 1
+        other = a[1 - channel]
+        u = np.empty((2, det.shape[0]), dtype=np.complex128)
+        np.divide(other[1], det, out=u[0])
+        np.divide(other[0], det, out=u[1])
+        u[1 - channel] *= -1.0
+        return u
+    a = a.transpose(2, 0, 1)
     rhs = np.zeros(a.shape[:2] + (1,), dtype=np.complex128)
     rhs[:, channel, 0] = 1.0
     try:
-        return np.linalg.solve(a, rhs)[:, :, 0]
+        return np.linalg.solve(a, rhs)[:, :, 0].T
     except np.linalg.LinAlgError:
         ok = np.abs(np.linalg.det(a)) > 0.0
         u = np.full(a.shape[:2], np.nan, dtype=np.complex128)
         u[ok] = np.linalg.solve(a[ok], rhs[ok])[:, :, 0]
-        return u
+        return u.T
+
+
+def _unusable(quad: np.ndarray) -> np.ndarray:
+    # bins whose w^H M w is not finite and positive (a non-finite w always
+    # gives a non-finite form); two reductions clear the usual all-usable case
+    if quad.min() > 0.0 and quad.max() < np.inf:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~(quad > 0.0) | np.isinf(quad))
 
 
 def _solve_rows(matrices: np.ndarray, systems: np.ndarray, channel: int,
                 context: str = "") -> np.ndarray:
-    """New demixing vectors for one channel across a stack of bins.
+    """Replaces row ``channel`` of a bins-last (K, K, F) demixing stack in
+    place and returns the new row's (K^2, F) form coefficients.
 
-    Solves ``(W_f M_f) w = e_k`` per bin and rescales so ``w^H M_f w = 1``.
-    The bins whose solution is not finite or has ``w^H M_f w <= 0`` are
-    retried once, together, with a small trace-scaled diagonal load on
-    ``M_f``; a bin that fails again raises a SingularUpdateError.
+    Solves ``(W_f M_f) w = e_k`` per bin, for Hermitian ``M_f`` given in the
+    (K^2, F) cache layout, and stores the rows ``w^H`` rescaled so that
+    ``w^H M_f w = 1``. The bins whose form ``w^H M_f w`` is not finite
+    and positive are retried once, together, with a small trace-scaled
+    diagonal load on ``M_f``; a bin that fails again raises a
+    SingularUpdateError. Run under ``np.errstate(all="ignore")``: a bin
+    without a usable solution is retried, not warned about.
     """
-    n_ch = matrices.shape[1]
-
-    def quad_form(m, u):  # w^H M w per bin, and where it is unusable
-        quad = np.real(np.einsum("fi,fij,fj->f", u.conj(), m, u))
-        return quad, ~(np.isfinite(quad) & (quad > 0.0) & np.all(np.isfinite(u), axis=1))
-
-    with np.errstate(all="ignore"):  # a bin without a usable solution is retried
-        u = _inverse_columns(matrices, systems, channel)
-        quad, failed = quad_form(systems, u)
-    bad = np.flatnonzero(failed)
+    n_ch = matrices.shape[0]
+    rows = _inverse_columns(matrices, systems, channel).conj()
+    coef = _form_coefficients(rows)
+    quad = np.einsum("rf,rf->f", coef, systems)  # w^H M_f w
+    bad = _unusable(quad)
     if bad.size:
-        m = systems[bad]
-        load = 1e-10 * np.real(np.trace(m, axis1=1, axis2=2)) / n_ch
-        m = m + load[:, None, None] * np.eye(n_ch)
-        with np.errstate(all="ignore"):
-            u[bad] = _inverse_columns(matrices[bad], m, channel)
-            quad[bad], failed = quad_form(m, u[bad])
-        if np.any(failed):
+        m = systems[:, bad]
+        m[:n_ch] += 1e-10 * np.sum(m[:n_ch], axis=0) / n_ch
+        rows[:, bad] = _inverse_columns(matrices[:, :, bad], m, channel).conj()
+        coef[:, bad] = _form_coefficients(rows[:, bad])
+        quad[bad] = np.einsum("rf,rf->f", coef[:, bad], m)
+        failed = bad[_unusable(quad[bad])]
+        if failed.size:
             raise SingularUpdateError(
-                f"singular update system at bin {bad[failed][0]}, channel {channel}{context}"
+                f"singular update system at bin {failed[0]}, channel {channel}{context}"
             )
-    return u / np.sqrt(quad)[:, None]
+    inverse = 1.0 / quad
+    scale = np.sqrt(inverse)
+    new = matrices[channel]
+    np.multiply(rows.real, scale, out=new.real)
+    np.multiply(rows.imag, scale, out=new.imag)
+    return np.multiply(coef, inverse, out=coef)
 
 
 def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
@@ -401,9 +477,11 @@ def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
         raise InvalidInputError("covariance must be K x K")
     if prior_mat.shape != cov.shape:
         raise InvalidInputError("prior matrix shape must match covariance")
-    vec = _solve_rows(w.matrices[f : f + 1], (cov + prior_mat)[None], channel)[0]
-    w.matrices[f, channel, :] = vec.conj()
-    return vec
+    matrices = _bins_last(w.matrices[f : f + 1])
+    with np.errstate(all="ignore"):
+        _solve_rows(matrices, _cache_layout((cov + prior_mat)[None]), channel)
+    w.matrices[f, channel, :] = matrices[channel, :, 0]
+    return matrices[channel, :, 0].conj()
 
 
 def update_unconstrained(w: DemixingStack, cov: np.ndarray, f: int, channel: int) -> np.ndarray:
@@ -413,22 +491,22 @@ def update_unconstrained(w: DemixingStack, cov: np.ndarray, f: int, channel: int
 
 
 def _log_abs_det(matrices: np.ndarray) -> np.ndarray:
-    # log|det W_f| per bin: elementwise for 2 x 2 stacks, batched LU otherwise;
-    # an exactly singular bin gives -inf, a 2 x 2 product that overflows +inf
-    if matrices.shape[1] == 2:
-        det = matrices[:, 0, 0] * matrices[:, 1, 1] - matrices[:, 0, 1] * matrices[:, 1, 0]
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(det))
-    return np.linalg.slogdet(matrices)[1]
+    # log|det W_f| per bin of a bins-last (K, K, F) stack: elementwise for
+    # 2 x 2 stacks, batched LU otherwise; an exactly singular bin gives -inf
+    # (and a divide warning unless ignored), a 2 x 2 product that overflows +inf
+    if matrices.shape[0] == 2:
+        det = matrices[0, 0] * matrices[1, 1] - matrices[0, 1] * matrices[1, 0]
+        return np.log(np.abs(det))
+    return np.linalg.slogdet(matrices.transpose(2, 0, 1))[1]
 
 
 def _iva_cost(r: np.ndarray, matrices: np.ndarray) -> float:
-    # averaged Laplacian contrast G(r) = r of the frame energies minus twice
-    # the log-determinants
+    # averaged Laplacian contrast G(r) = r of the (N, K) frame energies minus
+    # twice the log-determinants of the bins-last stack
     logdet = _log_abs_det(matrices)
-    if np.any(logdet < _LOG_DET_FLOOR):
-        raise CostOverflowError("demixing matrix determinant below 1e-300")
-    return float(np.sum(np.mean(r, axis=0))) - 2.0 * float(np.sum(logdet))
+    if logdet.min() < _LOG_DET_FLOOR:
+        raise CostOverflowError("demixing determinant below 1e-300")
+    return float(r.sum()) / r.shape[0] - 2.0 * float(logdet.sum())
 
 
 def _check_constraints(channels, geometry: ArrayGeometry, spec: ComplexSpectrogram) -> None:
@@ -440,19 +518,19 @@ def _check_constraints(channels, geometry: ArrayGeometry, spec: ComplexSpectrogr
 
 
 def _prior_stacks(prior: PriorConfig | None, spec: ComplexSpectrogram) -> dict[int, np.ndarray]:
-    """Prior-matrix stacks of the constrained channels, checked against ``spec``."""
+    """Prior matrices of the constrained channels in the (K^2, F) cache
+    layout, checked against ``spec``."""
     if prior is None or not prior.constrained_channels:
         return {}
     _check_constraints(prior.constrained_channels, prior.geometry, spec)
-    return prior_matrices(prior, spec.config)
+    return {channel: _cache_layout(mats)
+            for channel, mats in prior_matrices(prior, spec.config).items()}
 
 
-def _prior_cost(matrices: np.ndarray, stacks: dict[int, np.ndarray]) -> float:
-    j_prior = 0.0
-    for channel, mats in stacks.items():
-        rows = matrices[:, channel, :]  # (F, K) = w^H
-        j_prior += float(np.sum(np.real(np.einsum("fi,fij,fj->f", rows, mats, rows.conj()))))
-    return j_prior
+def _prior_cost(coef: np.ndarray, stacks: dict[int, np.ndarray]) -> float:
+    # sum over bins of w_k^H D_k w_k, from the (K, K^2, F) form coefficients
+    # of a stack's rows
+    return sum(float(np.vdot(coef[channel], h)) for channel, h in stacks.items())
 
 
 def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel,
@@ -460,38 +538,49 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
     """Source-separation cost split into its IVA and prior terms.
 
     The IVA term is the averaged Laplacian contrast ``G(r) = r`` of the
-    outputs' frame energies minus twice the summed log-magnitude determinants; the prior term is the nonnegative quadratic
-    form of the constrained rows against their prior matrices.
+    outputs' frame energies minus twice the summed log-magnitude
+    determinants; the prior term is the nonnegative quadratic form of the
+    constrained rows against their prior matrices.
     """
     _check_shapes(spec, w)
     r = _frame_energies(_demix_data(spec.data, w.matrices))
-    return _iva_cost(r, w.matrices), _prior_cost(w.matrices, _prior_stacks(prior, spec))
+    matrices = w.matrices.transpose(1, 2, 0)
+    with np.errstate(divide="ignore"):  # a singular bin fails the determinant floor
+        j_iva = _iva_cost(r, matrices)
+    return j_iva, _prior_cost(_form_coefficients(matrices), _prior_stacks(prior, spec))
 
 
 def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update,
            penalty, callback, solver: str) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
-    # update(it, w, cov) returns the next (F, K, K) array from w and the
-    # (F, K, K, K) weighted covariances cov[:, k] of w's outputs; penalty(w)
-    # fills the trace's second column; solver names the algorithm in a CostOverflowError
+    # update(it, w, cov) returns the next bins-last (K, K, F) array and the
+    # (K, K^2, F) form coefficients of its rows, from w and the (K, K^2, F)
+    # cache-layout weighted covariances cov[k] of w's outputs; penalty(w,
+    # coef) fills the trace's second column and is taken for every stack
+    # before an update starts from it; solver names the algorithm in a
+    # CostOverflowError
     if iterations < 0:
         raise InvalidInputError("iterations must be nonnegative")
-    w = DemixingStack.identity(spec.n_bins, spec.n_channels).matrices
+    w = _bins_last(DemixingStack.identity(spec.n_bins, spec.n_channels).matrices)
+    coef = _form_coefficients(w)
     with np.errstate(over="ignore", invalid="ignore"):  # any overflow shows in the cost
         cache = _hermitian_cache(spec.data)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # a bad update shows in the cost or a retry
             if it:
-                w = update(it, w, _weighted_covariances(cache, model.weight(r)))
-            r = _cache_energies(cache, w)
-            entry = (_iva_cost(r, w), penalty(w))
+                w, coef = update(it, w, _weighted_covariances(cache, model.weight(r)))
+            r = _cache_energies(cache, coef)
+            try:
+                entry = (_iva_cost(r, w), penalty(w, coef))
+            except CostOverflowError as exc:
+                raise CostOverflowError(f"{solver} {exc} at iteration {it}") from None
         if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
             raise CostOverflowError(f"{solver} cost is not finite at iteration {it}")
         trace.append(entry)
         if it and callback is not None:
-            callback(it, DemixingStack(w.copy()))
+            callback(it, DemixingStack(w.transpose(2, 0, 1).copy()))
     del cache  # not held while the output is demixed
-    stack = DemixingStack(w)
+    stack = DemixingStack(np.ascontiguousarray(w.transpose(2, 0, 1)))
     return stack, demix(spec, stack), CostTrace(*np.array(trace).T)
 
 
@@ -517,25 +606,33 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
     def sweep(it, w, covs):
         # Channel k's energies depend on row k alone, which no earlier
         # channel of the sweep changes, so every channel's covariance comes
-        # from the iteration's one pass over the cache.
+        # from the iteration's one pass over the cache. Each row solve also
+        # gives the form coefficients of its new row, which the next
+        # energies and the prior term read.
+        coef = np.empty(covs.shape)
         for channel in range(spec.n_channels):
-            cov = covs[:, channel]
             # The tight majorizer of the contrast term carries a factor 1/2
             # on the weighted covariance (r <= r^2/(2 r0) + r0/2); using it
             # keeps the total cost non-increasing. The prior term is exact
             # and enters with its own coefficient.
-            systems = 0.5 * cov + stacks[channel] if channel in stacks else 0.5 * cov
-            rows = _solve_rows(w, systems, channel, context=f", iteration {it}")
-            w[:, channel, :] = rows.conj()
-        return w
+            systems = 0.5 * covs[channel]
+            if channel in stacks:
+                systems += stacks[channel]
+            coef[channel] = _solve_rows(w, systems, channel, context=f", iteration {it}")
+        return w, coef
 
     return _solve(spec, model, iterations, sweep,
-                  lambda w: _prior_cost(w, stacks), callback,
+                  lambda w, coef: _prior_cost(coef, stacks), callback,
                   "gc-aux" if stacks else "aux")
 
 
 def _residual(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return np.einsum("fj,fj->f", rows, h) - 1.0  # w^H h - 1
+    # w^H h - 1 per bin, for (K, F) rows w^H and steering vectors h
+    out = rows[0] * h[0]
+    for j in range(1, rows.shape[0]):
+        out += rows[j] * h[j]
+    out -= 1.0
+    return out
 
 
 def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
@@ -545,7 +642,12 @@ def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
     it matches finite differences on the real and imaginary parts directly.
     """
     _check_field(w, h_field)
-    return _penalty_gradient(w.matrices, h_field, constraint_weight)
+    field = _bins_last_field(h_field)
+    grad = np.zeros_like(w.matrices)
+    rows = _penalty_rows(_residuals(_bins_last(w.matrices), field), field, constraint_weight)
+    for channel, row in rows.items():
+        grad[:, channel] = row.T
+    return grad
 
 
 def _check_field(w: DemixingStack, h_field: dict) -> None:
@@ -556,29 +658,39 @@ def _check_field(w: DemixingStack, h_field: dict) -> None:
             raise InvalidInputError("steering field must be (n_bins, K) per channel")
 
 
-def _penalty_gradient(matrices: np.ndarray, h_field: dict, constraint_weight: float) -> np.ndarray:
-    # penalty_gradient of the (F, K, K) array, with h_field already checked
-    grad = np.zeros_like(matrices)
-    for channel, h in h_field.items():
-        residual = _residual(matrices[:, channel, :], h)
-        grad[:, channel, :] = 2.0 * constraint_weight * residual[:, None] * h.conj()
-    return grad
+def _bins_last_field(h_field: dict) -> dict:
+    # (F, K) steering stacks -> C-contiguous (K, F)
+    return {channel: np.ascontiguousarray(h.T) for channel, h in h_field.items()}
+
+
+def _residuals(matrices: np.ndarray, field: dict) -> dict:
+    # w^H h - 1 of each constrained row of a bins-last (K, K, F) stack, for a
+    # checked (K, F) steering field
+    return {channel: _residual(matrices[channel], h) for channel, h in field.items()}
+
+
+def _penalty_rows(residuals: dict, field: dict, constraint_weight: float) -> dict:
+    # the nonzero (K, F) rows of penalty_gradient, 2 c (w^H h - 1) conj(h),
+    # from the constrained rows' residuals
+    return {channel: (2.0 * constraint_weight * e) * field[channel].conj()
+            for channel, e in residuals.items()}
 
 
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # c[f, k, m] = sum_j a[f, k, j] b[f, k, j, m] for (F, K, K) a, with b's k
-    # axis of length K or 1 (so b[:, None] gives the per-bin product a @ b),
-    # as K broadcast products: at small K a third of a batched matmul
-    out = a[:, :, 0, None] * b[:, :, 0]
-    for j in range(1, a.shape[2]):
-        out += a[:, :, j, None] * b[:, :, j]
+    # c[k, m] = sum_j a[k, j] b[k, j, m] per bin for bins-last (K, K, F) a,
+    # with b's k axis of length K or 1 (so b[None] gives the per-bin product
+    # a @ b), as K broadcast products over whole (K, K, F) blocks
+    out = a[:, 0, None] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * b[:, j]
     return out
 
 
 def _score(matrices: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    # E{phi(y) y^H} per bin: row k is W[k, :] V_k W^H, with V_k = cov[:, k]
+    # E{phi(y) y^H} per bin: row k is W[k, :] V_k W^H, with V_k = cov[k], all
+    # bins-last
     return _row_products(_row_products(matrices, cov),
-                         matrices.conj().transpose(0, 2, 1)[:, None])
+                         matrices.conj().transpose(1, 0, 2)[None])
 
 
 def _check_step(stepsize: float, constraint_weight: float) -> None:
@@ -588,14 +700,21 @@ def _check_step(stepsize: float, constraint_weight: float) -> None:
         raise InvalidInputError("constraint_weight must be nonnegative")
 
 
-def _gradient_step(w: np.ndarray, cov: np.ndarray, h_field: dict, stepsize: float,
-                   constraint_weight: float) -> np.ndarray:
-    # gradient_update of the (F, K, K) array w from the weighted covariances
-    # cov[:, k] of its outputs, with parameters already checked by _check_step
+def _gradient_step(w: np.ndarray, cov: np.ndarray, penalty_rows: dict,
+                   stepsize: float) -> np.ndarray:
+    # gradient_update of the bins-last (K, K, F) array w from the (K, K, K, F)
+    # complex weighted covariances cov[k] of its outputs and the nonzero rows
+    # of its penalty gradient, with a checked stepsize:
+    # W + mu (W - E{phi(y) y^H} W), then the penalty step on the constrained rows
     if stepsize == 0.0:
         return w.copy()
-    delta = _row_products(np.eye(w.shape[1]) - _score(w, cov), w[:, None])
-    return w + stepsize * delta - stepsize * _penalty_gradient(w, h_field, constraint_weight)
+    step = _row_products(_score(w, cov), w[None])  # E{phi(y) y^H} W
+    np.subtract(w, step, out=step)
+    step *= stepsize
+    step += w
+    for channel, row in penalty_rows.items():
+        step[channel] -= stepsize * row
+    return step
 
 
 def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceModel,
@@ -612,7 +731,10 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     _check_field(w, h_field)
     weights = model.weight(_frame_energies(_demix_data(spec.data, w.matrices)))
     cov = _weighted_covariances(_hermitian_cache(spec.data), weights)
-    return DemixingStack(_gradient_step(w.matrices, cov, h_field, stepsize, constraint_weight))
+    matrices, field = _bins_last(w.matrices), _bins_last_field(h_field)
+    rows = _penalty_rows(_residuals(matrices, field), field, constraint_weight)
+    step = _gradient_step(matrices, _hermitian_matrices(cov), rows, stepsize)
+    return DemixingStack(np.ascontiguousarray(step.transpose(2, 0, 1)))
 
 
 def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas,
@@ -627,17 +749,22 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     channels, doas = _constraint_pairs(constrained_channels, target_doas)
     _check_constraints(channels, geometry, spec)
     _check_step(stepsize, constraint_weight)
-    h_field = {k: steering_stack(d, geometry, spec.config)
-               for k, d in zip(channels, doas)}
+    field = _bins_last_field({k: steering_stack(d, geometry, spec.config)
+                              for k, d in zip(channels, doas)})
+    # _solve takes the penalty of every stack before it steps from it, so the
+    # step reuses the residuals of the penalty just taken
+    residuals = {}
 
-    def penalty(w: np.ndarray) -> float:
-        return sum(constraint_weight * float(np.sum(np.abs(_residual(w[:, k], h)) ** 2))
-                   for k, h in h_field.items())
+    def step(it, w, covs):
+        rows = _penalty_rows(residuals, field, constraint_weight)
+        w = _gradient_step(w, _hermitian_matrices(covs), rows, stepsize)
+        return w, _form_coefficients(w)
 
-    return _solve(spec, model, iterations,
-                  lambda it, w, cov: _gradient_step(w, cov, h_field, stepsize,
-                                                    constraint_weight),
-                  penalty, callback, "gc-grad")
+    def penalty(w, coef) -> float:
+        residuals.update(_residuals(w, field))
+        return sum(constraint_weight * float(np.vdot(e, e).real) for e in residuals.values())
+
+    return _solve(spec, model, iterations, step, penalty, callback, "gc-grad")
 
 
 def project_back(demixed: ComplexSpectrogram, w: DemixingStack,

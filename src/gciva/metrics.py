@@ -135,11 +135,15 @@ class ReferenceProjector:
         loaded = gram.copy()
         loaded.flat[:: gram.shape[0] + 1] += 1e-10 * np.trace(gram) / gram.shape[0]
         try:  # the Gram matrix is checked finite above
-            self.factor_full = cho_factor(loaded, check_finite=False)
+            # the single-reference blocks are copied out of ``loaded`` before
+            # the full factorization overwrites it: ``loaded`` is a private
+            # symmetric copy, so its transpose is the Fortran array LAPACK
+            # factors in place
             self.factor_single = [
                 cho_factor(loaded[self._span(i), self._span(i)], check_finite=False)
                 for i in range(n_refs)
             ]
+            self.factor_full = cho_factor(loaded.T, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise DegenerateReferenceError(
                 "reference correlation system is not positive definite"

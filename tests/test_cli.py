@@ -550,6 +550,24 @@ class TestSeparate:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not out.exists()
 
+    def test_determinant_floor_names_solver_and_iteration(self, tmp_path):
+        # two copies of one channel leave the demixing determinant to collapse;
+        # the failure names the separator and the iteration it stopped at
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        mixture, rate = gio.read_wav(scene / "mixture.wav")
+        mixture[:, 1] = mixture[:, 0]
+        gio.write_wav(tmp_path / "copied.wav", mixture, rate)
+        out = tmp_path / "sep"
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          "separate", str(tmp_path / "copied.wav"), "--algorithm", "aux",
+                          "--out", str(out), capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert re.search(r"numerical failure: aux demixing determinant below 1e-300 "
+                         r"at iteration [1-9]\d*$", proc.stderr.strip())
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
+
     def test_overflowing_gradient_step_exits_three(self, tmp_path, capsys):
         # a step of 1e308 overflows the demixing stack itself on the first
         # iteration; the solve loop reports it as a numerical failure

@@ -60,6 +60,29 @@ def inv2(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
+def bins_last(matrices):
+    return gciva.iva._bins_last(matrices)
+
+
+def cache_energies(cache, matrices):
+    # the loop's frame energies of an (F, K, K) stack
+    return gciva.iva._cache_energies(cache, gciva.iva._form_coefficients(bins_last(matrices)))
+
+
+def solve_rows(matrices, systems, channel, context=""):
+    # the loop's row solve on (F, K, K) stacks: the new vectors w, (F, K)
+    w = bins_last(matrices)
+    with np.errstate(all="ignore"):
+        gciva.iva._solve_rows(w, gciva.iva._cache_layout(systems), channel, context)
+    return w[channel].T.conj()
+
+
+def covariance_matrices(cache, weights):
+    # the loop's weighted covariances as (F, C, K, K) complex matrices
+    return gciva.iva._hermitian_matrices(
+        gciva.iva._weighted_covariances(cache, weights)).transpose(3, 0, 1, 2)
+
+
 def anechoic_scene(seed, doas=(45.0, 135.0), snr_db=20.0, duration=1.0,
                    window=512, sample_rate=16000.0):
     config = StftConfig(window_length=window, hop=window // 2, sample_rate=sample_rate)
@@ -187,12 +210,13 @@ class TestCovarianceKernel:
         spec = random_spec(rng, 4, 7, n_ch)
         weights = rng.uniform(0.2, 3.0, size=(7, n_ch))
         cache = gciva.iva._hermitian_cache(spec.data)
-        assert cache.dtype == np.float64 and cache.shape == (4, n_ch * n_ch, 7)
+        assert cache.dtype == np.float64 and cache.shape == (7, n_ch * n_ch, 4)
         # a strided view of the same data gives the same cache
         strided = np.swapaxes(np.swapaxes(spec.data, 1, 2).copy(), 1, 2)
         np.testing.assert_array_equal(gciva.iva._hermitian_cache(strided), cache)
         assert cache.flags.c_contiguous  # else every GEMM copies the cache first
-        v = gciva.iva._weighted_covariances(cache, weights)
+        assert gciva.iva._weighted_covariances(cache, weights).shape == (n_ch, n_ch * n_ch, 4)
+        v = covariance_matrices(cache, weights)
         assert v.shape == (4, n_ch, n_ch, n_ch)
         expected = np.zeros_like(v)
         for f in range(4):
@@ -209,7 +233,7 @@ class TestCovarianceKernel:
         spec = random_spec(rng, 4, 7, n_ch)
         w = rng.standard_normal((4, n_ch, n_ch)) + 1j * rng.standard_normal((4, n_ch, n_ch))
         cache = gciva.iva._hermitian_cache(spec.data)
-        r = gciva.iva._cache_energies(cache, w)
+        r = cache_energies(cache, w)
         assert r.shape == (7, n_ch)
         expected = np.zeros((7, n_ch))
         for n in range(7):
@@ -229,7 +253,8 @@ class TestCovarianceKernel:
         expected = np.einsum("fnk,fnl->fkl", phi[None] * y, y.conj()) / 9
         cov = gciva.iva._weighted_covariances(gciva.iva._hermitian_cache(spec.data),
                                               SourceModel().weight(r))
-        score = gciva.iva._score(w, cov)
+        score = gciva.iva._score(bins_last(w), gciva.iva._hermitian_matrices(cov))
+        score = score.transpose(2, 0, 1)
         assert np.max(np.abs(score - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n_ch", [2, 3])
@@ -246,7 +271,9 @@ class TestCovarianceKernel:
                                     for k in range(n_ch)]) for f in range(5)])
         expected = (w + mu * np.matmul(np.eye(n_ch) - score, w)
                     - mu * penalty_gradient(stack, h_field, weight))
-        step = gciva.iva._gradient_step(w, cov, h_field, mu, weight)
+        rows = {0: penalty_gradient(stack, h_field, weight)[:, 0].T}
+        step = gciva.iva._gradient_step(bins_last(w), cov.transpose(1, 2, 3, 0), rows, mu)
+        step = step.transpose(2, 0, 1)
         assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_two_channel_closed_forms_match_lapack(self):
@@ -259,19 +286,20 @@ class TestCovarianceKernel:
         m = np.stack([random_hpd(rng, 2) + np.eye(2) for _ in range(64)])
         assert np.max(np.linalg.cond(w @ m)) < 1e3
         for channel in range(2):
-            u = gciva.iva._inverse_columns(w, m, channel)
+            u = gciva.iva._inverse_columns(bins_last(w), gciva.iva._cache_layout(m),
+                                           channel).T
             expected = np.linalg.solve(w @ m, np.eye(2)[channel][None, :, None]
                                        .repeat(64, axis=0))[:, :, 0]
             np.testing.assert_allclose(u, expected, rtol=1e-12)
-        np.testing.assert_allclose(gciva.iva._log_abs_det(w), np.linalg.slogdet(w)[1],
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gciva.iva._log_abs_det(bins_last(w)),
+                                   np.linalg.slogdet(w)[1], rtol=1e-12, atol=1e-12)
 
     def test_three_channel_log_abs_det_matches_per_bin_slogdet(self):
         # K > 2 takes batched LU; an exactly singular bin gives -inf
         rng = np.random.default_rng(52)
         w = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
         w[4, 2] = 0.0
-        logdet = gciva.iva._log_abs_det(w)
+        logdet = gciva.iva._log_abs_det(bins_last(w))
         expected = [np.linalg.slogdet(w[f])[1] for f in range(6)]
         np.testing.assert_allclose(logdet, expected, rtol=1e-12, atol=1e-12)
         assert logdet[4] == -np.inf and np.all(np.isfinite(np.delete(logdet, 4)))
@@ -285,12 +313,38 @@ class TestCovarianceKernel:
         m = np.stack([random_hpd(rng, 3) + np.eye(3) for _ in range(5)])
         m[2] = 0.0
         for channel in range(3):
-            u = gciva.iva._inverse_columns(w, m, channel)
+            u = gciva.iva._inverse_columns(bins_last(w), gciva.iva._cache_layout(m),
+                                           channel).T
             assert np.all(np.isnan(u[2]))
             ok = [0, 1, 3, 4]
             expected = np.linalg.solve((w @ m)[ok], np.eye(3)[channel][None, :, None]
                                        .repeat(4, axis=0))[:, :, 0]
             np.testing.assert_allclose(u[ok], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_ch", [2, 3])
+    def test_hermitian_form_matches_per_bin_loop(self, n_ch):
+        # the form coefficients of rows a = u^H against a Hermitian stack in
+        # the cache layout give u^H M u; the layout round-trips the stack
+        rng = np.random.default_rng(70 + n_ch)
+        m = np.stack([random_hpd(rng, n_ch) - 2.0 * np.eye(n_ch) for _ in range(6)])
+        m = 0.5 * (m + m.conj().transpose(0, 2, 1))  # exactly Hermitian, indefinite
+        u = rng.standard_normal((6, n_ch)) + 1j * rng.standard_normal((6, n_ch))
+        h = gciva.iva._cache_layout(m)
+        assert h.shape == (n_ch * n_ch, 6)
+        np.testing.assert_array_equal(gciva.iva._hermitian_matrices(h), bins_last(m))
+        form = np.einsum("rf,rf->f", gciva.iva._form_coefficients(u.conj().T), h)
+        expected = np.array([np.real(u[f].conj() @ m[f] @ u[f]) for f in range(6)])
+        assert np.max(np.abs(form - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n_ch", [2, 3])
+    def test_residual_matches_per_bin_loop(self, n_ch):
+        # w^H h - 1 per bin, for (K, F) rows w^H
+        rng = np.random.default_rng(80 + n_ch)
+        w = rng.standard_normal((5, n_ch, n_ch)) + 1j * rng.standard_normal((5, n_ch, n_ch))
+        h = rng.standard_normal((5, n_ch)) + 1j * rng.standard_normal((5, n_ch))
+        residual = gciva.iva._residual(bins_last(w)[1], h.T.copy())
+        expected = np.array([w[f, 1] @ h[f] - 1.0 for f in range(5)])
+        np.testing.assert_allclose(residual, expected, rtol=1e-12)
 
     def test_nulled_frame_energy_clamped_at_zero(self):
         # row 0 cancels the frame exactly in every bin (w^H x = x1 x0 - x0 x1),
@@ -301,7 +355,7 @@ class TestCovarianceKernel:
             w = np.zeros((3, 2, 2), dtype=complex)
             w[:, 0, 0], w[:, 0, 1], w[:, 1, 1] = x[:, 0, 1], -x[:, 0, 0], 1.0
             with np.errstate(invalid="raise"):
-                r = gciva.iva._cache_energies(gciva.iva._hermitian_cache(x), w)
+                r = cache_energies(gciva.iva._hermitian_cache(x), w)
             scale = np.sqrt(np.sum(np.sum(np.abs(w[:, 0]) ** 2, axis=1)
                                    * np.sum(np.abs(x[:, 0]) ** 2, axis=1)))
             assert 0.0 <= r[0, 0] <= 1e-7 * scale
@@ -328,7 +382,7 @@ class TestCovarianceKernel:
         cache = gciva.iva._hermitian_cache(spec.data)
         eps = np.finfo(np.float64).eps
         for w in snaps:
-            r = gciva.iva._cache_energies(cache, w.matrices)
+            r = cache_energies(cache, w.matrices)
             assert np.all(r >= 0.0)
             w_norms = np.sum(np.abs(w.matrices) ** 2, axis=2)  # (F, K) ||w_fk||^2
             bound = eps * (w_norms.T @ x_norms).T  # (N, K)
@@ -410,9 +464,9 @@ class TestUpdateUnconstrained:
         rng = np.random.default_rng(12)
         matrices = np.stack([random_hpd(rng, 2) for _ in range(4)])
         systems = np.stack([random_hpd(rng, 2) for _ in range(4)])
-        systems[1] = np.ones((2, 2))  # rank one: an exact zero pivot in the batch LU
-        regular = gciva.iva._solve_rows(matrices[[0, 2, 3]], systems[[0, 2, 3]], 1)
-        rows = gciva.iva._solve_rows(matrices, systems, 1)
+        systems[1] = np.ones((2, 2))  # rank one: det(W M) is exactly zero
+        regular = solve_rows(matrices[[0, 2, 3]], systems[[0, 2, 3]], 1)
+        rows = solve_rows(matrices, systems, 1)
         # the regular bins are untouched by the retry
         np.testing.assert_array_equal(rows[[0, 2, 3]], regular)
         loaded = systems[1] + 1e-10 * np.eye(2)  # trace 2, over two channels
@@ -423,7 +477,32 @@ class TestUpdateUnconstrained:
         np.testing.assert_allclose(rows[1], expected, rtol=1e-5)
         systems[2] = 0.0  # no load helps a zero system
         with pytest.raises(SingularUpdateError, match="bin 2, channel 1, iteration 5"):
-            gciva.iva._solve_rows(matrices, systems, 1, context=", iteration 5")
+            solve_rows(matrices, systems, 1, context=", iteration 5")
+
+
+    @pytest.mark.parametrize("bad_value", [np.inf, np.nan])
+    def test_non_finite_column_is_retried(self, monkeypatch, bad_value):
+        # a non-finite solution makes w^H M w non-finite, so the form alone
+        # flags the bin for the loaded retry
+        rng = np.random.default_rng(13)
+        matrices = np.stack([np.eye(2) + 0.2 * random_hpd(rng, 2) for _ in range(4)])
+        systems = np.stack([random_hpd(rng, 2) for _ in range(4)])
+        solved = []
+        original = gciva.iva._inverse_columns
+
+        def flaky(w, m, channel):
+            u = original(w, m, channel)
+            if not solved:
+                u[0, 2] = bad_value  # bin 2's first entry
+            solved.append(u.shape[1])
+            return u
+
+        monkeypatch.setattr(gciva.iva, "_inverse_columns", flaky)
+        rows = solve_rows(matrices, systems, 0)
+        assert solved == [4, 1]  # all bins, then bin 2 alone
+        assert np.all(np.isfinite(rows))
+        loaded = systems[2] + 1e-10 * np.trace(systems[2]).real / 2 * np.eye(2)
+        assert np.real(rows[2].conj() @ loaded @ rows[2]) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestUpdateConstrained:
@@ -716,6 +795,22 @@ class TestSharedSolverLoop:
             j_iva, j_prior = evaluate_cost(spec, w, SourceModel(), prior)
             assert trace.j_iva[entry] == pytest.approx(j_iva, rel=1e-12)
             assert trace.j_prior[entry] == pytest.approx(j_prior, rel=1e-12)
+
+    def test_informed_prior_trace_matches_per_bin_oracle(self):
+        # the trace's prior term against sum_f w_f^H D_f w_f, one bin at a time
+        spec, _, config = anechoic_scene(11, duration=0.5, window=128)
+        prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins,
+                                     sigma2=40.0, lambda_e=1e-3)
+        snaps = [DemixingStack.identity(config.n_bins, 2)]
+        _, _, trace = run_informed_iva(spec, prior, SourceModel(), 6,
+                                       callback=lambda l, w: snaps.append(w))
+        h = steering_stack(135.0, PAIR, config)
+        for entry, w in enumerate(snaps):
+            expected = 0.0
+            for f in range(config.n_bins):
+                wk = w.matrices[f, 0].conj()  # the row is w^H
+                expected += np.real(wk.conj() @ prior_matrix(h[f], 40.0, 1e-3) @ wk)
+            assert trace.j_prior[entry] == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_trace_matches_evaluate_cost(self):
         spec, _, config = anechoic_scene(7, duration=0.5, window=128)
