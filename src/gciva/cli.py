@@ -24,7 +24,8 @@ from .errors import (
 )
 from .iva import PriorConfig, SourceModel, project_back, run_gradient_iva, run_informed_iva
 from .metrics import ReferenceProjector
-from .scene import SPEED_OF_SOUND, ArrayGeometry, SceneSpec, simulate_mixture, synthetic_sources
+from .scene import (SPEED_OF_SOUND, ArrayGeometry, SceneSpec, add_noise, render_images,
+                    simulate_mixture, synthetic_sources)
 from .stft import StftConfig, analyze, synthesize
 
 ALGORITHMS = ("aux", "gc-aux", "gc-grad")
@@ -331,34 +332,51 @@ def _benchmark_runs(cfg: ExperimentConfig, spec, doas, n_samples: int):
         yield target, outputs, order
 
 
+def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, signals, swap: int):
+    """The runs.csv rows of one DOA pair and seed, one list per SNR of
+    ``cfg.snrs``. The clean images and the reference projector depend on
+    the pair and the seed alone, so every SNR shares them; only the noise,
+    the mixture and what is computed from it are made per SNR."""
+    stft_cfg = cfg.stft_config()
+    doas = (pair[0], pair[1]) if swap == 0 else (pair[1], pair[0])
+    images = render_images(SceneSpec(signals, doas, seed=seed), cfg.geometry(), stft_cfg)
+    projector = ReferenceProjector(images[:, :, 0])
+    clean = images.sum(axis=0)
+    label = f"{pair[0]:g}-{pair[1]:g}"
+    rows_per_snr = []
+    for snr in cfg.snrs:
+        mixture = add_noise(clean, snr, seed)
+        input_sir = float(np.mean(projector.score(mixture.T).sir_db))
+        spec = analyze(mixture, stft_cfg)
+        rows = []
+        for algorithm in cfg.algorithms:
+            for target, outputs, order in _benchmark_runs(
+                    replace(cfg, algorithm=algorithm), spec, doas, mixture.shape[0]):
+                sir, sdr, _, matched = _score(projector, outputs, order)
+                rows.append([
+                    label, snr, f"{seed}", algorithm, f"{target}",
+                    sir[0], sir[1], sdr[0], sdr[1], input_sir,
+                    int(matched),
+                ])
+        rows_per_snr.append(rows)
+    return rows_per_snr
+
+
 def cmd_benchmark(cfg: ExperimentConfig) -> int:
     for key in ("doa_pairs", "snrs", "seeds", "algorithms"):
         if not getattr(cfg, key):
             raise ConfigError(f"benchmark needs a non-empty {key} list")
-    geometry = cfg.geometry()
-    stft_cfg = cfg.stft_config()
+    # the sources and the DOA swap depend on the seed alone
+    sources = {seed: (synthetic_sources(2, cfg.duration, cfg.sample_rate, seed),
+                      int(np.random.default_rng([seed, 1]).integers(0, 2)))
+               for seed in cfg.seeds}
     run_rows = []
     for pair in cfg.doa_pairs:
-        label = f"{pair[0]:g}-{pair[1]:g}"
-        for snr in cfg.snrs:
-            for seed in cfg.seeds:
-                signals = synthetic_sources(2, cfg.duration, cfg.sample_rate, seed)
-                swap = int(np.random.default_rng([seed, 1]).integers(0, 2))
-                doas = (pair[0], pair[1]) if swap == 0 else (pair[1], pair[0])
-                scene = SceneSpec(signals, doas, snr, seed=seed)
-                mixture, images = simulate_mixture(scene, geometry, stft_cfg)
-                projector = ReferenceProjector(images[:, :, 0])
-                input_sir = float(np.mean(projector.score(mixture.T).sir_db))
-                spec = analyze(mixture, stft_cfg)
-                for algorithm in cfg.algorithms:
-                    for target, outputs, order in _benchmark_runs(
-                            replace(cfg, algorithm=algorithm), spec, doas, mixture.shape[0]):
-                        sir, sdr, _, matched = _score(projector, outputs, order)
-                        run_rows.append([
-                            label, snr, f"{seed}", algorithm, f"{target}",
-                            sir[0], sir[1], sdr[0], sdr[1], input_sir,
-                            int(matched),
-                        ])
+        # one projector alive at a time; the rows go out pair -> SNR -> seed
+        per_seed = [_benchmark_pair_seed(cfg, pair, seed, *sources[seed]) for seed in cfg.seeds]
+        for s in range(len(cfg.snrs)):
+            for rows_per_snr in per_seed:
+                run_rows.extend(rows_per_snr[s])
 
     groups: dict[tuple, list] = {}  # (scenario, snr_db, algorithm) -> its runs.csv rows
     for row in run_rows:

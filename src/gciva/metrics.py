@@ -6,8 +6,13 @@ reference). The projection onto the best-matching single reference is the
 target, the remainder of the full-span projection is interference, and what
 the full span cannot explain is artifact. Projections are held as filter
 coefficients solved from the normal equations, and every energy is a
-quadratic form in the Gram matrix of the delayed copies: nothing is
-re-synthesized. Ratios are reported in dB, capped at +-100.
+quadratic form in the Gram matrix G of the delayed copies: nothing is
+re-synthesized. G itself is never held whole. Coefficients c solved on a
+span from the diagonally loaded system ``(G + load * I) c = cross`` give
+``G @ c = cross - load * c`` on that span for free, so the energies need
+only the Cholesky factors, the cross vectors and, for an interference
+term, one off-diagonal block of G per reference pair. Ratios are reported
+in dB, capped at +-100.
 """
 
 import itertools
@@ -88,15 +93,21 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class ReferenceProjector:
     """Shared least-squares machinery for one set of references.
 
-    Precomputes the Gram matrix G of delayed reference copies (via FFT
-    cross-correlations assembled into Toeplitz blocks) and the Cholesky
-    factors of its loaded form, for the full span and each single-reference
-    span. A projection is its coefficient vector c, and energies are
-    quadratic forms such as ``c @ G @ c``: no signal is re-synthesized.
-    Build one per reference set and score every estimate with ``score``,
-    which handles all of its rows at once. A silent reference, or one that
-    another's span explains to within ``COPY_MATCH`` of its energy (a scaled
-    or delayed copy), raises DegenerateReferenceError.
+    Holds the Cholesky factors of the loaded Gram matrix ``G + load * I`` of
+    delayed reference copies, for the full span and for each single-reference
+    span, plus what the energies need of G itself: the references' own cross
+    vectors (``ref_cross``, shaped (n_refs * flen, n_refs)) and one
+    off-diagonal block ``G[span_i, span_j]`` per reference pair ``i < j``
+    (``blocks[i, j]``). G is never stored whole. A projection is its
+    coefficient vector c, and every energy is a quadratic form ``c @ G @ c``
+    whose Gram product the normal equations just solved give: c solves
+    ``(G + load * I) c = cross``, so ``G @ c = cross - load * c`` on the
+    span it was solved on, and only the off-diagonal blocks are multiplied.
+    No signal is re-synthesized. Build one per reference set and score every
+    estimate with ``score``, which handles all of its rows at once. A silent
+    reference, or one that another's span explains to within ``COPY_MATCH``
+    of its energy (a scaled or delayed copy), raises
+    DegenerateReferenceError.
     """
 
     def __init__(self, references, filter_len: int = DEFAULT_FILTER_LEN):
@@ -120,25 +131,28 @@ class ReferenceProjector:
         # finite samples can still overflow here; the check below rejects that
         with np.errstate(over="ignore", invalid="ignore"):
             self.spectra = np.fft.rfft(references, n=self.n_fft, axis=1)
-            # block (i, j) is Toeplitz: its first column is reference j's
-            # cross vector against the copies of reference i, its first row
-            # reference i's against those of j
-            cross = self._cross(self.spectra)
-            gram = self.gram = np.empty((n_refs * filter_len, n_refs * filter_len))
-            for i in range(n_refs):
-                for j in range(i + 1):
-                    block = toeplitz(cross[self._span(i), j], r=cross[self._span(j), i])
-                    gram[self._span(i), self._span(j)] = block
-                    gram[self._span(j), self._span(i)] = block.T
-        if not np.all(np.isfinite(gram)):
+            cross = self.ref_cross = self._cross(self.spectra)
+        # every Gram entry is one of these correlations
+        if not np.all(np.isfinite(cross)):
             raise InvalidInputError("metric inputs overflow the reference correlations")
-        loaded = gram.copy()
-        loaded.flat[:: gram.shape[0] + 1] += 1e-10 * np.trace(gram) / gram.shape[0]
-        try:  # the Gram matrix is checked finite above
+        # block (i, j) of G is Toeplitz: its first column is reference j's
+        # cross vector against the copies of reference i, its first row
+        # reference i's against those of j
+        loaded = np.empty((n_refs * filter_len, n_refs * filter_len))
+        self.blocks = {}
+        for i in range(n_refs):
+            for j in range(i, n_refs):
+                block = toeplitz(cross[self._span(i), j], r=cross[self._span(j), i])
+                loaded[self._span(i), self._span(j)] = block
+                if j > i:  # a diagonal block is symmetric
+                    loaded[self._span(j), self._span(i)] = block.T
+                    self.blocks[i, j] = block
+        self.load = 1e-10 * np.trace(loaded) / loaded.shape[0]
+        loaded.flat[:: loaded.shape[0] + 1] += self.load
+        try:  # the correlations are checked finite above
             # the single-reference blocks are copied out of ``loaded`` before
-            # the full factorization overwrites it: ``loaded`` is a private
-            # symmetric copy, so its transpose is the Fortran array LAPACK
-            # factors in place
+            # the full factorization overwrites it: ``loaded`` is symmetric,
+            # so its transpose is the Fortran array LAPACK factors in place
             self.factor_single = [
                 cho_factor(loaded[self._span(i), self._span(i)], check_finite=False)
                 for i in range(n_refs)
@@ -172,22 +186,21 @@ class ReferenceProjector:
     def _project_single(self, cross: np.ndarray, j: int, energy: np.ndarray):
         """Project signals with cross vectors ``cross`` (one column each) and
         energies ``energy`` onto reference ``j``'s span: ``(coefficients,
-        G[:, span] @ coefficients, target energies, leftover energies)``, the
-        leftover being what that span leaves unexplained. Callers pass only
-        cross vectors already checked finite, so the solve skips the scan."""
+        G[span, span] @ coefficients, target energies, leftover energies)``,
+        the leftover being what that span leaves unexplained. Callers pass
+        only cross vectors already checked finite, so the solve skips the
+        scan."""
         from scipy.linalg import cho_solve  # lazy: slow to import
         span = self._span(j)
         coeffs = cho_solve(self.factor_single[j], cross[span], check_finite=False)
-        gram_coeffs = self.gram[:, span] @ coeffs
-        target = _column_dots(coeffs, gram_coeffs[span])
+        gram_coeffs = cross[span] - self.load * coeffs  # from the normal equations
+        target = _column_dots(coeffs, gram_coeffs)
         return coeffs, gram_coeffs, target, energy - 2.0 * _column_dots(cross[span], coeffs) + target
 
     def _check_distinguishable(self) -> None:
-        # reference i's cross vector is Gram column i * flen
         n_refs = self.refs.shape[0]
-        cross = self.gram[:, :: self.flen]
-        energy = np.diagonal(self.gram)[:: self.flen]
-        leftover = [self._project_single(cross, j, energy)[3] for j in range(n_refs)]
+        energy = self.ref_cross[np.arange(n_refs) * self.flen, np.arange(n_refs)]
+        leftover = [self._project_single(self.ref_cross, j, energy)[3] for j in range(n_refs)]
         for i in range(n_refs):
             if energy[i] == 0.0:
                 raise DegenerateReferenceError(f"reference {i} is silent")
@@ -213,11 +226,20 @@ class ReferenceProjector:
             raise InvalidInputError("metric inputs overflow the cross-correlations")
         energy = np.einsum("ij,ij->i", estimates, estimates)
         full = cho_solve(self.factor_full, cross, check_finite=False)
-        gram_full = self.gram @ full
+        gram_full = cross - self.load * full  # G @ full, from the normal equations
         full_energy = _column_dots(full, gram_full)
         energies = np.empty((n_est, n_refs, 3))
         for j in range(n_refs):
-            coeffs, gram_coeffs, target, distortion = self._project_single(cross, j, energy)
+            coeffs, gram_single, target, distortion = self._project_single(cross, j, energy)
+            # G[:, span_j] @ coeffs: one off-diagonal block product per other span
+            gram_coeffs = np.empty_like(cross)
+            for i in range(n_refs):
+                if i == j:
+                    gram_coeffs[self._span(i)] = gram_single
+                elif i < j:
+                    gram_coeffs[self._span(i)] = self.blocks[i, j] @ coeffs
+                else:
+                    gram_coeffs[self._span(i)] = self.blocks[j, i].T @ coeffs
             # the interference filter itself, so no two large energies cancel
             rest = full.copy()
             rest[self._span(j)] -= coeffs

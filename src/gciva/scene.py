@@ -30,6 +30,12 @@ def _check_doa(doa_deg: float) -> None:
         raise InvalidInputError(f"DOA {doa_deg} outside [0, 180] degrees")
 
 
+def _check_snr(snr_db: float) -> None:
+    """The one range rule for an SNR: finite or +inf dB."""
+    if np.isnan(snr_db) or (np.isinf(snr_db) and snr_db < 0):
+        raise InvalidInputError("snr_db must be finite or +inf")
+
+
 def _cos_degrees(theta_deg: float) -> float:
     # sin(90 - theta) so broadside (90 deg) gives exactly 0
     return float(np.sin(np.deg2rad(90.0 - theta_deg)))
@@ -122,8 +128,7 @@ class SceneSpec:
         for d in doas:
             _check_doa(d)
         self.source_doas = doas
-        if np.isnan(self.snr_db) or (np.isinf(self.snr_db) and self.snr_db < 0):
-            raise InvalidInputError("snr_db must be finite or +inf")
+        _check_snr(self.snr_db)
         if self.rirs is not None:
             rirs = np.asarray(self.rirs, dtype=np.float64)
             if rirs.ndim != 3 or rirs.shape[0] != sig.shape[0]:
@@ -172,10 +177,17 @@ def simulate_mixture(spec: SceneSpec, geometry: ArrayGeometry, config: StftConfi
     """Render a scene to microphone signals plus ground-truth source images.
 
     Returns ``(mixture, images)`` with mixture shaped (samples, mics) and
-    images (sources, samples, mics). The mixture equals the sum of the images
-    plus white Gaussian noise scaled so that the ratio of channel-averaged
-    image power to noise power matches ``snr_db`` exactly; with
-    ``snr_db = inf`` the noise branch is skipped entirely.
+    images (sources, samples, mics): :func:`render_images`, then
+    :func:`add_noise` on their sum at the scene's SNR and seed.
+    """
+    images = render_images(spec, geometry, config)
+    return add_noise(images.sum(axis=0), spec.snr_db, spec.seed), images
+
+
+def render_images(spec: SceneSpec, geometry: ArrayGeometry, config: StftConfig) -> np.ndarray:
+    """Noiseless source images of a scene, shaped (sources, samples, mics).
+
+    They do not depend on the scene's SNR or seed.
     """
     n_mics = geometry.n_mics
     if spec.n_sources != n_mics:
@@ -204,20 +216,27 @@ def simulate_mixture(spec: SceneSpec, geometry: ArrayGeometry, config: StftConfi
         for k in range(spec.n_sources):
             for m in range(n_mics):
                 images[k, :, m] = fractional_delay(spec.source_signals[k], base + offsets[k, m])
+    return images
 
-    clean = images.sum(axis=0)
-    if np.isinf(spec.snr_db):
-        return clean, images
 
+def add_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
+    """``clean`` (samples, mics) plus white Gaussian noise drawn from
+    ``seed`` and scaled so that the ratio of channel-averaged clean power to
+    noise power matches ``snr_db`` exactly. With ``snr_db = inf`` the noise
+    branch is skipped and ``clean`` itself is returned; a silent ``clean``
+    gets zero noise."""
+    _check_snr(snr_db)
+    if np.isinf(snr_db):
+        return clean
     power = float(np.mean(clean**2))
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     noise = rng.standard_normal(clean.shape)
     if power > 0.0:
-        target = power / 10.0 ** (spec.snr_db / 10.0)
+        target = power / 10.0 ** (snr_db / 10.0)
         noise *= np.sqrt(target / np.mean(noise**2))
     else:
         noise[:] = 0.0
-    return clean + noise, images
+    return clean + noise
 
 
 def _butter_highpass2(edge_hz: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:

@@ -745,6 +745,38 @@ class TestBenchmark:
         assert self.bench(tmp_path / "bench") == 0
         assert len(calls) == 3  # 3 SNRs x 1 seed x 1 DOA pair
 
+    def test_sweep_is_its_scenes_in_pair_snr_seed_order(self, tmp_path, monkeypatch,
+                                                        projector_builds):
+        # sources and DOA swap once per seed, clean images and projector once
+        # per (pair, seed), and the same runs.csv rows as one scene at a time
+        pairs, snrs, seeds = ("45:135", "20:160"), ("10", "30"), ("0", "2")
+        common = ("--duration", "1", "--iterations", "1")
+        rendered = []
+        synthetic_sources = gciva.cli.synthetic_sources
+        monkeypatch.setattr(gciva.cli, "synthetic_sources",
+                            lambda *args: rendered.append(args[3]) or synthetic_sources(*args))
+        config = tmp_path / "seeds.cfg"  # --seed takes one seed
+        config.write_text(f"seeds = {','.join(seeds)}\n")
+        out = tmp_path / "sweep"
+        assert run_cli("benchmark", "--config", config, "--out", out, "--doa", ",".join(pairs),
+                       "--snr", ",".join(snrs), *common) == 0
+        assert rendered == [0, 2]
+        assert len(projector_builds) == 4
+        header, *rows = (out / "runs.csv").read_bytes().splitlines(keepends=True)
+        expected = []
+        for pair in pairs:
+            for snr in snrs:
+                for seed in seeds:
+                    scene = tmp_path / f"{pair}-{snr}-{seed}".replace(":", "_")
+                    assert run_cli("benchmark", "--out", scene, "--doa", pair, "--snr", snr,
+                                   "--seed", seed, *common) == 0
+                    scene_header, *scene_rows = (scene / "runs.csv").read_bytes().splitlines(
+                        keepends=True)
+                    assert scene_header == header
+                    expected += scene_rows
+        assert len(rows) == 8 * 5
+        assert rows == expected
+
     def two_seed_sweep(self, tmp_path):
         """A sweep over seeds 0 and 2 (set from a config file) at two SNRs;
         seed 0 swaps the 45:135 pair to (135, 45), seed 2 keeps it."""
@@ -789,8 +821,9 @@ class TestBenchmark:
         self.two_seed_sweep(tmp_path)
         assert len(calls) == 4 * 5
         scenes = [calls[i:i + 5] for i in range(0, len(calls), 5)]
-        # SNR 10 then 30, each with seed 0 (pair swapped) then seed 2
-        for scene, (first, second) in zip(scenes, [(135.0, 45.0), (45.0, 135.0)] * 2):
+        # seed 0 (pair swapped) then seed 2, each at SNR 10 then 30: the
+        # sweep solves seed by seed, though runs.csv lists SNR by SNR
+        for scene, (first, second) in zip(scenes, [(135.0, 45.0)] * 2 + [(45.0, 135.0)] * 2):
             assert [algorithm for algorithm, _, _ in scene] == [
                 "aux", "gc-aux", "gc-aux", "gc-grad", "gc-grad"]
             # target 0, then target 1: gc-aux nulls the other source's DOA,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,16 +302,17 @@ class TestBatchedScore:
         estimates[1, -flen:] = rng.standard_normal(flen)
         lags = np.arange(-(flen - 1), flen)
         est_cross = projector._cross(np.fft.rfft(estimates, n=projector.n_fft))
-        for signals, cross in ((estimates, est_cross), (refs, projector.gram[:, ::flen])):
+        for signals, cross in ((estimates, est_cross), (refs, projector.ref_cross)):
             for m, signal in enumerate(signals):
                 for i, ref in enumerate(refs):
                     direct = np.correlate(signal, ref, "full")[lags + n - 1]
                     np.testing.assert_allclose(cross[i * flen : (i + 1) * flen, m],
                                                direct[flen - 1 :], atol=1e-9)
-        # block (0, 1) holds every lag -(flen-1)..flen-1 of the reference
-        # pair: entry (d, e) is lag d - e
+        # the stored Gram block (0, 1) holds every lag -(flen-1)..flen-1 of
+        # the reference pair: entry (d, e) is lag d - e
+        assert list(projector.blocks) == [(0, 1)]
         direct = np.correlate(refs[1], refs[0], "full")[lags + n - 1]
-        block = projector.gram[:flen, flen:]
+        block = projector.blocks[0, 1]
         for d in range(flen):
             np.testing.assert_allclose(block[d], direct[d : d + flen][::-1], atol=1e-9)
 
@@ -325,3 +327,42 @@ class TestBatchedScore:
         n_fft = ReferenceProjector(make_refs(n), flen).n_fft
         assert smooth(n_fft) and n_fft >= n + flen - 1
         assert not any(smooth(m) for m in range(n + flen - 1, n_fft))
+
+
+class TestProjectorMemory:
+    """A projector keeps its Cholesky factors, the references' spectra and
+    cross vectors and one off-diagonal Gram block per reference pair; the
+    Gram matrix itself is never held whole."""
+
+    MIB = 2**20
+
+    @staticmethod
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from TestProjectorMemory.arrays(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from TestProjectorMemory.arrays(item)
+
+    def test_two_5_s_references_at_512_taps(self):
+        refs = np.random.default_rng(90).standard_normal((2, 80000))
+        flen = 512
+        ReferenceProjector(refs, flen)  # lazy imports and FFT plans load outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            projector = ReferenceProjector(refs, flen)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 21.2 and 23.3 MiB with a dense Gram matrix beside the full factor
+        assert (kept - before) / self.MIB <= 16.0
+        assert (peak - before) / self.MIB <= 18.5
+        dim = 2 * flen
+        squares = [a for v in vars(projector).values() for a in self.arrays(v)
+                   if a.shape == (dim, dim)]
+        assert len(squares) == 1 and squares[0] is projector.factor_full[0]

@@ -7,7 +7,9 @@ from gciva import (
     InvalidInputError,
     SceneSpec,
     StftConfig,
+    add_noise,
     fractional_delay,
+    render_images,
     simulate_mixture,
     steering_stack,
     steering_vector,
@@ -127,6 +129,19 @@ class TestSimulateMixture:
         b, _ = simulate_mixture(self._scene((45.0, 135.0), 10.0, seed=7), PAIR, CONFIG)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("snr_db, silent", [(10.0, False), (30.0, False), (np.inf, False),
+                                                (20.0, True)])
+    def test_images_plus_split_noise_are_the_mixture_bit_for_bit(self, snr_db, silent):
+        scene = self._scene((45.0, 135.0), snr_db, seed=7)
+        if silent:  # the zero-power branch
+            scene = SceneSpec(np.zeros((2, 8000)), (45.0, 135.0), snr_db, seed=7)
+        mixture, images = simulate_mixture(scene, PAIR, CONFIG)
+        split = render_images(scene, PAIR, CONFIG)
+        assert split.tobytes() == images.tobytes()
+        noisy = add_noise(split.sum(axis=0), snr_db, 7)
+        assert noisy.dtype == mixture.dtype and noisy.shape == mixture.shape
+        assert noisy.tobytes() == mixture.tobytes()
+
     def test_time_render_matches_steering_model(self):
         # STFT phase ratio between mics should follow the free-field model
         scene = self._scene((30.0, 150.0))
@@ -171,8 +186,11 @@ class TestSimulateMixture:
     def test_invalid_scene_inputs_rejected(self):
         with pytest.raises(InvalidInputError):
             SceneSpec([np.zeros(100), np.zeros(50)], (45.0, 135.0))
-        with pytest.raises(InvalidInputError):
-            SceneSpec(np.zeros((2, 100)), (45.0, 135.0), snr_db=np.nan)
+        for snr_db in (np.nan, -np.inf):
+            with pytest.raises(InvalidInputError, match="snr_db must be finite or \\+inf"):
+                SceneSpec(np.zeros((2, 100)), (45.0, 135.0), snr_db=snr_db)
+            with pytest.raises(InvalidInputError, match="snr_db must be finite or \\+inf"):
+                add_noise(np.zeros((100, 2)), snr_db, 0)
         with pytest.raises(InvalidInputError):
             SceneSpec(np.zeros((2, 100)), (45.0, 190.0))
         with pytest.raises(InvalidInputError, match=r"^DOA 200\.0 outside \[0, 180\] degrees$"):
