@@ -10,7 +10,11 @@ writer stores float32 samples and rejects any beyond float32's range.
 CSV numbers are written with ``%.12g``; JSON floats with the shortest repr
 that round-trips (``json.dumps``), so ``report.json`` keeps 16 to 17
 significant digits. Both formats are deterministic, so repeated runs with the
-same seed produce byte-identical artifacts.
+same seed produce byte-identical artifacts. A change of the code that only
+reorders a sum can still move a ``%.12g`` cell in its last digit: a value
+near the rounding boundary of its twelfth significant digit flips with a
+difference of one rounding error, and a value that is a small difference of
+large terms (such as a late gc-grad ``j_iva``) carries that error magnified.
 """
 
 import json

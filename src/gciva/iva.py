@@ -38,9 +38,12 @@ Inside the loop every per-bin array keeps the bins on its last axis: the
 demixing stack as (K, K, F), so each elementwise operation runs over all F
 bins at once. The MM sweep solves against ``V_k`` and normalizes each new
 row by its form against the same system; those coefficients, rescaled, are
-also the next energies' coefficients, and the prior term is their dot
-product with the prior matrices. The gradient step forms row k of its score
-``E{phi(y) y^H}`` as ``W[k, :] V_k W^H``. With two channels the MM row
+also the next energies' coefficients. The prior term of the cost is summed
+in its nonnegative form ``(lambda_e ||w||^2 + |w^H h|^2) / sigma2`` per bin,
+from each constrained row's squared norm and its response toward h, not as
+a form in the cache layout: the constrained row nearly nulls h, so the
+cache-layout terms would cancel to a fraction of their size. The gradient
+step forms row k of its score ``E{phi(y) y^H}`` as ``W[k, :] V_k W^H``. With two channels the MM row
 solve and ``log|det W|`` are elementwise 2 x 2 adjugate formulas; larger
 stacks use batched LAPACK. The K x K products are sums of K broadcast
 products at every K, which beat batched matmul on stacks this small.
@@ -58,6 +61,7 @@ products at every K, which beat batched matmul on stacks this small.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,16 +224,24 @@ def prior_matrix(h: np.ndarray, sigma2: float, lambda_e: float) -> np.ndarray:
     return _prior_formula(h, sigma2, lambda_e)
 
 
-def prior_matrices(prior: PriorConfig, config: StftConfig) -> dict[int, np.ndarray]:
-    """Per-channel stacks of prior matrices, each shaped (n_bins, K, K)."""
+def _steered_priors(prior: PriorConfig, config: StftConfig) -> dict[int, tuple]:
+    # each constrained channel's (n_bins, K) steering vectors and the
+    # (n_bins, K, K) prior matrices made from them
     n_bins = config.n_bins
     if prior.sigma2_per_bin.shape[0] != n_bins:
         raise InvalidInputError(
             f"sigma2_per_bin has {prior.sigma2_per_bin.shape[0]} entries, expected {n_bins}"
         )
-    return {channel: _prior_formula(steering_stack(doa, prior.geometry, config),
-                                    prior.sigma2_per_bin, prior.lambda_e)
-            for channel, doa in zip(prior.constrained_channels, prior.doa_per_channel)}
+    priors = {}
+    for channel, doa in zip(prior.constrained_channels, prior.doa_per_channel):
+        h = steering_stack(doa, prior.geometry, config)
+        priors[channel] = (h, _prior_formula(h, prior.sigma2_per_bin, prior.lambda_e))
+    return priors
+
+
+def prior_matrices(prior: PriorConfig, config: StftConfig) -> dict[int, np.ndarray]:
+    """Per-channel stacks of prior matrices, each shaped (n_bins, K, K)."""
+    return {channel: mats for channel, (_, mats) in _steered_priors(prior, config).items()}
 
 
 def _demix_data(data: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -517,20 +529,41 @@ def _check_constraints(channels, geometry: ArrayGeometry, spec: ComplexSpectrogr
                                 f"spectrogram has {spec.n_channels} channels")
 
 
-def _prior_stacks(prior: PriorConfig | None, spec: ComplexSpectrogram) -> dict[int, np.ndarray]:
-    """Prior matrices of the constrained channels in the (K^2, F) cache
-    layout, checked against ``spec``."""
+class _Prior(NamedTuple):
+    """One constrained channel's prior matrices D_f = (lambda_e I + h_f
+    h_f^H) / sigma2_f: in the (K^2, F) cache layout for the row solves, and
+    as their parts, the (K, F) steering vectors h and the weights, for the
+    cost."""
+
+    matrices: np.ndarray
+    steering: np.ndarray
+    lambda_e: float
+    sigma2: np.ndarray
+
+
+def _priors(prior: PriorConfig | None, spec: ComplexSpectrogram) -> dict[int, _Prior]:
+    """The priors of the constrained channels, checked against ``spec``."""
     if prior is None or not prior.constrained_channels:
         return {}
     _check_constraints(prior.constrained_channels, prior.geometry, spec)
-    return {channel: _cache_layout(mats)
-            for channel, mats in prior_matrices(prior, spec.config).items()}
+    return {channel: _Prior(_cache_layout(mats), np.ascontiguousarray(h.T), prior.lambda_e,
+                            prior.sigma2_per_bin)
+            for channel, (h, mats) in _steered_priors(prior, spec.config).items()}
 
 
-def _prior_cost(coef: np.ndarray, stacks: dict[int, np.ndarray]) -> float:
-    # sum over bins of w_k^H D_k w_k, from the (K, K^2, F) form coefficients
-    # of a stack's rows
-    return sum(float(np.vdot(coef[channel], h)) for channel, h in stacks.items())
+def _prior_cost(w: np.ndarray, coef: np.ndarray, priors: dict[int, _Prior]) -> float:
+    # sum over bins of w_k^H D_k w_k = (lambda_e ||w_k||^2 + |w_k^H h_k|^2) /
+    # sigma2, a sum of nonnegative terms, for the bins-last (K, K, F) stack w
+    # whose rows have the (K, K^2, F) form coefficients coef: their first K
+    # entries are the rows' squared moduli
+    n_ch = w.shape[0]
+    total = 0.0
+    for channel, p in priors.items():
+        response = np.sum(w[channel] * p.steering, axis=0)
+        terms = p.lambda_e * np.sum(coef[channel, :n_ch], axis=0)
+        terms += np.square(response.real) + np.square(response.imag)
+        total += float(np.sum(terms / p.sigma2))
+    return total
 
 
 def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel,
@@ -547,7 +580,7 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
     matrices = w.matrices.transpose(1, 2, 0)
     with np.errstate(divide="ignore"):  # a singular bin fails the determinant floor
         j_iva = _iva_cost(r, matrices)
-    return j_iva, _prior_cost(_form_coefficients(matrices), _prior_stacks(prior, spec))
+    return j_iva, _prior_cost(matrices, _form_coefficients(matrices), _priors(prior, spec))
 
 
 def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update,
@@ -601,7 +634,7 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
     """
     if spec.n_channels < 1:
         raise InvalidInputError("need at least one channel")
-    stacks = _prior_stacks(prior, spec)
+    priors = _priors(prior, spec)
 
     def sweep(it, w, covs):
         # Channel k's energies depend on row k alone, which no earlier
@@ -616,14 +649,14 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
             # keeps the total cost non-increasing. The prior term is exact
             # and enters with its own coefficient.
             systems = 0.5 * covs[channel]
-            if channel in stacks:
-                systems += stacks[channel]
+            if channel in priors:
+                systems += priors[channel].matrices
             coef[channel] = _solve_rows(w, systems, channel, context=f", iteration {it}")
         return w, coef
 
     return _solve(spec, model, iterations, sweep,
-                  lambda w, coef: _prior_cost(coef, stacks), callback,
-                  "gc-aux" if stacks else "aux")
+                  lambda w, coef: _prior_cost(w, coef, priors), callback,
+                  "gc-aux" if priors else "aux")
 
 
 def _residual(rows: np.ndarray, h: np.ndarray) -> np.ndarray:

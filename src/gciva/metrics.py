@@ -13,6 +13,11 @@ span from the diagonally loaded system ``(G + load * I) c = cross`` give
 only the Cholesky factors, the cross vectors and, for an interference
 term, one off-diagonal block of G per reference pair. Ratios are reported
 in dB, capped at +-100.
+
+Everything here is numpy: the Toeplitz blocks of G are copied out of strided
+views of the correlations, and the Cholesky factors and their triangular
+solves are blocked over ``np.linalg.cholesky`` and small explicit inverses,
+so scoring loads no scipy.
 """
 
 import itertools
@@ -90,6 +95,64 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
+def _toeplitz(column: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The Toeplitz matrix with first column ``column`` and first row ``row``
+    (``row[0]`` is ignored): entry (d, e) is ``column[d - e]`` for d >= e and
+    ``row[e - d]`` otherwise. Row d is the window of ``column`` reversed
+    followed by ``row[1:]`` that starts at ``n - 1 - d``; the strided view of
+    those windows is copied out."""
+    values = np.concatenate((column[::-1], row[1:]))
+    return np.lib.stride_tricks.sliding_window_view(values, row.size)[::-1].copy()
+
+
+_LEAF = 64  # order of the diagonal blocks whose factors are inverted explicitly
+
+
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, list]:
+    """Lower Cholesky factor L of the symmetric positive definite ``a``,
+    computed in place block column by block column, and the inverses of
+    L's diagonal blocks of order ``_LEAF``. Each block column first loses
+    what the columns before it explain; its diagonal block is then factored
+    by ``np.linalg.cholesky`` and the rows below are multiplied by the
+    inverse of that factor. Raises np.linalg.LinAlgError if ``a`` is not
+    positive definite."""
+    inverses = []
+    for k in range(0, a.shape[0], _LEAF):
+        e = k + _LEAF
+        a[k:, k:e] -= a[k:, :k] @ a[k:e, :k].T
+        a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
+        inverses.append(np.linalg.inv(a[k:e, k:e]))
+        a[e:, k:e] = a[e:, k:e] @ inverses[-1].T
+        a[k:e, e:] = 0.0
+    return a, inverses
+
+
+def _solve_lower(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """``L^-1 b`` for a factor ``(L, inverses)`` of :func:`_cholesky`, by
+    forward substitution over its diagonal blocks."""
+    lower, inverses = factor
+    y = np.empty_like(b)
+    for i, inverse in enumerate(inverses):
+        k, e = i * _LEAF, (i + 1) * _LEAF
+        np.matmul(inverse, b[k:e] - lower[k:e, :k] @ y[:k], out=y[k:e])
+    return y
+
+
+def _solve_upper(factor: tuple, y: np.ndarray) -> np.ndarray:
+    """``L^-T y`` for a factor ``(L, inverses)`` of :func:`_cholesky`, by
+    back substitution over its diagonal blocks."""
+    lower, inverses = factor
+    x = np.empty_like(y)
+    for i in reversed(range(len(inverses))):
+        k, e = i * _LEAF, (i + 1) * _LEAF
+        np.matmul(inverses[i].T, y[k:e] - lower[e:, k:e].T @ x[e:], out=x[k:e])
+    return x
+
+
+def _cho_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
+    return _solve_upper(factor, _solve_lower(factor, b))
+
+
 class ReferenceProjector:
     """Shared least-squares machinery for one set of references.
 
@@ -98,20 +161,28 @@ class ReferenceProjector:
     span, plus what the energies need of G itself: the references' own cross
     vectors (``ref_cross``, shaped (n_refs * flen, n_refs)) and one
     off-diagonal block ``G[span_i, span_j]`` per reference pair ``i < j``
-    (``blocks[i, j]``). G is never stored whole. A projection is its
-    coefficient vector c, and every energy is a quadratic form ``c @ G @ c``
-    whose Gram product the normal equations just solved give: c solves
-    ``(G + load * I) c = cross``, so ``G @ c = cross - load * c`` on the
-    span it was solved on, and only the off-diagonal blocks are multiplied.
-    No signal is re-synthesized. Build one per reference set and score every
-    estimate with ``score``, which handles all of its rows at once. A silent
-    reference, or one that another's span explains to within ``COPY_MATCH``
-    of its energy (a scaled or delayed copy), raises
-    DegenerateReferenceError.
+    (``blocks[i, j]``). Neither G nor its full factor is stored whole: the
+    full factor L is kept as its span blocks, the diagonal ones in
+    ``factor_full[i]`` and ``panels[i, j] = L[span_j, span_i].T`` for
+    ``i < j``. Its first diagonal block is also the first reference's own
+    factor, ``factor_single[0]``. Each factor is ``(lower, inverses)``, a
+    lower triangular array and the inverses of its diagonal blocks of order
+    64, through which every triangular solve is a short sequence of matrix
+    products.
+
+    A projection is its coefficient vector c, and every energy is a
+    quadratic form ``c @ G @ c`` whose Gram product the normal equations
+    just solved give: c solves ``(G + load * I) c = cross``, so
+    ``G @ c = cross - load * c`` on the span it was solved on, and only the
+    off-diagonal blocks are multiplied. No signal is re-synthesized. Build
+    one per reference set and score every estimate with ``score``, which
+    handles all of its rows at once. A silent reference, or one that
+    another's span explains to within ``COPY_MATCH`` of its energy (a scaled
+    or delayed copy), raises DegenerateReferenceError. The projector needs
+    numpy alone.
     """
 
     def __init__(self, references, filter_len: int = DEFAULT_FILTER_LEN):
-        from scipy.linalg import cho_factor, toeplitz  # lazy: slow to import
         references = np.atleast_2d(np.asarray(references, dtype=np.float64))
         if filter_len < 1:
             raise InvalidInputError("filter_len must be positive")
@@ -137,32 +208,47 @@ class ReferenceProjector:
             raise InvalidInputError("metric inputs overflow the reference correlations")
         # block (i, j) of G is Toeplitz: its first column is reference j's
         # cross vector against the copies of reference i, its first row
-        # reference i's against those of j
-        loaded = np.empty((n_refs * filter_len, n_refs * filter_len))
-        self.blocks = {}
-        for i in range(n_refs):
-            for j in range(i, n_refs):
-                block = toeplitz(cross[self._span(i), j], r=cross[self._span(j), i])
-                loaded[self._span(i), self._span(j)] = block
-                if j > i:  # a diagonal block is symmetric
-                    loaded[self._span(j), self._span(i)] = block.T
-                    self.blocks[i, j] = block
-        self.load = 1e-10 * np.trace(loaded) / loaded.shape[0]
-        loaded.flat[:: loaded.shape[0] + 1] += self.load
+        # reference i's against those of j; a diagonal block's diagonal holds
+        # its reference's energy
+        energy = cross[np.arange(n_refs) * filter_len, np.arange(n_refs)]
+        # G's trace, its diagonal summed entry by entry as np.trace sums it
+        self.load = 1e-10 * np.repeat(energy, filter_len).sum() / (n_refs * filter_len)
+        self.blocks = {(i, j): _toeplitz(cross[self._span(i), j], cross[self._span(j), i])
+                       for i in range(n_refs) for j in range(i + 1, n_refs)}
         try:  # the correlations are checked finite above
-            # the single-reference blocks are copied out of ``loaded`` before
-            # the full factorization overwrites it: ``loaded`` is symmetric,
-            # so its transpose is the Fortran array LAPACK factors in place
-            self.factor_single = [
-                cho_factor(loaded[self._span(i), self._span(i)], check_finite=False)
-                for i in range(n_refs)
-            ]
-            self.factor_full = cho_factor(loaded.T, overwrite_a=True, check_finite=False)
+            self._factor(cross)
         except np.linalg.LinAlgError as exc:
             raise DegenerateReferenceError(
                 "reference correlation system is not positive definite"
             ) from exc
         self._check_distinguishable()
+
+    def _factor(self, cross: np.ndarray) -> None:
+        """Factor the loaded Gram matrix span by span: each diagonal block
+        minus what the earlier spans explain of it (its Schur complement),
+        the panels below it by forward substitution, and each reference's
+        own block on its own."""
+        n_refs = self.refs.shape[0]
+        loaded = []
+        for i in range(n_refs):
+            block = _toeplitz(cross[self._span(i), i], cross[self._span(i), i])
+            block.flat[:: self.flen + 1] += self.load
+            loaded.append(block)
+        # the first block's factor is both the first reference's own and the
+        # full factor's leading block; the others are factored from copies
+        # before their Schur complements overwrite them
+        others = [_cholesky(block.copy()) for block in loaded[1:]]
+        self.factor_full, self.panels = [], {}
+        for i in range(n_refs):
+            factor = _cholesky(loaded[i])
+            self.factor_full.append(factor)
+            for j in range(i + 1, n_refs):
+                rhs = self.blocks[i, j]
+                for k in range(i):
+                    rhs = rhs - self.panels[k, i].T @ self.panels[k, j]
+                panel = self.panels[i, j] = _solve_lower(factor, rhs)
+                loaded[j] -= panel.T @ panel
+        self.factor_single = [self.factor_full[0], *others]
 
     def _span(self, i: int) -> slice:
         return slice(i * self.flen, (i + 1) * self.flen)
@@ -183,16 +269,31 @@ class ReferenceProjector:
             cross[self._span(i)] = corr[:, lags].T
         return cross
 
+    def _solve_full(self, cross: np.ndarray) -> np.ndarray:
+        """Coefficients on the full span: block forward substitution with the
+        span blocks of the full factor, then block back substitution."""
+        n_refs = self.refs.shape[0]
+        forward = []
+        for j in range(n_refs):
+            rhs = cross[self._span(j)]
+            for i in range(j):
+                rhs = rhs - self.panels[i, j].T @ forward[i]
+            forward.append(_solve_lower(self.factor_full[j], rhs))
+        coeffs = [None] * n_refs
+        for i in reversed(range(n_refs)):
+            rhs = forward[i]
+            for j in range(i + 1, n_refs):
+                rhs = rhs - self.panels[i, j] @ coeffs[j]
+            coeffs[i] = _solve_upper(self.factor_full[i], rhs)
+        return np.concatenate(coeffs)
+
     def _project_single(self, cross: np.ndarray, j: int, energy: np.ndarray):
         """Project signals with cross vectors ``cross`` (one column each) and
         energies ``energy`` onto reference ``j``'s span: ``(coefficients,
         G[span, span] @ coefficients, target energies, leftover energies)``,
-        the leftover being what that span leaves unexplained. Callers pass
-        only cross vectors already checked finite, so the solve skips the
-        scan."""
-        from scipy.linalg import cho_solve  # lazy: slow to import
+        the leftover being what that span leaves unexplained."""
         span = self._span(j)
-        coeffs = cho_solve(self.factor_single[j], cross[span], check_finite=False)
+        coeffs = _cho_solve(self.factor_single[j], cross[span])
         gram_coeffs = cross[span] - self.load * coeffs  # from the normal equations
         target = _column_dots(coeffs, gram_coeffs)
         return coeffs, gram_coeffs, target, energy - 2.0 * _column_dots(cross[span], coeffs) + target
@@ -213,7 +314,6 @@ class ReferenceProjector:
     def score(self, estimates) -> Scores:
         """Decompose each row of ``estimates`` (n_estimates, n_samples) once
         against every reference."""
-        from scipy.linalg import cho_solve  # lazy: slow to import
         estimates = np.asarray(estimates, dtype=np.float64)
         if estimates.ndim != 2 or estimates.shape[1] != self.refs.shape[1]:
             raise InvalidInputError("estimate and references must have equal lengths")
@@ -225,7 +325,7 @@ class ReferenceProjector:
         if not np.all(np.isfinite(cross)):
             raise InvalidInputError("metric inputs overflow the cross-correlations")
         energy = np.einsum("ij,ij->i", estimates, estimates)
-        full = cho_solve(self.factor_full, cross, check_finite=False)
+        full = self._solve_full(cross)
         gram_full = cross - self.load * full  # G @ full, from the normal equations
         full_energy = _column_dots(full, gram_full)
         energies = np.empty((n_est, n_refs, 3))

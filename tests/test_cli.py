@@ -28,23 +28,16 @@ def run_python(code, *args, **kwargs):
     return subprocess.run([sys.executable, "-c", code, *args], env=env, **kwargs)
 
 
-def scipy_check(subpackages):
+def scipy_check():
     """Code that ends a fresh interpreter's run: it exits 1, naming them, if
-    scipy modules outside ``subpackages`` (names under ``scipy.``) are loaded.
-    Importing a subpackage also runs scipy's top level, so when
-    ``subpackages`` is not empty, ``scipy``, ``scipy.version`` and scipy's
-    private modules are allowed too; when it is empty, no scipy module is."""
-    allowed = {*subpackages, "", "version"} if subpackages else set()
-    return (f"allowed = {allowed!r}; "
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and not "
-            "((m.split('.') + [''])[1] in allowed or "
-            "(allowed and m.split('.')[1].startswith('_')))); "
+    any scipy module is loaded."""
+    return ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
             "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)")
 
 
 def test_cli_import_skips_scipy_signal():
-    # scipy is only needed to render scenes and score references
-    proc = run_python(f"import sys, gciva, gciva.cli; {scipy_check(set())}",
+    # gciva needs numpy alone
+    proc = run_python(f"import sys, gciva, gciva.cli; {scipy_check()}",
                       capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -215,7 +208,7 @@ class TestSimulate:
     def test_simulate_loads_no_scipy(self, tmp_path):
         out = tmp_path / "scene"
         proc = run_python(f"import sys; from gciva.cli import main; rc = main(sys.argv[1:]); "
-                          f"rc and sys.exit(rc); {scipy_check(set())}",
+                          f"rc and sys.exit(rc); {scipy_check()}",
                           "simulate", "--seed", "0", "--duration", "1.0", "--out", str(out),
                           capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -425,7 +418,7 @@ class TestSeparate:
         scene = tmp_path / "scene"
         assert simulate_small(scene) == 0
         proc = run_python(f"import sys; from gciva.cli import main; rc = main(sys.argv[1:]); "
-                          f"rc and sys.exit(rc); {scipy_check(set())}",
+                          f"rc and sys.exit(rc); {scipy_check()}",
                           "separate", str(scene / "mixture.wav"), "--doa", "135",
                           "--iterations", "3", "--out", str(tmp_path / "sep"),
                           capture_output=True, text=True)
@@ -651,11 +644,11 @@ class TestReferenceMetrics:
         err = capsys.readouterr().err
         assert "odd_rate.wav" in err and "8000" in err and "16000" in err
 
-    def test_scoring_loads_only_scipy_linalg(self, tmp_path):
+    def test_scoring_loads_no_scipy(self, tmp_path):
         scene = tmp_path / "scene"
         assert simulate_small(scene) == 0
         proc = run_python(f"import sys; from gciva.cli import main; rc = main(sys.argv[1:]); "
-                          f"rc and sys.exit(rc); {scipy_check({'linalg'})}",
+                          f"rc and sys.exit(rc); {scipy_check()}",
                           "separate", str(scene / "mixture.wav"), "--algorithm", "aux",
                           "--iterations", "2", "--out", str(tmp_path / "sep"), "--refs",
                           f"{scene / 'source01.wav'},{scene / 'source02.wav'}",
@@ -845,11 +838,11 @@ class TestBenchmark:
         assert "renders 0 samples" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_one_scene_loads_only_scipy_linalg(self, tmp_path):
-        # scene rendering is numpy; only the metric projector's solves use scipy
+    def test_one_scene_loads_no_scipy(self, tmp_path):
+        # scene rendering and the metric projector's solves are numpy
         out = tmp_path / "bench"
         proc = run_python(f"import sys; from gciva.cli import main; rc = main(sys.argv[1:]); "
-                          f"rc and sys.exit(rc); {scipy_check({'linalg'})}",
+                          f"rc and sys.exit(rc); {scipy_check()}",
                           "benchmark", "--out", str(out), "--snr", "20", "--seed", "0",
                           "--doa", "45:135", "--duration", "1.0", "--iterations", "2",
                           capture_output=True, text=True)

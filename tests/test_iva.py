@@ -812,6 +812,25 @@ class TestSharedSolverLoop:
                 expected += np.real(wk.conj() @ prior_matrix(h[f], 40.0, 1e-3) @ wk)
             assert trace.j_prior[entry] == pytest.approx(expected, rel=1e-12)
 
+    def test_informed_prior_trace_matches_long_double_oracle(self):
+        # the trace's prior term against sum_f (lambda ||w||^2 + |w^H h|^2) /
+        # sigma2 in long double: the constrained row nearly nulls h, and only
+        # a sum of nonnegative terms stays within a few rounding errors
+        spec, _, config = anechoic_scene(11, duration=0.5, window=128)
+        prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins,
+                                     sigma2=40.0, lambda_e=1e-3)
+        snaps = [DemixingStack.identity(config.n_bins, 2)]
+        _, _, trace = run_informed_iva(spec, prior, SourceModel(), 30,
+                                       callback=lambda l, w: snaps.append(w))
+        h = steering_stack(135.0, PAIR, config).astype(np.clongdouble)
+        for entry, w in enumerate(snaps):
+            row = w.matrices[:, 0].astype(np.clongdouble)  # w^H per bin
+            response = np.sum(row * h, axis=1)
+            norm = np.sum(row.real**2 + row.imag**2, axis=1)
+            terms = (np.longdouble(1e-3) * norm + response.real**2 + response.imag**2)
+            expected = np.sum(terms / np.longdouble(40.0))
+            assert abs(np.longdouble(trace.j_prior[entry]) - expected) <= 1e-15 * expected
+
     def test_gradient_trace_matches_evaluate_cost(self):
         spec, _, config = anechoic_scene(7, duration=0.5, window=128)
         h = steering_stack(45.0, PAIR, config)
@@ -839,14 +858,14 @@ class TestSharedSolverLoop:
 
             monkeypatch.setattr(gciva.iva, name, counted)
 
-        for name in ("evaluate_cost", "prior_matrices", "steering_stack", "_demix_data",
+        for name in ("evaluate_cost", "_steered_priors", "steering_stack", "_demix_data",
                      "_hermitian_cache"):
             count(name)
         spec, _, config = anechoic_scene(8, duration=0.5, window=128)
         prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
         run_informed_iva(spec, prior, SourceModel(), 5)
         # the loop reads the cache; the output is demixed once, at the end
-        assert dict(counts) == {"prior_matrices": 1, "steering_stack": 1, "_demix_data": 1,
+        assert dict(counts) == {"_steered_priors": 1, "steering_stack": 1, "_demix_data": 1,
                                 "_hermitian_cache": 1}
         counts.clear()
         run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 5)
