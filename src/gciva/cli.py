@@ -178,6 +178,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     if cfg.iterations is not None and cfg.iterations < 0:
         raise ConfigError("iterations must be nonnegative")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if any(seed < 0 for seed in cfg.seeds):
+        raise ConfigError(f"seeds must be nonnegative, got {cfg.seeds}")
     return cfg
 
 
@@ -336,22 +340,27 @@ def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, signals, swap: 
     """The runs.csv rows of one DOA pair and seed, one list per SNR of
     ``cfg.snrs``. The clean images and the reference projector depend on
     the pair and the seed alone, so every SNR shares them; only the noise,
-    the mixture and what is computed from it are made per SNR."""
+    the mixture and what is computed from it are made per SNR. Each large
+    array is dropped at its last use: the images once the projector and
+    their sum exist, a mixture once it is analyzed."""
     stft_cfg = cfg.stft_config()
     doas = (pair[0], pair[1]) if swap == 0 else (pair[1], pair[0])
     images = render_images(SceneSpec(signals, doas, seed=seed), cfg.geometry(), stft_cfg)
-    projector = ReferenceProjector(images[:, :, 0])
+    projector = ReferenceProjector(images[:, :, 0])  # keeps no view into images
     clean = images.sum(axis=0)
+    del images
+    n_samples = clean.shape[0]
     label = f"{pair[0]:g}-{pair[1]:g}"
     rows_per_snr = []
     for snr in cfg.snrs:
         mixture = add_noise(clean, snr, seed)
         input_sir = float(np.mean(projector.score(mixture.T).sir_db))
         spec = analyze(mixture, stft_cfg)
+        del mixture
         rows = []
         for algorithm in cfg.algorithms:
             for target, outputs, order in _benchmark_runs(
-                    replace(cfg, algorithm=algorithm), spec, doas, mixture.shape[0]):
+                    replace(cfg, algorithm=algorithm), spec, doas, n_samples):
                 sir, sdr, _, matched = _score(projector, outputs, order)
                 rows.append([
                     label, snr, f"{seed}", algorithm, f"{target}",

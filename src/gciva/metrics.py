@@ -168,7 +168,9 @@ class ReferenceProjector:
     factor, ``factor_single[0]``. Each factor is ``(lower, inverses)``, a
     lower triangular array and the inverses of its diagonal blocks of order
     64, through which every triangular solve is a short sequence of matrix
-    products.
+    products. Of the references themselves it keeps their spectra and their
+    shape (``n_refs``, ``n_samples``), not their samples, so building one
+    from a view keeps nothing of the array that view looks into.
 
     A projection is its coefficient vector c, and every energy is a
     quadratic form ``c @ G @ c`` whose Gram product the normal equations
@@ -194,15 +196,17 @@ class ReferenceProjector:
             )
         if not np.all(np.isfinite(references)):
             raise InvalidInputError("metric inputs contain non-finite samples")
-        self.refs = references
-        self.flen = filter_len
         n_refs, n_samples = references.shape
+        # the shape, not the samples: a view into a larger stack would keep
+        # all of it alive
+        self.n_refs, self.n_samples = n_refs, n_samples
+        self.flen = filter_len
         # long enough that no lag within the filter wraps around
         self.n_fft = _smooth_length(n_samples + filter_len - 1)
         # finite samples can still overflow here; the check below rejects that
         with np.errstate(over="ignore", invalid="ignore"):
             self.spectra = np.fft.rfft(references, n=self.n_fft, axis=1)
-            cross = self.ref_cross = self._cross(self.spectra)
+            cross = self.ref_cross = self._cross(self.spectra.copy())
         # every Gram entry is one of these correlations
         if not np.all(np.isfinite(cross)):
             raise InvalidInputError("metric inputs overflow the reference correlations")
@@ -228,7 +232,7 @@ class ReferenceProjector:
         minus what the earlier spans explain of it (its Schur complement),
         the panels below it by forward substitution, and each reference's
         own block on its own."""
-        n_refs = self.refs.shape[0]
+        n_refs = self.n_refs
         loaded = []
         for i in range(n_refs):
             block = _toeplitz(cross[self._span(i), i], cross[self._span(i), i])
@@ -256,14 +260,16 @@ class ReferenceProjector:
     def _cross(self, spectra: np.ndarray) -> np.ndarray:
         """Cross vectors of the signals whose ``rfft`` rows are ``spectra``:
         column m holds the inner products of signal m with every delayed
-        reference copy, reference by reference, shaped (n_refs * flen, n)."""
+        reference copy, reference by reference, shaped (n_refs * flen, n).
+        ``spectra`` is conjugated in place, so pass an array nothing else
+        reads."""
         lags = -np.arange(self.flen)  # copy delayed by d: correlation lag -d
-        cross = np.empty((self.refs.shape[0] * self.flen, spectra.shape[0]))
-        # one conjugate and one product buffer for all references: fewer
-        # MB-sized temporaries keep a long sweep's heap from fragmenting
-        conj = spectra.conj()
+        cross = np.empty((self.n_refs * self.flen, spectra.shape[0]))
+        # one product buffer for all references: fewer MB-sized temporaries
+        # keep a long sweep's heap from fragmenting
+        conj = np.conjugate(spectra, out=spectra)
         product = np.empty_like(conj)
-        for i in range(self.refs.shape[0]):
+        for i in range(self.n_refs):
             np.multiply(self.spectra[i], conj, out=product)
             corr = np.fft.irfft(product, n=self.n_fft, axis=1)
             cross[self._span(i)] = corr[:, lags].T
@@ -272,7 +278,7 @@ class ReferenceProjector:
     def _solve_full(self, cross: np.ndarray) -> np.ndarray:
         """Coefficients on the full span: block forward substitution with the
         span blocks of the full factor, then block back substitution."""
-        n_refs = self.refs.shape[0]
+        n_refs = self.n_refs
         forward = []
         for j in range(n_refs):
             rhs = cross[self._span(j)]
@@ -299,7 +305,7 @@ class ReferenceProjector:
         return coeffs, gram_coeffs, target, energy - 2.0 * _column_dots(cross[span], coeffs) + target
 
     def _check_distinguishable(self) -> None:
-        n_refs = self.refs.shape[0]
+        n_refs = self.n_refs
         energy = self.ref_cross[np.arange(n_refs) * self.flen, np.arange(n_refs)]
         leftover = [self._project_single(self.ref_cross, j, energy)[3] for j in range(n_refs)]
         for i in range(n_refs):
@@ -315,11 +321,11 @@ class ReferenceProjector:
         """Decompose each row of ``estimates`` (n_estimates, n_samples) once
         against every reference."""
         estimates = np.asarray(estimates, dtype=np.float64)
-        if estimates.ndim != 2 or estimates.shape[1] != self.refs.shape[1]:
+        if estimates.ndim != 2 or estimates.shape[1] != self.n_samples:
             raise InvalidInputError("estimate and references must have equal lengths")
         if not np.all(np.isfinite(estimates)):
             raise InvalidInputError("metric inputs contain non-finite samples")
-        n_est, n_refs = estimates.shape[0], self.refs.shape[0]
+        n_est, n_refs = estimates.shape[0], self.n_refs
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             cross = self._cross(np.fft.rfft(estimates, n=self.n_fft, axis=1))
         if not np.all(np.isfinite(cross)):

@@ -305,8 +305,9 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     samples equal those of the scipy formulation bit for bit while loading
     no scipy.
 
-    Raises InvalidInputError unless ``n_sources >= 1``, the duration renders
-    at least one sample and ``0 < band_hz[0] < sample_rate / 2``.
+    Raises InvalidInputError unless ``n_sources >= 1``, the duration is
+    finite and renders at least one sample and
+    ``0 < band_hz[0] < sample_rate / 2``.
     """
     if n_sources < 1:
         raise InvalidInputError("need n_sources >= 1")
@@ -316,6 +317,8 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
                                 f"the Nyquist frequency {nyquist:g} Hz of the "
                                 f"{sample_rate:g} Hz sample rate")
     rng = np.random.default_rng(seed)
+    if not np.isfinite(duration):
+        raise InvalidInputError(f"duration {duration:g} s is not finite")
     n_samples = int(round(duration * sample_rate))
     if n_samples < 1:
         raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "

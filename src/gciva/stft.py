@@ -124,12 +124,14 @@ def analyze(signal, config: StftConfig) -> ComplexSpectrogram:
             f"signal has {n_samples} samples, needs at least window_length={length}"
         )
     n_frames = int(np.ceil((n_samples - length) / hop)) + 1
-    padded = np.zeros(((n_frames - 1) * hop + length, n_channels))
-    padded[:n_samples] = x
+    padded = np.zeros((n_channels, (n_frames - 1) * hop + length))
+    padded[:, :n_samples] = x.T
 
-    idx = np.arange(length)[:, None] + hop * np.arange(n_frames)[None, :]
-    frames = padded[idx, :] * config.window()[:, None, None]  # (length, frame, channel)
-    return ComplexSpectrogram(np.fft.rfft(frames, axis=0), config)
+    # (channel, frame, sample) windows of the padded signal: a strided view,
+    # so the only copy made is the windowed one the transform reads
+    frames = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)[:, ::hop]
+    spectra = np.fft.rfft(frames * config.window(), axis=2)
+    return ComplexSpectrogram(np.ascontiguousarray(spectra.transpose(2, 1, 0)), config)
 
 
 def synthesize(spec: ComplexSpectrogram) -> np.ndarray:

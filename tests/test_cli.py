@@ -1,10 +1,12 @@
 import argparse
 import csv
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -175,6 +177,26 @@ class TestConfigResolution:
         # a bad flag value is reported like a bad config-file value
         assert run_cli("separate", "m.wav", "--iterations", "7.5") == 1
         assert "invalid value for 'iterations': '7.5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--duration", "nan", "duration"), ("--duration", "inf", "duration"),
+        ("--seed", "-1", "seed")])
+    def test_bad_duration_or_seed_exits_one(self, tmp_path, command, flag, value, key):
+        out = tmp_path / "out"
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          command, flag, value, "--out", str(out),
+                          capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert f"gc-iva: config error: {key} " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_negative_seed_in_a_list_names_seeds(self, tmp_path):
+        config = tmp_path / "seeds.cfg"
+        config.write_text("seeds = 0,-2\n")
+        with pytest.raises(gciva.ConfigError, match="seeds must be nonnegative"):
+            resolve_file(config)
 
 
 class TestSimulate:
@@ -737,6 +759,30 @@ class TestBenchmark:
                             lambda *args: calls.append(1) or analyze(*args))
         assert self.bench(tmp_path / "bench") == 0
         assert len(calls) == 3  # 3 SNRs x 1 seed x 1 DOA pair
+
+    def test_scene_arrays_die_before_the_separations(self, tmp_path, monkeypatch):
+        # the projector keeps no view into the rendered images, and a
+        # mixture is dropped once analyzed, so neither is held while the
+        # scene's separations run
+        made, alive = [], []
+        for name in ("render_images", "add_noise"):
+            def recording(*args, original=getattr(gciva.cli, name)):
+                result = original(*args)
+                made.append(weakref.ref(result))
+                return result
+            monkeypatch.setattr(gciva.cli, name, recording)
+        run_separation = gciva.cli.run_separation
+
+        def checking(spec, cfg):
+            if not alive:
+                gc.collect()
+                alive.append([ref() is not None for ref in made])
+            return run_separation(spec, cfg)
+
+        monkeypatch.setattr(gciva.cli, "run_separation", checking)
+        assert run_cli("benchmark", "--out", tmp_path / "bench", "--snr", "20", "--seed", "0",
+                       "--doa", "45:135", "--duration", "1.0", "--iterations", "1") == 0
+        assert alive == [[False, False]]  # the images, then the finite-SNR mixture
 
     def test_sweep_is_its_scenes_in_pair_snr_seed_order(self, tmp_path, monkeypatch,
                                                         projector_builds):

@@ -289,6 +289,19 @@ class TestBatchedScore:
                                        rtol=1e-12)
             assert together.best[i] == alone.best[0]
 
+    def test_score_changes_neither_the_spectra_nor_its_input(self):
+        # the cross vectors conjugate their spectra in place; that must be a
+        # fresh transform, never the references' own spectra or the caller's
+        rng = np.random.default_rng(75)
+        refs = make_refs()
+        projector = ReferenceProjector(refs, 64)
+        estimates = self.estimates(refs, rng, 2)
+        given = estimates.copy()
+        first = projector.score(estimates)
+        assert np.array_equal(projector.spectra, np.fft.rfft(refs, n=projector.n_fft, axis=1))
+        assert np.array_equal(projector.score(estimates).energies, first.energies)
+        assert np.array_equal(estimates, given)
+
     def test_cross_vectors_and_gram_are_direct_correlations(self):
         # <reference i delayed by d, signal> is np.correlate(signal, ref_i) at
         # lag d; estimates concentrated in their first or last flen samples
@@ -349,7 +362,10 @@ class TestProjectorMemory:
                 yield from TestProjectorMemory.arrays(item)
 
     def test_two_5_s_references_at_512_taps(self):
-        refs = np.random.default_rng(90).standard_normal((2, 80000))
+        # the references are a view into a larger stack, as the benchmark's
+        # first-microphone images are
+        stack = np.random.default_rng(90).standard_normal((2, 80000, 2))
+        refs = stack[:, :, 0]
         flen = 512
         ReferenceProjector(refs, flen)  # lazy imports and FFT plans load outside the trace
         tracemalloc.start()
@@ -372,6 +388,10 @@ class TestProjectorMemory:
         assert not [a for a in arrays if a.shape == (2 * flen, 2 * flen)]
         assert len({id(a) for a in arrays if a.shape == (flen, flen)}) == 5
         assert projector.factor_single[0] is projector.factor_full[0]
+        # the references' shape is kept, not their samples
+        assert not [a for a in arrays if np.shares_memory(a, stack)]
+        assert not [a for a in arrays if a.shape == refs.shape]
+        assert (projector.n_refs, projector.n_samples) == refs.shape
 
 
 class TestScipyOracle:

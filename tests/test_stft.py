@@ -29,6 +29,20 @@ def direct_dft_energy(signal, config):
     return total
 
 
+def gathered_spectrogram(signal, config):
+    """Oracle: the gather formulation of the forward STFT. An index array
+    picks each (sample, frame) out of the zero-padded signal, the gathered
+    frames are windowed and transformed along the sample axis."""
+    x = np.atleast_2d(np.asarray(signal, dtype=float).T).T
+    length, hop = config.window_length, config.hop
+    n_frames = int(np.ceil((x.shape[0] - length) / hop)) + 1
+    padded = np.zeros(((n_frames - 1) * hop + length, x.shape[1]))
+    padded[: x.shape[0]] = x
+    idx = np.arange(length)[:, None] + hop * np.arange(n_frames)[None, :]
+    frames = padded[idx, :] * config.window()[:, None, None]  # (length, frame, channel)
+    return np.fft.rfft(frames, axis=0)
+
+
 def one_sided_energy(spec):
     """Two-sided spectral energy reconstructed from the one-sided transform."""
     weights = np.full(spec.n_bins, 2.0)
@@ -76,6 +90,20 @@ class TestAnalyze:
     def test_too_short_signal_rejected(self):
         with pytest.raises(InvalidInputError):
             analyze(np.ones(100), StftConfig())
+
+    @pytest.mark.parametrize("n_channels", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["hamming", "hann"])
+    @pytest.mark.parametrize("hop", [32, 23])  # half the window, and no divisor of it
+    @pytest.mark.parametrize("tail", [0, 7])  # frames end on the last sample, or past it
+    def test_strided_frames_equal_gathered_frames(self, n_channels, kind, hop, tail):
+        config = StftConfig(window_length=64, hop=hop, sample_rate=1000.0, window_kind=kind)
+        n_samples = 64 + 9 * hop + tail
+        signal = np.random.default_rng(n_channels).standard_normal((n_samples, n_channels))
+        spec = analyze(signal, config)
+        expected = gathered_spectrogram(signal, config)
+        assert spec.data.shape == expected.shape == (33, 10 + (tail > 0), n_channels)
+        assert np.array_equal(spec.data, expected)
+        assert spec.data.flags.c_contiguous
 
     def test_linearity(self):
         config = small_config()
