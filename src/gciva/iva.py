@@ -7,6 +7,8 @@ channel k, so demixing is ``y[f, n] = matrices[f] @ x[f, n]``.
 The data come in two layouts only: the spectrogram's own (F, N, K), which
 :func:`demix` multiplies by each bin's transposed stack without making a
 transposed copy, and the solver loop's (N, K^2, F) Hermitian cache below.
+Every Hermitian matrix of both solvers, the weighted covariances and the
+prior matrices alike, comes in one layout only, the cache layout below.
 
 Both solvers share one loop: from identity, each iteration applies the
 solver's update, then reads the new stack's frame energies, which give the
@@ -43,7 +45,9 @@ in its nonnegative form ``(lambda_e ||w||^2 + |w^H h|^2) / sigma2`` per bin,
 from each constrained row's squared norm and its response toward h, not as
 a form in the cache layout: the constrained row nearly nulls h, so the
 cache-layout terms would cancel to a fraction of their size. The gradient
-step forms row k of its score ``E{phi(y) y^H}`` as ``W[k, :] V_k W^H``. With two channels the MM row
+step forms row k of its score ``E{phi(y) y^H}`` as ``W[k, :] V_k W^H``, with
+``W[k, :] V_k`` read from the cache layout by the product that the MM row
+solve also takes, for all K rows in one call. With two channels the MM row
 solve and ``log|det W|`` are elementwise 2 x 2 adjugate formulas; larger
 stacks use batched LAPACK. The K x K products are sums of K broadcast
 products at every K, which beat batched matmul on stacks this small.
@@ -67,7 +71,7 @@ import numpy as np
 
 from .errors import CostOverflowError, InvalidInputError, SingularUpdateError
 from .scene import ArrayGeometry, steering_stack
-from .stft import ComplexSpectrogram, StftConfig
+from .stft import ComplexSpectrogram
 
 _LOG_DET_FLOOR = math.log(1e-300)
 
@@ -103,11 +107,9 @@ class DemixingStack:
     matrices: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.matrices, dtype=np.complex128)
+        w = _finite(self.matrices, "demixing stack")
         if w.ndim != 3 or w.shape[1] != w.shape[2]:
             raise InvalidInputError("demixing stack must be (n_bins, K, K)")
-        if not np.all(np.isfinite(w)):
-            raise InvalidInputError("demixing stack contains non-finite entries")
         self.matrices = w
 
     @classmethod
@@ -128,6 +130,24 @@ class DemixingStack:
 
     def min_abs_det(self) -> float:
         return float(np.min(np.abs(np.linalg.det(self.matrices))))
+
+
+def _finite(a, name: str, dtype=np.complex128) -> np.ndarray:
+    # a as an array of dtype; raises InvalidInputError naming it if it is
+    # not numeric or an entry is not finite
+    try:
+        a = np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} is not a numeric array") from None
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return a
+
+
+def _check_nonnegative(**values) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value) or value < 0:
+            raise InvalidInputError(f"{name} must be nonnegative")
 
 
 def _constraint_pairs(channels, doas) -> tuple[tuple, tuple]:
@@ -167,8 +187,7 @@ class PriorConfig:
         sigma2 = np.asarray(self.sigma2_per_bin, dtype=np.float64)
         if sigma2.ndim != 1 or not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
             raise InvalidInputError("sigma2_per_bin must be a positive 1-D array")
-        if not np.isfinite(self.lambda_e) or self.lambda_e < 0:
-            raise InvalidInputError("lambda_e must be nonnegative")
+        _check_nonnegative(lambda_e=self.lambda_e)
         self.constrained_channels = channels
         self.doa_per_channel = doas
         self.sigma2_per_bin = sigma2
@@ -216,32 +235,11 @@ def prior_matrix(h: np.ndarray, sigma2: float, lambda_e: float) -> np.ndarray:
     """Prior matrix ``(lambda_e * I + h h^H) / sigma2`` for one bin."""
     if not np.isfinite(sigma2) or sigma2 <= 0:
         raise InvalidInputError("sigma2 must be positive")
-    if not np.isfinite(lambda_e) or lambda_e < 0:
-        raise InvalidInputError("lambda_e must be nonnegative")
-    h = np.asarray(h, dtype=np.complex128)
+    _check_nonnegative(lambda_e=lambda_e)
+    h = _finite(h, "steering vector")
     if h.ndim != 1:
         raise InvalidInputError("steering vector must be 1-D")
     return _prior_formula(h, sigma2, lambda_e)
-
-
-def _steered_priors(prior: PriorConfig, config: StftConfig) -> dict[int, tuple]:
-    # each constrained channel's (n_bins, K) steering vectors and the
-    # (n_bins, K, K) prior matrices made from them
-    n_bins = config.n_bins
-    if prior.sigma2_per_bin.shape[0] != n_bins:
-        raise InvalidInputError(
-            f"sigma2_per_bin has {prior.sigma2_per_bin.shape[0]} entries, expected {n_bins}"
-        )
-    priors = {}
-    for channel, doa in zip(prior.constrained_channels, prior.doa_per_channel):
-        h = steering_stack(doa, prior.geometry, config)
-        priors[channel] = (h, _prior_formula(h, prior.sigma2_per_bin, prior.lambda_e))
-    return priors
-
-
-def prior_matrices(prior: PriorConfig, config: StftConfig) -> dict[int, np.ndarray]:
-    """Per-channel stacks of prior matrices, each shaped (n_bins, K, K)."""
-    return {channel: mats for channel, (_, mats) in _steered_priors(prior, config).items()}
 
 
 def _demix_data(data: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -290,24 +288,6 @@ def _cache_layout(matrices: np.ndarray) -> np.ndarray:
     upper = matrices[:, rows, cols].T
     diagonal = np.diagonal(matrices, axis1=1, axis2=2).T
     return np.concatenate([diagonal.real, upper.real, upper.imag])
-
-
-def _hermitian_matrices(h: np.ndarray) -> np.ndarray:
-    # (..., K, K, F) complex Hermitian stacks from their (..., K^2, F) cache layout
-    n_ch = math.isqrt(h.shape[-2])
-    pairs = _upper_pairs(n_ch)
-    out = np.empty(h.shape[:-2] + (n_ch, n_ch, h.shape[-1]), dtype=np.complex128)
-    for i in range(n_ch):
-        out[..., i, i, :] = h[..., i, :]
-    for p, (i, j) in enumerate(pairs):
-        re, im = h[..., n_ch + p, :], h[..., n_ch + len(pairs) + p, :]
-        out.real[..., i, j, :] = re
-        out.imag[..., i, j, :] = im
-        out.real[..., j, i, :] = re
-        # a copy, not np.negative(im, out=...): numpy 2.4.6 writes wrong values
-        # through that call into some strided outputs such as this one
-        out.imag[..., j, i, :] = -im
-    return out
 
 
 def _form_coefficients(rows: np.ndarray) -> np.ndarray:
@@ -372,27 +352,27 @@ def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, 
     """
     if not 0 <= f < spec.n_bins:
         raise InvalidInputError(f"bin index {f} outside [0, {spec.n_bins})")
-    energies = np.asarray(energies, dtype=np.float64)
+    energies = _finite(energies, "energy vector", np.float64)
     if energies.shape != (spec.n_frames,):
         raise InvalidInputError("energies must hold one value per frame")
-    weights = model.weight(energies)[:, None]
-    cov = _weighted_covariances(_hermitian_cache(spec.data[f : f + 1]), weights)
-    return _hermitian_matrices(cov[0])[:, :, 0]
+    x = spec.data[f]
+    return (model.weight(energies)[:, None] * x).T @ x.conj() / spec.n_frames
 
 
 def _times_hermitian(matrices: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # W M per bin for a bins-last (K, K, F) W and Hermitian M in the (K^2, F)
-    # cache layout, column by column: A[:, j] = sum_l W[:, l] M[l, j]
-    n_ch = matrices.shape[0]
+    # W M per bin for bins-last (R, K, F) rows W and Hermitian M in the
+    # (K^2, F) cache layout, column by column: A[:, j] = sum_l W[:, l] M[l, j].
+    # An (R, K^2, F) h gives each row r its own M[r].
+    n_ch = matrices.shape[-2]
     pairs = _upper_pairs(n_ch)
-    entries = {}  # the off-diagonal M[l, j] as complex (F,) arrays
+    entries = {}  # the off-diagonal M[l, j] as complex (..., F) arrays
     for p, (i, j) in enumerate(pairs):
-        m = np.empty(h.shape[-1], dtype=np.complex128)
-        m.real, m.imag = h[n_ch + p], h[n_ch + len(pairs) + p]
+        m = np.empty(h.shape[:-2] + h.shape[-1:], dtype=np.complex128)
+        m.real, m.imag = h[..., n_ch + p, :], h[..., n_ch + len(pairs) + p, :]
         entries[i, j], entries[j, i] = m, m.conj()
     a = np.empty_like(matrices)
     for j in range(n_ch):
-        np.multiply(matrices[:, j], h[j], out=a[:, j])
+        np.multiply(matrices[:, j], h[..., j, :], out=a[:, j])
         for l in range(n_ch):
             if l != j:
                 a[:, j] += matrices[:, l] * entries[l, j]
@@ -485,6 +465,7 @@ def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
         raise InvalidInputError(f"bin index {f} outside [0, {w.n_bins})")
     if not 0 <= channel < w.n_channels:
         raise InvalidInputError(f"channel {channel} outside [0, {w.n_channels})")
+    cov, prior_mat = _finite(cov, "covariance"), _finite(prior_mat, "prior matrix")
     if cov.shape != (w.n_channels, w.n_channels):
         raise InvalidInputError("covariance must be K x K")
     if prior_mat.shape != cov.shape:
@@ -521,12 +502,17 @@ def _iva_cost(r: np.ndarray, matrices: np.ndarray) -> float:
     return float(r.sum()) / r.shape[0] - 2.0 * float(logdet.sum())
 
 
-def _check_constraints(channels, geometry: ArrayGeometry, spec: ComplexSpectrogram) -> None:
+def _steering_field(channels, doas, geometry: ArrayGeometry,
+                    spec: ComplexSpectrogram) -> dict[int, np.ndarray]:
+    # each constrained channel's C-contiguous (K, F) steering vectors toward
+    # its DOA, after checking the channels and geometry against spec
     if any(not 0 <= k < spec.n_channels for k in channels):
         raise InvalidInputError("constrained channel outside the channel range")
     if geometry.n_mics != spec.n_channels:
         raise InvalidInputError(f"geometry has {geometry.n_mics} mics, "
                                 f"spectrogram has {spec.n_channels} channels")
+    return {k: np.ascontiguousarray(steering_stack(d, geometry, spec.config).T)
+            for k, d in zip(channels, doas)}
 
 
 class _Prior(NamedTuple):
@@ -545,10 +531,15 @@ def _priors(prior: PriorConfig | None, spec: ComplexSpectrogram) -> dict[int, _P
     """The priors of the constrained channels, checked against ``spec``."""
     if prior is None or not prior.constrained_channels:
         return {}
-    _check_constraints(prior.constrained_channels, prior.geometry, spec)
-    return {channel: _Prior(_cache_layout(mats), np.ascontiguousarray(h.T), prior.lambda_e,
-                            prior.sigma2_per_bin)
-            for channel, (h, mats) in _steered_priors(prior, spec.config).items()}
+    field = _steering_field(prior.constrained_channels, prior.doa_per_channel,
+                            prior.geometry, spec)
+    sigma2 = prior.sigma2_per_bin
+    if sigma2.shape[0] != spec.n_bins:
+        raise InvalidInputError(
+            f"sigma2_per_bin has {sigma2.shape[0]} entries, expected {spec.n_bins}")
+    return {channel: _Prior(_cache_layout(_prior_formula(h.T, sigma2, prior.lambda_e)), h,
+                            prior.lambda_e, sigma2)
+            for channel, h in field.items()}
 
 
 def _prior_cost(w: np.ndarray, coef: np.ndarray, priors: dict[int, _Prior]) -> float:
@@ -559,7 +550,7 @@ def _prior_cost(w: np.ndarray, coef: np.ndarray, priors: dict[int, _Prior]) -> f
     n_ch = w.shape[0]
     total = 0.0
     for channel, p in priors.items():
-        response = np.sum(w[channel] * p.steering, axis=0)
+        response = _response(w[channel], p.steering)
         terms = p.lambda_e * np.sum(coef[channel, :n_ch], axis=0)
         terms += np.square(response.real) + np.square(response.imag)
         total += float(np.sum(terms / p.sigma2))
@@ -659,13 +650,23 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
                   "gc-aux" if priors else "aux")
 
 
-def _residual(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # w^H h - 1 per bin, for (K, F) rows w^H and steering vectors h
+def _response(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # w^H h per bin, for (K, F) rows w^H and steering vectors h
     out = rows[0] * h[0]
     for j in range(1, rows.shape[0]):
         out += rows[j] * h[j]
-    out -= 1.0
     return out
+
+
+def _residual(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # w^H h - 1 per bin, for (K, F) rows w^H and steering vectors h
+    return _response(rows, h) - 1.0
+
+
+def _penalty_row(rows: np.ndarray, h: np.ndarray, constraint_weight: float) -> np.ndarray:
+    # the (K, F) row of penalty_gradient for (K, F) rows w^H and steering
+    # vectors h: 2 c (w^H h - 1) conj(h)
+    return (2.0 * constraint_weight * _residual(rows, h)) * h.conj()
 
 
 def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
@@ -674,39 +675,26 @@ def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
     stored rows, in the real/imaginary (Wirtinger, factor two) convention so
     it matches finite differences on the real and imaginary parts directly.
     """
-    _check_field(w, h_field)
-    field = _bins_last_field(h_field)
+    _check_nonnegative(constraint_weight=constraint_weight)
+    matrices = w.matrices.transpose(1, 2, 0)
     grad = np.zeros_like(w.matrices)
-    rows = _penalty_rows(_residuals(_bins_last(w.matrices), field), field, constraint_weight)
-    for channel, row in rows.items():
-        grad[:, channel] = row.T
+    for channel, h in _check_field(w, h_field).items():
+        grad[:, channel] = _penalty_row(matrices[channel], h, constraint_weight).T
     return grad
 
 
-def _check_field(w: DemixingStack, h_field: dict) -> None:
+def _check_field(w: DemixingStack, h_field: dict) -> dict[int, np.ndarray]:
+    # the (n_bins, K) steering stacks of h_field, checked against w, as
+    # C-contiguous complex (K, n_bins) arrays
+    field = {}
     for channel, h in h_field.items():
         if not 0 <= channel < w.n_channels:
             raise InvalidInputError(f"constrained channel {channel} outside stack")
+        h = _finite(h, f"steering field of channel {channel}")
         if h.shape != (w.n_bins, w.n_channels):
             raise InvalidInputError("steering field must be (n_bins, K) per channel")
-
-
-def _bins_last_field(h_field: dict) -> dict:
-    # (F, K) steering stacks -> C-contiguous (K, F)
-    return {channel: np.ascontiguousarray(h.T) for channel, h in h_field.items()}
-
-
-def _residuals(matrices: np.ndarray, field: dict) -> dict:
-    # w^H h - 1 of each constrained row of a bins-last (K, K, F) stack, for a
-    # checked (K, F) steering field
-    return {channel: _residual(matrices[channel], h) for channel, h in field.items()}
-
-
-def _penalty_rows(residuals: dict, field: dict, constraint_weight: float) -> dict:
-    # the nonzero (K, F) rows of penalty_gradient, 2 c (w^H h - 1) conj(h),
-    # from the constrained rows' residuals
-    return {channel: (2.0 * constraint_weight * e) * field[channel].conj()
-            for channel, e in residuals.items()}
+        field[channel] = np.ascontiguousarray(h.T)
+    return field
 
 
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -720,24 +708,17 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _score(matrices: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    # E{phi(y) y^H} per bin: row k is W[k, :] V_k W^H, with V_k = cov[k], all
-    # bins-last
-    return _row_products(_row_products(matrices, cov),
+    # E{phi(y) y^H} per bin: row k is W[k, :] V_k W^H, for a bins-last
+    # (K, K, F) W and the (K, K^2, F) cache-layout V_k = cov[k]
+    return _row_products(_times_hermitian(matrices, cov),
                          matrices.conj().transpose(1, 0, 2)[None])
 
 
-def _check_step(stepsize: float, constraint_weight: float) -> None:
-    if not np.isfinite(stepsize) or stepsize < 0:
-        raise InvalidInputError("stepsize must be nonnegative")
-    if not np.isfinite(constraint_weight) or constraint_weight < 0:
-        raise InvalidInputError("constraint_weight must be nonnegative")
-
-
-def _gradient_step(w: np.ndarray, cov: np.ndarray, penalty_rows: dict,
-                   stepsize: float) -> np.ndarray:
-    # gradient_update of the bins-last (K, K, F) array w from the (K, K, K, F)
-    # complex weighted covariances cov[k] of its outputs and the nonzero rows
-    # of its penalty gradient, with a checked stepsize:
+def _gradient_step(w: np.ndarray, cov: np.ndarray, field: dict, stepsize: float,
+                   constraint_weight: float) -> np.ndarray:
+    # gradient_update of the bins-last (K, K, F) array w from the (K, K^2, F)
+    # cache-layout weighted covariances cov[k] of its outputs and the (K, F)
+    # steering field of its constrained rows, with checked step parameters:
     # W + mu (W - E{phi(y) y^H} W), then the penalty step on the constrained rows
     if stepsize == 0.0:
         return w.copy()
@@ -745,8 +726,8 @@ def _gradient_step(w: np.ndarray, cov: np.ndarray, penalty_rows: dict,
     np.subtract(w, step, out=step)
     step *= stepsize
     step += w
-    for channel, row in penalty_rows.items():
-        step[channel] -= stepsize * row
+    for channel, h in field.items():
+        step[channel] -= stepsize * _penalty_row(w[channel], h, constraint_weight)
     return step
 
 
@@ -760,13 +741,11 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     frame magnitude.
     """
     _check_shapes(spec, w)
-    _check_step(stepsize, constraint_weight)
-    _check_field(w, h_field)
+    _check_nonnegative(stepsize=stepsize, constraint_weight=constraint_weight)
+    field = _check_field(w, h_field)
     weights = model.weight(_frame_energies(_demix_data(spec.data, w.matrices)))
     cov = _weighted_covariances(_hermitian_cache(spec.data), weights)
-    matrices, field = _bins_last(w.matrices), _bins_last_field(h_field)
-    rows = _penalty_rows(_residuals(matrices, field), field, constraint_weight)
-    step = _gradient_step(matrices, _hermitian_matrices(cov), rows, stepsize)
+    step = _gradient_step(_bins_last(w.matrices), cov, field, stepsize, constraint_weight)
     return DemixingStack(np.ascontiguousarray(step.transpose(2, 0, 1)))
 
 
@@ -780,22 +759,16 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     baseline rather than a directional-prior term.
     """
     channels, doas = _constraint_pairs(constrained_channels, target_doas)
-    _check_constraints(channels, geometry, spec)
-    _check_step(stepsize, constraint_weight)
-    field = _bins_last_field({k: steering_stack(d, geometry, spec.config)
-                              for k, d in zip(channels, doas)})
-    # _solve takes the penalty of every stack before it steps from it, so the
-    # step reuses the residuals of the penalty just taken
-    residuals = {}
+    field = _steering_field(channels, doas, geometry, spec)
+    _check_nonnegative(stepsize=stepsize, constraint_weight=constraint_weight)
 
     def step(it, w, covs):
-        rows = _penalty_rows(residuals, field, constraint_weight)
-        w = _gradient_step(w, _hermitian_matrices(covs), rows, stepsize)
+        w = _gradient_step(w, covs, field, stepsize, constraint_weight)
         return w, _form_coefficients(w)
 
     def penalty(w, coef) -> float:
-        residuals.update(_residuals(w, field))
-        return sum(constraint_weight * float(np.vdot(e, e).real) for e in residuals.values())
+        residuals = (_residual(w[channel], h) for channel, h in field.items())
+        return sum(constraint_weight * float(np.vdot(e, e).real) for e in residuals)
 
     return _solve(spec, model, iterations, step, penalty, callback, "gc-grad")
 

@@ -77,10 +77,10 @@ def solve_rows(matrices, systems, channel, context=""):
     return w[channel].T.conj()
 
 
-def covariance_matrices(cache, weights):
-    # the loop's weighted covariances as (F, C, K, K) complex matrices
-    return gciva.iva._hermitian_matrices(
-        gciva.iva._weighted_covariances(cache, weights)).transpose(3, 0, 1, 2)
+def cache_layouts(matrices):
+    # (F, C, K, K) Hermitian stacks -> the (C, K^2, F) cache layout of each
+    return np.stack([gciva.iva._cache_layout(matrices[:, c])
+                     for c in range(matrices.shape[1])])
 
 
 def anechoic_scene(seed, doas=(45.0, 135.0), snr_db=20.0, duration=1.0,
@@ -215,16 +215,15 @@ class TestCovarianceKernel:
         strided = np.swapaxes(np.swapaxes(spec.data, 1, 2).copy(), 1, 2)
         np.testing.assert_array_equal(gciva.iva._hermitian_cache(strided), cache)
         assert cache.flags.c_contiguous  # else every GEMM copies the cache first
-        assert gciva.iva._weighted_covariances(cache, weights).shape == (n_ch, n_ch * n_ch, 4)
-        v = covariance_matrices(cache, weights)
-        assert v.shape == (4, n_ch, n_ch, n_ch)
-        expected = np.zeros_like(v)
+        v = gciva.iva._weighted_covariances(cache, weights)
+        assert v.shape == (n_ch, n_ch * n_ch, 4)
+        expected = np.zeros((4, n_ch, n_ch, n_ch), dtype=complex)
         for f in range(4):
             for c in range(n_ch):
                 for n in range(7):
                     x = spec.data[f, n]
                     expected[f, c] += weights[n, c] * np.outer(x, x.conj())
-        expected /= 7
+        expected = cache_layouts(expected / 7)
         assert np.max(np.abs(v - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n_ch", [2, 3])
@@ -253,7 +252,7 @@ class TestCovarianceKernel:
         expected = np.einsum("fnk,fnl->fkl", phi[None] * y, y.conj()) / 9
         cov = gciva.iva._weighted_covariances(gciva.iva._hermitian_cache(spec.data),
                                               SourceModel().weight(r))
-        score = gciva.iva._score(bins_last(w), gciva.iva._hermitian_matrices(cov))
+        score = gciva.iva._score(bins_last(w), cov)
         score = score.transpose(2, 0, 1)
         assert np.max(np.abs(score - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -271,8 +270,8 @@ class TestCovarianceKernel:
                                     for k in range(n_ch)]) for f in range(5)])
         expected = (w + mu * np.matmul(np.eye(n_ch) - score, w)
                     - mu * penalty_gradient(stack, h_field, weight))
-        rows = {0: penalty_gradient(stack, h_field, weight)[:, 0].T}
-        step = gciva.iva._gradient_step(bins_last(w), cov.transpose(1, 2, 3, 0), rows, mu)
+        field = {0: h_field[0].T.copy()}
+        step = gciva.iva._gradient_step(bins_last(w), cache_layouts(cov), field, mu, weight)
         step = step.transpose(2, 0, 1)
         assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -324,14 +323,13 @@ class TestCovarianceKernel:
     @pytest.mark.parametrize("n_ch", [2, 3])
     def test_hermitian_form_matches_per_bin_loop(self, n_ch):
         # the form coefficients of rows a = u^H against a Hermitian stack in
-        # the cache layout give u^H M u; the layout round-trips the stack
+        # the cache layout give u^H M u
         rng = np.random.default_rng(70 + n_ch)
         m = np.stack([random_hpd(rng, n_ch) - 2.0 * np.eye(n_ch) for _ in range(6)])
         m = 0.5 * (m + m.conj().transpose(0, 2, 1))  # exactly Hermitian, indefinite
         u = rng.standard_normal((6, n_ch)) + 1j * rng.standard_normal((6, n_ch))
         h = gciva.iva._cache_layout(m)
         assert h.shape == (n_ch * n_ch, 6)
-        np.testing.assert_array_equal(gciva.iva._hermitian_matrices(h), bins_last(m))
         form = np.einsum("rf,rf->f", gciva.iva._form_coefficients(u.conj().T), h)
         expected = np.array([np.real(u[f].conj() @ m[f] @ u[f]) for f in range(6)])
         assert np.max(np.abs(form - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -542,7 +540,82 @@ class TestUpdateConstrained:
         assert np.real(vec.conj() @ m @ vec) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestOracleInputs:
+    """The per-bin oracles take array-likes and reject a misshapen or
+    non-finite array with an InvalidInputError that names it."""
+
+    CASES = ("nan-covariance", "nan-covariance-unconstrained", "inf-prior-matrix",
+             "short-list-covariance", "short-list-covariance-unconstrained",
+             "short-list-prior-matrix", "ragged-list-covariance", "nan-steering-vector",
+             "inf-steering-vector", "ragged-steering-vector", "nan-energies", "inf-energies")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bad_input_rejected(self, case):
+        rng = np.random.default_rng(14)
+        spec = random_spec(rng, 2, 4, 2)
+        w = DemixingStack.identity(2, 2)
+        v, d = random_hpd(rng, 2), prior_matrix(np.ones(2), 40.0, 1e-3)
+        bad_v = v.copy()
+        bad_v[0, 1] = np.nan
+        energies = np.ones(4)
+        energies[2] = np.nan if case.startswith("nan") else np.inf
+        non_finite = "{} contains non-finite entries".format
+        calls = {
+            "nan-covariance": (lambda: update_constrained(w, bad_v, d, 0, 0),
+                               non_finite("covariance")),
+            "nan-covariance-unconstrained": (lambda: update_unconstrained(w, bad_v, 0, 0),
+                                             non_finite("covariance")),
+            "inf-prior-matrix": (lambda: update_constrained(
+                w, v, np.where(np.eye(2), np.inf, d), 0, 0), non_finite("prior matrix")),
+            "short-list-covariance": (lambda: update_constrained(w, [[1.0, 0.0]], d, 0, 0),
+                                      "covariance must be K x K"),
+            "short-list-covariance-unconstrained": (
+                lambda: update_unconstrained(w, [[1.0, 0.0]], 0, 0), "covariance must be K x K"),
+            "short-list-prior-matrix": (lambda: update_constrained(w, v, [[1.0, 0.0]], 0, 0),
+                                        "prior matrix shape must match covariance"),
+            "ragged-list-covariance": (lambda: update_constrained(w, [[1.0, 0.0], [1.0]], d, 0, 0),
+                                       "covariance is not a numeric array"),
+            "nan-steering-vector": (lambda: prior_matrix([1.0, np.nan], 40.0, 1e-3),
+                                    non_finite("steering vector")),
+            "inf-steering-vector": (lambda: prior_matrix([1.0, 1j * np.inf], 40.0, 1e-3),
+                                    non_finite("steering vector")),
+            "ragged-steering-vector": (lambda: prior_matrix([1.0, [1.0]], 40.0, 1e-3),
+                                       "steering vector is not a numeric array"),
+            "nan-energies": (lambda: weighted_covariance(spec, energies, SourceModel(), 0),
+                             non_finite("energy vector")),
+            "inf-energies": (lambda: weighted_covariance(spec, energies, SourceModel(), 0),
+                             non_finite("energy vector")),
+        }
+        call, message = calls[case]
+        with pytest.raises(InvalidInputError, match=message):
+            call()
+        np.testing.assert_array_equal(w.matrices, DemixingStack.identity(2, 2).matrices)
+
+    def test_lists_give_the_arrays_results(self):
+        rng = np.random.default_rng(15)
+        spec = random_spec(rng, 2, 4, 2)
+        v, h = random_hpd(rng, 2), np.exp(1j * rng.uniform(size=2))
+        d = prior_matrix(h, 40.0, 1e-3)
+        np.testing.assert_array_equal(prior_matrix(h.tolist(), 40.0, 1e-3), d)
+        energies = rng.uniform(0.5, 2.0, size=4)
+        np.testing.assert_array_equal(
+            weighted_covariance(spec, energies.tolist(), SourceModel(), 1),
+            weighted_covariance(spec, energies, SourceModel(), 1))
+        for update, args in ((update_constrained, (v, d)), (update_unconstrained, (v,))):
+            w, w_list = DemixingStack.identity(1, 2), DemixingStack.identity(1, 2)
+            vec = update(w, *args, 0, 1)
+            vec_list = update(w_list, *(a.tolist() for a in args), 0, 1)
+            np.testing.assert_array_equal(vec_list, vec)
+            np.testing.assert_array_equal(w_list.matrices, w.matrices)
+
+
 class TestPenaltyGradient:
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_bad_constraint_weight_rejected(self, weight):
+        w = DemixingStack.identity(3, 2)
+        with pytest.raises(InvalidInputError, match="constraint_weight must be nonnegative"):
+            penalty_gradient(w, {0: np.ones((3, 2))}, weight)
+
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(9)
         n_bins, n_ch = 2, 2
@@ -573,6 +646,42 @@ class TestPenaltyGradient:
                         fd = (penalty(bumped) - penalty(dipped)) / (2 * eps)
                         part = grad[f, i, j].real if direction == 1.0 else grad[f, i, j].imag
                         assert part == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+class TestSteeringField:
+    """penalty_gradient and gradient_update take a steering field of
+    array-likes and reject a non-finite one by channel."""
+
+    @staticmethod
+    def entry_points(rng):
+        spec = random_spec(rng, 3, 6, 2)
+        w = DemixingStack(np.eye(2) + 0.3 * (rng.standard_normal((3, 2, 2))
+                                             + 1j * rng.standard_normal((3, 2, 2))))
+        return {
+            "penalty_gradient": lambda field: penalty_gradient(w, field, 0.5),
+            "gradient_update":
+                lambda field: gradient_update(w, spec, SourceModel(), field, 0.05, 0.5).matrices,
+        }
+
+    @pytest.mark.parametrize("entry", ["penalty_gradient", "gradient_update"])
+    def test_list_field_gives_the_arrays_result(self, entry):
+        rng = np.random.default_rng(16)
+        call = self.entry_points(rng)[entry]
+        h = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, 2)))
+        np.testing.assert_array_equal(call({1: h.tolist()}), call({1: h}))
+
+    @pytest.mark.parametrize("entry", ["penalty_gradient", "gradient_update"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "ragged"])
+    def test_bad_field_rejected_by_name(self, entry, bad):
+        rng = np.random.default_rng(17)
+        call = self.entry_points(rng)[entry]
+        h = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, 2)))
+        if bad == "ragged":
+            h, message = [[1.0, 1.0], [1.0], [1.0, 1.0]], "is not a numeric array"
+        else:
+            h[1, 0], message = bad, "contains non-finite entries"
+        with pytest.raises(InvalidInputError, match=f"steering field of channel 1 {message}"):
+            call({0: np.ones((3, 2)), 1: h})
 
 
 class TestGradientUpdate:
@@ -858,18 +967,19 @@ class TestSharedSolverLoop:
 
             monkeypatch.setattr(gciva.iva, name, counted)
 
-        for name in ("evaluate_cost", "_steered_priors", "steering_stack", "_demix_data",
+        for name in ("evaluate_cost", "_steering_field", "steering_stack", "_demix_data",
                      "_hermitian_cache"):
             count(name)
         spec, _, config = anechoic_scene(8, duration=0.5, window=128)
         prior = PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
         run_informed_iva(spec, prior, SourceModel(), 5)
         # the loop reads the cache; the output is demixed once, at the end
-        assert dict(counts) == {"_steered_priors": 1, "steering_stack": 1, "_demix_data": 1,
+        assert dict(counts) == {"_steering_field": 1, "steering_stack": 1, "_demix_data": 1,
                                 "_hermitian_cache": 1}
         counts.clear()
         run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 5)
-        assert dict(counts) == {"steering_stack": 1, "_demix_data": 1, "_hermitian_cache": 1}
+        assert dict(counts) == {"_steering_field": 1, "steering_stack": 1, "_demix_data": 1,
+                                "_hermitian_cache": 1}
 
     def test_diverging_gradient_fails_fast(self):
         # twice the level of the default 5 s scene drives the natural-gradient
