@@ -202,10 +202,9 @@ def write_json(path, payload: dict) -> None:
 def write_cost_trace_csv(path, trace) -> None:
     """Cost trace CSV: iteration, both cost terms, total, and the IVA term
     normalized to its initial value."""
-    lines = ["iteration,j_iva,j_prior,j_total,j_iva_normalized"]
-    for i, (a, b, norm) in enumerate(zip(trace.j_iva, trace.j_prior, trace.normalized_iva())):
-        lines.append(f"{i},{_fmt(a)},{_fmt(b)},{_fmt(a + b)},{_fmt(norm)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [[f"{i}", a, b, a + b, norm]
+            for i, (a, b, norm) in enumerate(zip(trace.j_iva, trace.j_prior, trace.normalized_iva()))]
+    write_csv(path, ["iteration", "j_iva", "j_prior", "j_total", "j_iva_normalized"], rows)
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

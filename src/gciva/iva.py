@@ -69,7 +69,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CostOverflowError, InvalidInputError, SingularUpdateError
+from .errors import (CostOverflowError, InvalidInputError, SingularUpdateError, checked_array,
+                     checked_index)
 from .scene import ArrayGeometry, steering_stack
 from .stft import ComplexSpectrogram
 
@@ -107,7 +108,7 @@ class DemixingStack:
     matrices: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _finite(self.matrices, "demixing stack")
+        w = checked_array(self.matrices, "demixing stack", np.complex128)
         if w.ndim != 3 or w.shape[1] != w.shape[2]:
             raise InvalidInputError("demixing stack must be (n_bins, K, K)")
         self.matrices = w
@@ -132,18 +133,6 @@ class DemixingStack:
         return float(np.min(np.abs(np.linalg.det(self.matrices))))
 
 
-def _finite(a, name: str, dtype=np.complex128) -> np.ndarray:
-    # a as an array of dtype; raises InvalidInputError naming it if it is
-    # not numeric or an entry is not finite
-    try:
-        a = np.asarray(a, dtype=dtype)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{name} is not a numeric array") from None
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return a
-
-
 def _check_nonnegative(**values) -> None:
     for name, value in values.items():
         if not np.isfinite(value) or value < 0:
@@ -152,14 +141,12 @@ def _check_nonnegative(**values) -> None:
 
 def _constraint_pairs(channels, doas) -> tuple[tuple, tuple]:
     """Constrained channels and their DOAs as int and float tuples; raises
-    InvalidInputError unless the channels are unique and nonnegative and
-    each has one DOA."""
-    channels = tuple(int(k) for k in channels)
-    doas = tuple(float(d) for d in np.atleast_1d(np.asarray(doas, dtype=float)))
+    InvalidInputError unless the channels are unique indices and each has
+    one DOA."""
+    channels = tuple(checked_index(k, None, "constrained channel") for k in channels)
+    doas = tuple(float(d) for d in np.atleast_1d(checked_array(doas, "DOAs")))
     if len(set(channels)) != len(channels):
         raise InvalidInputError("constrained channels must be unique")
-    if any(k < 0 for k in channels):
-        raise InvalidInputError("channel indices must be nonnegative")
     if len(doas) != len(channels):
         raise InvalidInputError(f"need one DOA per constrained channel, got "
                                 f"{len(doas)} for {len(channels)}")
@@ -184,8 +171,8 @@ class PriorConfig:
 
     def __post_init__(self) -> None:
         channels, doas = _constraint_pairs(self.constrained_channels, self.doa_per_channel)
-        sigma2 = np.asarray(self.sigma2_per_bin, dtype=np.float64)
-        if sigma2.ndim != 1 or not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
+        sigma2 = checked_array(self.sigma2_per_bin, "sigma2_per_bin")
+        if sigma2.ndim != 1 or np.any(sigma2 <= 0):
             raise InvalidInputError("sigma2_per_bin must be a positive 1-D array")
         _check_nonnegative(lambda_e=self.lambda_e)
         self.constrained_channels = channels
@@ -208,12 +195,9 @@ class CostTrace:
     j_prior: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.j_iva, dtype=np.float64)
-        b = np.asarray(self.j_prior, dtype=np.float64)
+        a, b = checked_array(self.j_iva, "j_iva"), checked_array(self.j_prior, "j_prior")
         if a.shape != b.shape or a.ndim != 1:
             raise InvalidInputError("cost trace components must be 1-D and equally long")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise InvalidInputError("cost trace contains non-finite values")
         self.j_iva, self.j_prior = a, b
 
     @property
@@ -236,7 +220,7 @@ def prior_matrix(h: np.ndarray, sigma2: float, lambda_e: float) -> np.ndarray:
     if not np.isfinite(sigma2) or sigma2 <= 0:
         raise InvalidInputError("sigma2 must be positive")
     _check_nonnegative(lambda_e=lambda_e)
-    h = _finite(h, "steering vector")
+    h = checked_array(h, "steering vector", np.complex128)
     if h.ndim != 1:
         raise InvalidInputError("steering vector must be 1-D")
     return _prior_formula(h, sigma2, lambda_e)
@@ -331,8 +315,7 @@ def _check_shapes(spec: ComplexSpectrogram, w: DemixingStack) -> None:
 def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -> np.ndarray:
     """Broadband frame magnitudes ``r_n = ||y_n||_2`` of one output channel."""
     _check_shapes(spec, w)
-    if not 0 <= channel < spec.n_channels:
-        raise InvalidInputError(f"channel {channel} outside [0, {spec.n_channels})")
+    channel = checked_index(channel, spec.n_channels, "channel")
     return _frame_energies(_demix_data(spec.data, w.matrices))[:, channel]
 
 
@@ -350,9 +333,8 @@ def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, 
     The weights are the source-model contributions ``G'(r_n)/r_n`` of the
     channel under update, evaluated from the supplied broadband energies.
     """
-    if not 0 <= f < spec.n_bins:
-        raise InvalidInputError(f"bin index {f} outside [0, {spec.n_bins})")
-    energies = _finite(energies, "energy vector", np.float64)
+    f = checked_index(f, spec.n_bins, "bin index")
+    energies = checked_array(energies, "energy vector")
     if energies.shape != (spec.n_frames,):
         raise InvalidInputError("energies must hold one value per frame")
     x = spec.data[f]
@@ -461,11 +443,10 @@ def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
     """Majorize-minimize row update of bin ``f`` against covariance plus prior
     matrix: replaces row ``channel`` in place and returns the new demixing
     vector, normalized so that ``w^H (V + D) w = 1``."""
-    if not 0 <= f < w.n_bins:
-        raise InvalidInputError(f"bin index {f} outside [0, {w.n_bins})")
-    if not 0 <= channel < w.n_channels:
-        raise InvalidInputError(f"channel {channel} outside [0, {w.n_channels})")
-    cov, prior_mat = _finite(cov, "covariance"), _finite(prior_mat, "prior matrix")
+    f = checked_index(f, w.n_bins, "bin index")
+    channel = checked_index(channel, w.n_channels, "channel")
+    cov = checked_array(cov, "covariance", np.complex128)
+    prior_mat = checked_array(prior_mat, "prior matrix", np.complex128)
     if cov.shape != (w.n_channels, w.n_channels):
         raise InvalidInputError("covariance must be K x K")
     if prior_mat.shape != cov.shape:
@@ -506,8 +487,8 @@ def _steering_field(channels, doas, geometry: ArrayGeometry,
                     spec: ComplexSpectrogram) -> dict[int, np.ndarray]:
     # each constrained channel's C-contiguous (K, F) steering vectors toward
     # its DOA, after checking the channels and geometry against spec
-    if any(not 0 <= k < spec.n_channels for k in channels):
-        raise InvalidInputError("constrained channel outside the channel range")
+    for k in channels:
+        checked_index(k, spec.n_channels, "constrained channel")
     if geometry.n_mics != spec.n_channels:
         raise InvalidInputError(f"geometry has {geometry.n_mics} mics, "
                                 f"spectrogram has {spec.n_channels} channels")
@@ -582,8 +563,7 @@ def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update
     # coef) fills the trace's second column and is taken for every stack
     # before an update starts from it; solver names the algorithm in a
     # CostOverflowError
-    if iterations < 0:
-        raise InvalidInputError("iterations must be nonnegative")
+    iterations = checked_index(iterations, None, "iterations")
     w = _bins_last(DemixingStack.identity(spec.n_bins, spec.n_channels).matrices)
     coef = _form_coefficients(w)
     with np.errstate(over="ignore", invalid="ignore"):  # any overflow shows in the cost
@@ -688,9 +668,8 @@ def _check_field(w: DemixingStack, h_field: dict) -> dict[int, np.ndarray]:
     # C-contiguous complex (K, n_bins) arrays
     field = {}
     for channel, h in h_field.items():
-        if not 0 <= channel < w.n_channels:
-            raise InvalidInputError(f"constrained channel {channel} outside stack")
-        h = _finite(h, f"steering field of channel {channel}")
+        channel = checked_index(channel, w.n_channels, "constrained channel")
+        h = checked_array(h, f"steering field of channel {channel}", np.complex128)
         if h.shape != (w.n_bins, w.n_channels):
             raise InvalidInputError("steering field must be (n_bins, K) per channel")
         field[channel] = np.ascontiguousarray(h.T)
@@ -793,7 +772,5 @@ def project_back(demixed: ComplexSpectrogram, w: DemixingStack,
     if reference is None:
         scale = np.einsum("fkk->fk", inv)
     else:
-        if not 0 <= reference < w.n_channels:
-            raise InvalidInputError(f"reference channel {reference} outside [0, {w.n_channels})")
-        scale = inv[:, reference, :]
+        scale = inv[:, checked_index(reference, w.n_channels, "reference channel"), :]
     return ComplexSpectrogram(demixed.data * scale[:, None, :], demixed.config)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, InvalidInputError
+from .errors import DegenerateReferenceError, InvalidInputError, checked_array, checked_index
 
 DEFAULT_FILTER_LEN = 512
 DB_CAP = 100.0
@@ -185,8 +185,8 @@ class ReferenceProjector:
     """
 
     def __init__(self, references, filter_len: int = DEFAULT_FILTER_LEN):
-        references = np.atleast_2d(np.asarray(references, dtype=np.float64))
-        if filter_len < 1:
+        references = np.atleast_2d(checked_array(references, "references"))
+        if checked_index(filter_len, None, "filter_len") < 1:
             raise InvalidInputError("filter_len must be positive")
         if references.ndim != 2 or references.shape[0] < 1:
             raise InvalidInputError("references must be (n_refs, n_samples)")
@@ -194,8 +194,6 @@ class ReferenceProjector:
             raise InvalidInputError(
                 f"signals must span at least 10 * filter_len = {10 * filter_len} samples"
             )
-        if not np.all(np.isfinite(references)):
-            raise InvalidInputError("metric inputs contain non-finite samples")
         n_refs, n_samples = references.shape
         # the shape, not the samples: a view into a larger stack would keep
         # all of it alive
@@ -320,11 +318,9 @@ class ReferenceProjector:
     def score(self, estimates) -> Scores:
         """Decompose each row of ``estimates`` (n_estimates, n_samples) once
         against every reference."""
-        estimates = np.asarray(estimates, dtype=np.float64)
+        estimates = checked_array(estimates, "estimates")
         if estimates.ndim != 2 or estimates.shape[1] != self.n_samples:
             raise InvalidInputError("estimate and references must have equal lengths")
-        if not np.all(np.isfinite(estimates)):
-            raise InvalidInputError("metric inputs contain non-finite samples")
         n_est, n_refs = estimates.shape[0], self.n_refs
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             cross = self._cross(np.fft.rfft(estimates, n=self.n_fft, axis=1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_array, checked_index
 from .stft import StftConfig
 
 SPEED_OF_SOUND = 343.0
@@ -49,13 +49,11 @@ class ArrayGeometry:
     speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self) -> None:
-        pos = np.atleast_2d(np.asarray(self.mic_positions, dtype=np.float64))
+        pos = np.atleast_2d(checked_array(self.mic_positions, "mic_positions"))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise InvalidInputError("mic_positions must be (n_mics, 3)")
         if pos.shape[0] < 2:
             raise InvalidInputError("need at least 2 microphones")
-        if not np.all(np.isfinite(pos)):
-            raise InvalidInputError("mic_positions contain non-finite values")
         if not np.isfinite(self.speed_of_sound) or self.speed_of_sound <= 0:
             raise InvalidInputError("speed_of_sound must be positive")
         object.__setattr__(self, "mic_positions", pos)
@@ -81,8 +79,7 @@ def steering_vector(f: int, doa_deg: float, geometry: ArrayGeometry, config: Stf
     Entry m is ``exp(j * 2*pi*nu_f / c * (r_m - r_1) . (cos doa, sin doa, 0))``;
     the reference microphone entry is exactly 1 and all have unit modulus.
     """
-    if not 0 <= f < config.n_bins:
-        raise InvalidInputError(f"bin index {f} outside [0, {config.n_bins})")
+    f = checked_index(f, config.n_bins, "bin index")
     return steering_stack(doa_deg, geometry, config)[f]
 
 
@@ -111,16 +108,14 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            sig = np.asarray(self.source_signals, dtype=np.float64)
-        except ValueError as exc:
-            raise InvalidInputError("source signals must all have the same length") from exc
+        signals = self.source_signals
+        if isinstance(signals, (list, tuple)) and len({np.shape(s) for s in signals}) > 1:
+            raise InvalidInputError("source signals must all have the same length")
+        sig = checked_array(signals, "source signals")
         if sig.ndim == 1:
             sig = sig[None, :]
         if sig.ndim != 2 or sig.shape[1] == 0:
             raise InvalidInputError("source_signals must be (n_sources, n_samples)")
-        if not np.all(np.isfinite(sig)):
-            raise InvalidInputError("source signals contain non-finite samples")
         self.source_signals = sig
         doas = tuple(float(d) for d in np.atleast_1d(self.source_doas))
         if len(doas) != sig.shape[0]:
@@ -130,7 +125,7 @@ class SceneSpec:
         self.source_doas = doas
         _check_snr(self.snr_db)
         if self.rirs is not None:
-            rirs = np.asarray(self.rirs, dtype=np.float64)
+            rirs = checked_array(self.rirs, "rirs")
             if rirs.ndim != 3 or rirs.shape[0] != sig.shape[0]:
                 raise InvalidInputError("rirs must be (n_sources, n_mics, taps)")
             self.rirs = rirs
@@ -151,7 +146,8 @@ def fractional_delay(signal: np.ndarray, delay_samples: float, n_taps: int = FRA
     sinc center; integer delays are exact because the kernel then reduces to
     a unit impulse.
     """
-    x = np.asarray(signal, dtype=np.float64)
+    x = checked_array(signal, "signal")
+    delay_samples = float(checked_array(delay_samples, "delay"))
     center = (n_taps - 1) // 2
     d_int = int(np.floor(delay_samples))
     frac = delay_samples - d_int
@@ -226,6 +222,7 @@ def add_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     branch is skipped and ``clean`` itself is returned; a silent ``clean``
     gets zero noise."""
     _check_snr(snr_db)
+    clean = checked_array(clean, "clean signal")
     if np.isinf(snr_db):
         return clean
     power = float(np.mean(clean**2))
@@ -309,7 +306,7 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     finite and renders at least one sample and
     ``0 < band_hz[0] < sample_rate / 2``.
     """
-    if n_sources < 1:
+    if checked_index(n_sources, None, "n_sources") < 1:
         raise InvalidInputError("need n_sources >= 1")
     nyquist = sample_rate / 2.0
     if not 0.0 < band_hz[0] < nyquist:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, checked_array, checked_index
 
 WINDOW_KINDS = ("hamming", "hann")
 
@@ -40,10 +40,9 @@ class StftConfig:
     window_kind: str = "hamming"
 
     def __post_init__(self) -> None:
-        if self.window_length <= 0 or int(self.window_length) != self.window_length:
-            raise InvalidInputError("window_length must be a positive integer")
-        if self.hop <= 0 or int(self.hop) != self.hop:
-            raise InvalidInputError("hop must be a positive integer")
+        for name in ("window_length", "hop"):
+            if checked_index(getattr(self, name), None, name) == 0:
+                raise InvalidInputError(f"{name} must be a positive integer")
         if self.hop > self.window_length:
             raise InvalidInputError("hop must not exceed window_length")
         if not np.isfinite(self.sample_rate) or self.sample_rate <= 0:
@@ -71,15 +70,13 @@ class ComplexSpectrogram:
     config: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.complex128)
+        self.data = checked_array(self.data, "spectrogram", np.complex128)
         if self.data.ndim != 3:
             raise InvalidInputError("spectrogram data must be (bin, frame, channel)")
         if self.data.shape[0] != self.config.n_bins:
             raise InvalidInputError(
                 f"expected {self.config.n_bins} bins, got {self.data.shape[0]}"
             )
-        if not np.all(np.isfinite(self.data)):
-            raise InvalidInputError("spectrogram contains non-finite values")
 
     @property
     def n_bins(self) -> int:
@@ -95,13 +92,11 @@ class ComplexSpectrogram:
 
 
 def _as_signal_matrix(signal) -> np.ndarray:
-    x = np.asarray(signal, dtype=np.float64)
+    x = checked_array(signal, "signal")
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] == 0:
         raise InvalidInputError("signal must be a non-empty 1-D or (samples, channels) array")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("signal contains non-finite samples")
     return x
 
 

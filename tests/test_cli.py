@@ -531,7 +531,7 @@ class TestSeparate:
                        "--iterations", "1", "--constrained-channels", "2", "--doa", "45",
                        "--out", out)
         assert code == 1
-        assert "constrained channel outside the channel range" in capsys.readouterr().err
+        assert "constrained channel 2 outside [0, 2)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("iterations", ["0", "1"])

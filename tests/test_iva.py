@@ -1121,7 +1121,7 @@ class TestSourceModel:
 
     @pytest.mark.parametrize("channels, doas, message", [
         ((0, 0), (45.0, 90.0), "constrained channels must be unique"),
-        ((-1,), (45.0,), "channel indices must be nonnegative"),
+        ((-1,), (45.0,), r"constrained channel -1 outside \[0, inf\)"),
         ((0,), (45.0, 90.0), "need one DOA per constrained channel, got 2 for 1"),
     ])
     def test_both_constrained_separators_check_constraints_alike(self, channels, doas, message):

@@ -1,7 +1,9 @@
 """No gciva module imports an underscore name from a sibling module: a name
 that another module needs belongs to the package's interface, so it is public.
 No module keeps a private helper that it never uses, or imports a name it
-never reads. The modules are read as source with ``ast``."""
+never reads, and no module but ``errors.py`` writes its own ``0 <= i < n``
+index check: indices go through ``errors.checked_index``. The modules are
+read as source with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -61,6 +63,15 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def index_range_checks(tree: ast.AST) -> list[int]:
+    # lines of comparisons that start at the int 0 and end with <, the shape
+    # of a hand-written 0 <= i < n (a float range such as 0.0 <= d <= 180.0
+    # is not an index check)
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Constant) and type(node.left.value) is int
+            and node.left.value == 0 and isinstance(node.ops[-1], ast.Lt)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_private_sibling_imports(path):
     assert private_sibling_imports(path) == []
@@ -74,6 +85,20 @@ def test_every_private_definition_is_used(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda path: path.name)
+def test_no_hand_written_index_range_check(path):
+    assert index_range_checks(ast.parse(path.read_text())) == []
+
+
+def test_check_finds_index_range_checks_only():
+    tree = ast.parse("if not 0 <= k < n:\n    pass\n"
+                     "if not 0.0 <= d <= 180.0:\n    pass\n"
+                     "ok = 0 <= k and k <= n\n"
+                     "if any(not 0 <= k < n for k in ks):\n    pass\n")
+    assert index_range_checks(tree) == [1, 6]
 
 
 def test_checks_find_a_dead_helper_and_an_unused_import():
