@@ -4,8 +4,12 @@ The CLI maps these onto exit codes: configuration problems exit with 1,
 I/O problems (plain ``OSError``) with 2, numerical failures with 3.
 
 Every public entry point passes each array it takes through
-:func:`checked_array` and each index or count through :func:`checked_index`,
-so bad input raises an InvalidInputError that names it, never a numpy error.
+:func:`checked_array`, each index, count or seed through :func:`checked_index`
+and each other number through :func:`checked_scalar`, so bad input raises an
+InvalidInputError that names it, never a numpy error or a silent result:
+"<name> is not a numeric array", "<name> contains non-finite entries",
+"<name> <value> is not an integer" (or "a real number"), "<name> <value>
+outside <interval>".
 """
 
 import operator
@@ -54,15 +58,36 @@ def checked_array(value, name: str, dtype=np.float64) -> np.ndarray:
     return array
 
 
-def checked_index(value, bound: int | None, name: str) -> int:
-    """``value`` as an int in [0, bound), or [0, inf) for a None bound;
-    raises InvalidInputError "<name> <value> is not an integer" unless
-    ``operator.index`` takes it, or "<name> <value> outside [0, n)"."""
+def checked_index(value, name: str, low: int = 0, high: float = np.inf) -> int:
+    """``value`` as an int in [low, high); raises InvalidInputError "<name>
+    <value> is not an integer" unless ``operator.index`` takes it, or
+    "<name> <value> outside [low, high)"."""
     try:
         index = operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} {value!r} is not an integer") from None
-    upper = np.inf if bound is None else bound
-    if not 0 <= index < upper:
-        raise InvalidInputError(f"{name} {index} outside [0, {upper})")
+    if not low <= index < high:
+        raise InvalidInputError(f"{name} {index} outside [{low}, {high})")
     return index
+
+
+def checked_scalar(value, name: str, low: float = -np.inf, high: float = np.inf, *,
+                   strict: bool = False, inf_ok: bool = False) -> float:
+    """``value`` as a float in [low, high], or (low, high) if ``strict``; an
+    infinite end is open, save +inf if ``inf_ok``. Raises InvalidInputError
+    "<name> <value> is not a real number" unless ``value`` is an int or float
+    (or a numpy one), or "<name> <value> outside <interval>", as NaN always is."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list
+        array = np.asarray(None)
+    if array.ndim or array.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} {value!r} is not a real number")
+    number = float(array)
+    open_low = strict or low == -np.inf
+    closed_high = inf_ok if high == np.inf else not strict
+    if not ((low < number if open_low else low <= number)
+            and (number <= high if closed_high else number < high)):
+        interval = f"{'(' if open_low else '['}{low:.15g}, {high:.15g}{']' if closed_high else ')'}"
+        raise InvalidInputError(f"{name} {number} outside {interval}")
+    return number

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, checked_scalar
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 _FORMATS = {(_PCM, 8), (_PCM, 16), (_PCM, 24), (_PCM, 32), (_IEEE_FLOAT, 32), (_IEEE_FLOAT, 64)}
@@ -142,10 +142,9 @@ def write_wav(path, data, rate: int) -> None:
         raise InvalidInputError("WAV data must be a non-empty 1-D or 2-D array")
     check_wav_samples(x)
     channels = 1 if x.ndim == 1 else x.shape[1]
-    max_rate = (2**32 - 1) // (4 * channels)
-    if not (0 < rate <= max_rate and float(rate).is_integer()):
-        raise InvalidInputError(f"WAV sample rate must be a whole number of Hz from 1 to "
-                                f"{max_rate}, got {rate}")
+    rate = checked_scalar(rate, "WAV sample rate", 1.0, (2**32 - 1) // (4 * channels))
+    if not rate.is_integer():
+        raise InvalidInputError(f"WAV sample rate {rate} is not a whole number of Hz")
     samples = x.astype("<f4")
     rate = int(rate)
     header = b"".join((

@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (CostOverflowError, InvalidInputError, SingularUpdateError, checked_array,
-                     checked_index)
+                     checked_index, checked_scalar)
 from .scene import ArrayGeometry, steering_stack
 from .stft import ComplexSpectrogram
 
@@ -91,8 +91,7 @@ class SourceModel:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise InvalidInputError("epsilon must be positive")
+        checked_scalar(self.epsilon, "epsilon", low=0.0, strict=True)
 
     def weight(self, r) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
@@ -115,8 +114,8 @@ class DemixingStack:
 
     @classmethod
     def identity(cls, n_bins: int, n_channels: int) -> "DemixingStack":
-        eye = np.eye(n_channels, dtype=np.complex128)
-        return cls(np.tile(eye, (n_bins, 1, 1)))
+        eye = np.eye(checked_index(n_channels, "n_channels"), dtype=np.complex128)
+        return cls(np.tile(eye, (checked_index(n_bins, "n_bins"), 1, 1)))
 
     def copy(self) -> "DemixingStack":
         return DemixingStack(self.matrices.copy())
@@ -133,17 +132,11 @@ class DemixingStack:
         return float(np.min(np.abs(np.linalg.det(self.matrices))))
 
 
-def _check_nonnegative(**values) -> None:
-    for name, value in values.items():
-        if not np.isfinite(value) or value < 0:
-            raise InvalidInputError(f"{name} must be nonnegative")
-
-
 def _constraint_pairs(channels, doas) -> tuple[tuple, tuple]:
     """Constrained channels and their DOAs as int and float tuples; raises
     InvalidInputError unless the channels are unique indices and each has
     one DOA."""
-    channels = tuple(checked_index(k, None, "constrained channel") for k in channels)
+    channels = tuple(checked_index(k, "constrained channel") for k in channels)
     doas = tuple(float(d) for d in np.atleast_1d(checked_array(doas, "DOAs")))
     if len(set(channels)) != len(channels):
         raise InvalidInputError("constrained channels must be unique")
@@ -174,7 +167,7 @@ class PriorConfig:
         sigma2 = checked_array(self.sigma2_per_bin, "sigma2_per_bin")
         if sigma2.ndim != 1 or np.any(sigma2 <= 0):
             raise InvalidInputError("sigma2_per_bin must be a positive 1-D array")
-        _check_nonnegative(lambda_e=self.lambda_e)
+        self.lambda_e = checked_scalar(self.lambda_e, "lambda_e", low=0.0)
         self.constrained_channels = channels
         self.doa_per_channel = doas
         self.sigma2_per_bin = sigma2
@@ -183,8 +176,9 @@ class PriorConfig:
     def constant(cls, constrained_channels, doa_per_channel, geometry: ArrayGeometry,
                  n_bins: int, sigma2: float = 40.0, lambda_e: float = 1e-3) -> "PriorConfig":
         """Constant prior variance across bins (the experiment default)."""
+        sigma2 = checked_scalar(sigma2, "sigma2", low=0.0, strict=True)
         return cls(tuple(constrained_channels), tuple(np.atleast_1d(doa_per_channel)),
-                   np.full(n_bins, float(sigma2)), float(lambda_e), geometry)
+                   np.full(checked_index(n_bins, "n_bins"), sigma2), lambda_e, geometry)
 
 
 @dataclass
@@ -217,9 +211,8 @@ def _prior_formula(h: np.ndarray, sigma2, lambda_e: float) -> np.ndarray:
 
 def prior_matrix(h: np.ndarray, sigma2: float, lambda_e: float) -> np.ndarray:
     """Prior matrix ``(lambda_e * I + h h^H) / sigma2`` for one bin."""
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise InvalidInputError("sigma2 must be positive")
-    _check_nonnegative(lambda_e=lambda_e)
+    sigma2 = checked_scalar(sigma2, "sigma2", low=0.0, strict=True)
+    lambda_e = checked_scalar(lambda_e, "lambda_e", low=0.0)
     h = checked_array(h, "steering vector", np.complex128)
     if h.ndim != 1:
         raise InvalidInputError("steering vector must be 1-D")
@@ -315,7 +308,7 @@ def _check_shapes(spec: ComplexSpectrogram, w: DemixingStack) -> None:
 def demixed_energies(spec: ComplexSpectrogram, w: DemixingStack, channel: int) -> np.ndarray:
     """Broadband frame magnitudes ``r_n = ||y_n||_2`` of one output channel."""
     _check_shapes(spec, w)
-    channel = checked_index(channel, spec.n_channels, "channel")
+    channel = checked_index(channel, "channel", high=spec.n_channels)
     return _frame_energies(_demix_data(spec.data, w.matrices))[:, channel]
 
 
@@ -333,7 +326,7 @@ def weighted_covariance(spec: ComplexSpectrogram, energies, model: SourceModel, 
     The weights are the source-model contributions ``G'(r_n)/r_n`` of the
     channel under update, evaluated from the supplied broadband energies.
     """
-    f = checked_index(f, spec.n_bins, "bin index")
+    f = checked_index(f, "bin index", high=spec.n_bins)
     energies = checked_array(energies, "energy vector")
     if energies.shape != (spec.n_frames,):
         raise InvalidInputError("energies must hold one value per frame")
@@ -443,8 +436,8 @@ def update_constrained(w: DemixingStack, cov: np.ndarray, prior_mat: np.ndarray,
     """Majorize-minimize row update of bin ``f`` against covariance plus prior
     matrix: replaces row ``channel`` in place and returns the new demixing
     vector, normalized so that ``w^H (V + D) w = 1``."""
-    f = checked_index(f, w.n_bins, "bin index")
-    channel = checked_index(channel, w.n_channels, "channel")
+    f = checked_index(f, "bin index", high=w.n_bins)
+    channel = checked_index(channel, "channel", high=w.n_channels)
     cov = checked_array(cov, "covariance", np.complex128)
     prior_mat = checked_array(prior_mat, "prior matrix", np.complex128)
     if cov.shape != (w.n_channels, w.n_channels):
@@ -488,7 +481,7 @@ def _steering_field(channels, doas, geometry: ArrayGeometry,
     # each constrained channel's C-contiguous (K, F) steering vectors toward
     # its DOA, after checking the channels and geometry against spec
     for k in channels:
-        checked_index(k, spec.n_channels, "constrained channel")
+        checked_index(k, "constrained channel", high=spec.n_channels)
     if geometry.n_mics != spec.n_channels:
         raise InvalidInputError(f"geometry has {geometry.n_mics} mics, "
                                 f"spectrogram has {spec.n_channels} channels")
@@ -563,7 +556,7 @@ def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update
     # coef) fills the trace's second column and is taken for every stack
     # before an update starts from it; solver names the algorithm in a
     # CostOverflowError
-    iterations = checked_index(iterations, None, "iterations")
+    iterations = checked_index(iterations, "iterations")
     w = _bins_last(DemixingStack.identity(spec.n_bins, spec.n_channels).matrices)
     coef = _form_coefficients(w)
     with np.errstate(over="ignore", invalid="ignore"):  # any overflow shows in the cost
@@ -655,7 +648,7 @@ def penalty_gradient(w: DemixingStack, h_field: dict[int, np.ndarray],
     stored rows, in the real/imaginary (Wirtinger, factor two) convention so
     it matches finite differences on the real and imaginary parts directly.
     """
-    _check_nonnegative(constraint_weight=constraint_weight)
+    constraint_weight = checked_scalar(constraint_weight, "constraint_weight", low=0.0)
     matrices = w.matrices.transpose(1, 2, 0)
     grad = np.zeros_like(w.matrices)
     for channel, h in _check_field(w, h_field).items():
@@ -668,7 +661,7 @@ def _check_field(w: DemixingStack, h_field: dict) -> dict[int, np.ndarray]:
     # C-contiguous complex (K, n_bins) arrays
     field = {}
     for channel, h in h_field.items():
-        channel = checked_index(channel, w.n_channels, "constrained channel")
+        channel = checked_index(channel, "constrained channel", high=w.n_channels)
         h = checked_array(h, f"steering field of channel {channel}", np.complex128)
         if h.shape != (w.n_bins, w.n_channels):
             raise InvalidInputError("steering field must be (n_bins, K) per channel")
@@ -720,7 +713,8 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     frame magnitude.
     """
     _check_shapes(spec, w)
-    _check_nonnegative(stepsize=stepsize, constraint_weight=constraint_weight)
+    stepsize = checked_scalar(stepsize, "stepsize", low=0.0)
+    constraint_weight = checked_scalar(constraint_weight, "constraint_weight", low=0.0)
     field = _check_field(w, h_field)
     weights = model.weight(_frame_energies(_demix_data(spec.data, w.matrices)))
     cov = _weighted_covariances(_hermitian_cache(spec.data), weights)
@@ -739,7 +733,8 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     """
     channels, doas = _constraint_pairs(constrained_channels, target_doas)
     field = _steering_field(channels, doas, geometry, spec)
-    _check_nonnegative(stepsize=stepsize, constraint_weight=constraint_weight)
+    stepsize = checked_scalar(stepsize, "stepsize", low=0.0)
+    constraint_weight = checked_scalar(constraint_weight, "constraint_weight", low=0.0)
 
     def step(it, w, covs):
         w = _gradient_step(w, covs, field, stepsize, constraint_weight)
@@ -772,5 +767,5 @@ def project_back(demixed: ComplexSpectrogram, w: DemixingStack,
     if reference is None:
         scale = np.einsum("fkk->fk", inv)
     else:
-        scale = inv[:, checked_index(reference, w.n_channels, "reference channel"), :]
+        scale = inv[:, checked_index(reference, "reference channel", high=w.n_channels), :]
     return ComplexSpectrogram(demixed.data * scale[:, None, :], demixed.config)

@@ -186,8 +186,7 @@ class ReferenceProjector:
 
     def __init__(self, references, filter_len: int = DEFAULT_FILTER_LEN):
         references = np.atleast_2d(checked_array(references, "references"))
-        if checked_index(filter_len, None, "filter_len") < 1:
-            raise InvalidInputError("filter_len must be positive")
+        filter_len = checked_index(filter_len, "filter_len", low=1)
         if references.ndim != 2 or references.shape[0] < 1:
             raise InvalidInputError("references must be (n_refs, n_samples)")
         if references.shape[1] < 10 * filter_len:

@@ -17,23 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_array, checked_index
+from .errors import InvalidInputError, checked_array, checked_index, checked_scalar
 from .stft import StftConfig
 
 SPEED_OF_SOUND = 343.0
 FRACTIONAL_DELAY_TAPS = 63
-
-
-def _check_doa(doa_deg: float) -> None:
-    """The one range rule for a source direction: [0, 180] degrees."""
-    if not 0.0 <= doa_deg <= 180.0:
-        raise InvalidInputError(f"DOA {doa_deg} outside [0, 180] degrees")
-
-
-def _check_snr(snr_db: float) -> None:
-    """The one range rule for an SNR: finite or +inf dB."""
-    if np.isnan(snr_db) or (np.isinf(snr_db) and snr_db < 0):
-        raise InvalidInputError("snr_db must be finite or +inf")
+_FILTER_BLOCK = 4096  # samples per Python-float block of _tilt_highpass
 
 
 def _cos_degrees(theta_deg: float) -> float:
@@ -54,14 +43,14 @@ class ArrayGeometry:
             raise InvalidInputError("mic_positions must be (n_mics, 3)")
         if pos.shape[0] < 2:
             raise InvalidInputError("need at least 2 microphones")
-        if not np.isfinite(self.speed_of_sound) or self.speed_of_sound <= 0:
-            raise InvalidInputError("speed_of_sound must be positive")
+        checked_scalar(self.speed_of_sound, "speed_of_sound", low=0.0, strict=True)
         object.__setattr__(self, "mic_positions", pos)
 
     @classmethod
     def linear_pair(cls, spacing: float, speed_of_sound: float = SPEED_OF_SOUND):
         """Two microphones ``spacing`` meters apart on the array axis."""
-        return cls(np.array([[0.0, 0.0, 0.0], [spacing, 0.0, 0.0]]), speed_of_sound)
+        offset = [checked_scalar(spacing, "spacing"), 0.0, 0.0]
+        return cls(np.array([[0.0, 0.0, 0.0], offset]), speed_of_sound)
 
     @property
     def n_mics(self) -> int:
@@ -79,13 +68,14 @@ def steering_vector(f: int, doa_deg: float, geometry: ArrayGeometry, config: Stf
     Entry m is ``exp(j * 2*pi*nu_f / c * (r_m - r_1) . (cos doa, sin doa, 0))``;
     the reference microphone entry is exactly 1 and all have unit modulus.
     """
-    f = checked_index(f, config.n_bins, "bin index")
+    f = checked_index(f, "bin index", high=config.n_bins)
     return steering_stack(doa_deg, geometry, config)[f]
 
 
 def steering_stack(doa_deg: float, geometry: ArrayGeometry, config: StftConfig) -> np.ndarray:
-    """Steering vectors for all bins at once, shape (n_bins, n_mics)."""
-    _check_doa(doa_deg)
+    """Steering vectors for all bins at once, shape (n_bins, n_mics), for a
+    DOA in [0, 180] degrees."""
+    doa_deg = checked_scalar(doa_deg, "DOA", 0.0, 180.0)
     nu = config.bin_frequency(np.arange(config.n_bins))  # (F,)
     proj = geometry.path_offsets(doa_deg)  # (M,)
     phase = 2.0 * np.pi / geometry.speed_of_sound * nu[:, None] * proj[None, :]
@@ -117,13 +107,12 @@ class SceneSpec:
         if sig.ndim != 2 or sig.shape[1] == 0:
             raise InvalidInputError("source_signals must be (n_sources, n_samples)")
         self.source_signals = sig
-        doas = tuple(float(d) for d in np.atleast_1d(self.source_doas))
-        if len(doas) != sig.shape[0]:
+        self.source_doas = tuple(checked_scalar(d, "DOA", 0.0, 180.0)
+                                 for d in np.ravel(self.source_doas).tolist())
+        if len(self.source_doas) != sig.shape[0]:
             raise InvalidInputError("need one DOA per source")
-        for d in doas:
-            _check_doa(d)
-        self.source_doas = doas
-        _check_snr(self.snr_db)
+        self.snr_db = checked_scalar(self.snr_db, "snr_db", inf_ok=True)
+        self.seed = checked_index(self.seed, "seed")
         if self.rirs is not None:
             rirs = checked_array(self.rirs, "rirs")
             if rirs.ndim != 3 or rirs.shape[0] != sig.shape[0]:
@@ -147,8 +136,8 @@ def fractional_delay(signal: np.ndarray, delay_samples: float, n_taps: int = FRA
     a unit impulse.
     """
     x = checked_array(signal, "signal")
-    delay_samples = float(checked_array(delay_samples, "delay"))
-    center = (n_taps - 1) // 2
+    delay_samples = checked_scalar(delay_samples, "delay")
+    center = (checked_index(n_taps, "n_taps", low=1) - 1) // 2
     d_int = int(np.floor(delay_samples))
     frac = delay_samples - d_int
     offset = np.arange(n_taps) - center - frac
@@ -221,12 +210,12 @@ def add_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     noise power matches ``snr_db`` exactly. With ``snr_db = inf`` the noise
     branch is skipped and ``clean`` itself is returned; a silent ``clean``
     gets zero noise."""
-    _check_snr(snr_db)
+    snr_db = checked_scalar(snr_db, "snr_db", inf_ok=True)
+    rng = np.random.default_rng(checked_index(seed, "seed"))
     clean = checked_array(clean, "clean signal")
     if np.isinf(snr_db):
         return clean
     power = float(np.mean(clean**2))
-    rng = np.random.default_rng(seed)
     noise = rng.standard_normal(clean.shape)
     if power > 0.0:
         target = power / 10.0 ** (snr_db / 10.0)
@@ -268,21 +257,25 @@ def _tilt_highpass(noise: np.ndarray, alpha: float, b: np.ndarray, a: np.ndarray
     scipy's ``lfilter``, with its operation order, so the output is the one
     two chained ``lfilter`` calls give, bit for bit. The one-pole's state
     update ``x * 0.0 - y * -alpha`` is written as its exact equal
-    ``y * alpha``.
+    ``y * alpha``. The samples run through Python floats in blocks of
+    ``_FILTER_BLOCK``, so no list as long as the signal is built.
     """
     gain = 1.0 - alpha
     b0, b1, b2 = b.tolist()
     _, a1, a2 = a.tolist()
     state = z1 = z2 = 0.0
-    out = noise.tolist()
-    for n, x in enumerate(out):
-        u = state + gain * x
-        state = u * alpha
-        y = z1 + b0 * u
-        z1 = z2 + u * b1 - y * a1
-        z2 = u * b2 - y * a2
-        out[n] = y
-    return np.array(out)
+    out = np.empty_like(noise)
+    for start in range(0, noise.shape[0], _FILTER_BLOCK):
+        block = noise[start : start + _FILTER_BLOCK].tolist()
+        for n, x in enumerate(block):
+            u = state + gain * x
+            state = u * alpha
+            y = z1 + b0 * u
+            z1 = z2 + u * b1 - y * a1
+            z2 = u * b2 - y * a2
+            block[n] = y
+        out[start : start + len(block)] = block
+    return out
 
 
 def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed: int = 0,
@@ -302,20 +295,18 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     samples equal those of the scipy formulation bit for bit while loading
     no scipy.
 
-    Raises InvalidInputError unless ``n_sources >= 1``, the duration is
-    finite and renders at least one sample and
-    ``0 < band_hz[0] < sample_rate / 2``.
+    Raises InvalidInputError unless ``n_sources >= 1``, ``band_hz[0] > 0``,
+    ``band_hz[1] > 0`` (+inf skips the tilt), ``sample_rate > 2 *
+    band_hz[0]``, the envelope rate is positive and the duration renders at
+    least one sample.
     """
-    if checked_index(n_sources, None, "n_sources") < 1:
-        raise InvalidInputError("need n_sources >= 1")
-    nyquist = sample_rate / 2.0
-    if not 0.0 < band_hz[0] < nyquist:
-        raise InvalidInputError(f"highpass edge {band_hz[0]:g} Hz must lie above 0 and below "
-                                f"the Nyquist frequency {nyquist:g} Hz of the "
-                                f"{sample_rate:g} Hz sample rate")
-    rng = np.random.default_rng(seed)
-    if not np.isfinite(duration):
-        raise InvalidInputError(f"duration {duration:g} s is not finite")
+    n_sources = checked_index(n_sources, "n_sources", low=1)
+    highpass = checked_scalar(band_hz[0], "band_hz[0]", low=0.0, strict=True)
+    lowpass = checked_scalar(band_hz[1], "band_hz[1]", low=0.0, strict=True, inf_ok=True)
+    sample_rate = checked_scalar(sample_rate, "sample_rate", low=2.0 * highpass, strict=True)
+    duration = checked_scalar(duration, "duration")
+    envelope_rate_hz = checked_scalar(envelope_rate_hz, "envelope_rate_hz", low=0.0, strict=True)
+    rng = np.random.default_rng(checked_index(seed, "seed"))
     n_samples = int(round(duration * sample_rate))
     if n_samples < 1:
         raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
@@ -325,8 +316,8 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     out = np.empty((n_sources, n_samples))
     t = np.arange(n_samples, dtype=np.float64)
     node_t = np.arange(n_nodes, dtype=np.float64) * segment
-    alpha = float(np.exp(-2.0 * np.pi * band_hz[1] / sample_rate))
-    b_hp, a_hp = _butter_highpass2(band_hz[0], sample_rate)
+    alpha = float(np.exp(-2.0 * np.pi * lowpass / sample_rate))
+    b_hp, a_hp = _butter_highpass2(highpass, sample_rate)
     for k in range(n_sources):
         carrier = _tilt_highpass(rng.standard_normal(n_samples), alpha, b_hp, a_hp)
         envelope = np.interp(t, node_t, 0.05 + np.abs(rng.standard_normal(n_nodes)))

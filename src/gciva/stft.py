@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, checked_array, checked_index
+from .errors import InvalidInputError, checked_array, checked_index, checked_scalar
 
 WINDOW_KINDS = ("hamming", "hann")
 
@@ -40,13 +40,9 @@ class StftConfig:
     window_kind: str = "hamming"
 
     def __post_init__(self) -> None:
-        for name in ("window_length", "hop"):
-            if checked_index(getattr(self, name), None, name) == 0:
-                raise InvalidInputError(f"{name} must be a positive integer")
-        if self.hop > self.window_length:
-            raise InvalidInputError("hop must not exceed window_length")
-        if not np.isfinite(self.sample_rate) or self.sample_rate <= 0:
-            raise InvalidInputError("sample_rate must be positive")
+        length = checked_index(self.window_length, "window_length", low=1)
+        checked_index(self.hop, "hop", low=1, high=length + 1)  # hop <= window_length
+        checked_scalar(self.sample_rate, "sample_rate", low=0.0, strict=True)
         if self.window_kind not in WINDOW_KINDS:
             raise InvalidInputError(f"unknown window kind: {self.window_kind!r}")
 
@@ -123,10 +119,12 @@ def analyze(signal, config: StftConfig) -> ComplexSpectrogram:
     padded[:, :n_samples] = x.T
 
     # (channel, frame, sample) windows of the padded signal: a strided view,
-    # so the only copy made is the windowed one the transform reads
+    # so the only copy made is the windowed one the transform reads, and the
+    # transform writes straight into the (bin, frame, channel) layout
     frames = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)[:, ::hop]
-    spectra = np.fft.rfft(frames * config.window(), axis=2)
-    return ComplexSpectrogram(np.ascontiguousarray(spectra.transpose(2, 1, 0)), config)
+    spectra = np.empty((config.n_bins, n_frames, n_channels), dtype=np.complex128)
+    np.fft.rfft(frames * config.window(), axis=2, out=spectra.transpose(2, 1, 0))
+    return ComplexSpectrogram(spectra, config)
 
 
 def synthesize(spec: ComplexSpectrogram) -> np.ndarray:

@@ -1,10 +1,17 @@
-"""Every public entry point checks its arrays, indices and counts by one
-rule: a bad one raises InvalidInputError naming the input, never a numpy or
-Python error and never a silent result."""
+"""Every public entry point checks its arrays, indices, counts, seeds and
+scalars by one rule: a bad one raises InvalidInputError naming the input,
+never a numpy or Python error and never a silent result."""
+
+import inspect
+import math
+import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import gciva
+from gciva.cli import ExperimentConfig, main
 from gciva import (
     ArrayGeometry,
     ComplexSpectrogram,
@@ -18,16 +25,21 @@ from gciva import (
     StftConfig,
     add_noise,
     analyze,
+    decompose_sir_sdr,
     demixed_energies,
     fractional_delay,
+    gradient_update,
+    match_permutation,
     penalty_gradient,
     prior_matrix,
     project_back,
     run_gradient_iva,
     run_informed_iva,
+    steering_stack,
     steering_vector,
     synthetic_sources,
     update_constrained,
+    update_unconstrained,
     weighted_covariance,
 )
 
@@ -51,7 +63,13 @@ CASES = ("string-field-key", "string-reference", "string-bin", "fractional-bin",
          "fractional-channel", "fractional-steering-bin", "ragged-signal",
          "ragged-mic-positions", "ragged-spectrogram", "ragged-cost-trace", "ragged-sigma2",
          "ragged-references", "ragged-estimates", "nan-delay", "float-filter-length",
-         "fractional-prior-channel", "float-window-length", "nan-clean-signal", "nan-rirs")
+         "fractional-prior-channel", "float-window-length", "nan-clean-signal", "nan-rirs",
+         "float-prior-bin-count", "float-stack-bin-count", "float-tap-count", "zero-tap-count",
+         "string-sigma2", "string-epsilon", "string-sample-rate", "string-speed-of-sound",
+         "string-doa", "string-noise-snr", "string-scene-snr", "fractional-noise-seed",
+         "negative-noise-seed", "fractional-sources-seed", "negative-sources-seed",
+         "string-duration", "zero-envelope-rate", "nan-envelope-rate", "fractional-scene-seed",
+         "negative-scene-seed", "nan-lowpass-edge", "nan-sample-rate")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -61,6 +79,7 @@ def test_bad_input_raises_naming_the_input(case):
     d = prior_matrix(np.ones(2), 40.0, 1e-3)
     nan_clean = np.zeros((8, 2))
     nan_clean[3, 1] = np.nan
+    scene = (np.ones((2, 16)), (45.0, 135.0))
     calls = {  # case -> (call, the whole message, which names the input)
         "string-field-key": (lambda: penalty_gradient(w, {"0": h}, 0.5),
                              "constrained channel '0' is not an integer"),
@@ -95,7 +114,7 @@ def test_bad_input_raises_naming_the_input(case):
         "ragged-estimates": (lambda: ReferenceProjector(references(), 64).score(
             [np.ones(640), np.ones(600)]), "estimates is not a numeric array"),
         "nan-delay": (lambda: fractional_delay(np.ones(64), np.nan),
-                      "delay contains non-finite entries"),
+                      "delay nan outside (-inf, inf)"),
         "float-filter-length": (lambda: ReferenceProjector(references(), 64.0),
                                 "filter_len 64.0 is not an integer"),
         "fractional-prior-channel": (
@@ -108,6 +127,49 @@ def test_bad_input_raises_naming_the_input(case):
         "nan-rirs": (lambda: SceneSpec(np.ones((2, 16)), (45.0, 135.0),
                                        rirs=np.full((2, 2, 4), np.nan)),
                      "rirs contains non-finite entries"),
+        "float-prior-bin-count": (lambda: PriorConfig.constant((0,), (45.0,), PAIR, n_bins=3.0),
+                                  "n_bins 3.0 is not an integer"),
+        "float-stack-bin-count": (lambda: DemixingStack.identity(3.0, 2),
+                                  "n_bins 3.0 is not an integer"),
+        "float-tap-count": (lambda: fractional_delay(np.ones(64), 1.5, 63.0),
+                            "n_taps 63.0 is not an integer"),
+        "zero-tap-count": (lambda: fractional_delay(np.ones(64), 1.5, 0),
+                           "n_taps 0 outside [1, inf)"),
+        "string-sigma2": (lambda: prior_matrix(np.ones(2), "40", 1e-3),
+                          "sigma2 '40' is not a real number"),
+        "string-epsilon": (lambda: SourceModel("1e-8"), "epsilon '1e-8' is not a real number"),
+        "string-sample-rate": (lambda: StftConfig(sample_rate="16000"),
+                               "sample_rate '16000' is not a real number"),
+        "string-speed-of-sound": (lambda: ArrayGeometry.linear_pair(0.21, "343"),
+                                  "speed_of_sound '343' is not a real number"),
+        "string-doa": (lambda: steering_stack("45", PAIR, CONFIG), "DOA '45' is not a real number"),
+        "string-noise-snr": (lambda: add_noise(np.zeros((8, 2)), "20", 0),
+                             "snr_db '20' is not a real number"),
+        "string-scene-snr": (lambda: SceneSpec(*scene, "20"), "snr_db '20' is not a real number"),
+        "fractional-noise-seed": (lambda: add_noise(np.zeros((8, 2)), 20.0, 0.5),
+                                  "seed 0.5 is not an integer"),
+        "negative-noise-seed": (lambda: add_noise(np.zeros((8, 2)), 20.0, -1),
+                                "seed -1 outside [0, inf)"),
+        "fractional-sources-seed": (lambda: synthetic_sources(2, 0.01, 16000.0, 0.5),
+                                    "seed 0.5 is not an integer"),
+        "negative-sources-seed": (lambda: synthetic_sources(2, 0.01, 16000.0, -1),
+                                  "seed -1 outside [0, inf)"),
+        "string-duration": (lambda: synthetic_sources(2, "1", 16000.0),
+                            "duration '1' is not a real number"),
+        "zero-envelope-rate": (lambda: synthetic_sources(2, 0.01, 16000.0, envelope_rate_hz=0),
+                               "envelope_rate_hz 0.0 outside (0, inf)"),
+        "nan-envelope-rate": (
+            lambda: synthetic_sources(2, 0.01, 16000.0, envelope_rate_hz=np.nan),
+            "envelope_rate_hz nan outside (0, inf)"),
+        "fractional-scene-seed": (lambda: SceneSpec(*scene, seed=0.5),
+                                  "seed 0.5 is not an integer"),
+        "negative-scene-seed": (lambda: SceneSpec(*scene, seed=-1), "seed -1 outside [0, inf)"),
+        "nan-lowpass-edge": (
+            lambda: synthetic_sources(2, 0.01, 16000.0, band_hz=(150.0, np.nan)),
+            "band_hz[1] nan outside (0, inf]"),
+        # the sample rate must exceed twice the 150 Hz highpass edge
+        "nan-sample-rate": (lambda: synthetic_sources(2, 1.0, np.nan),
+                            "sample_rate nan outside (300, inf)"),
     }
     call, message = calls[case]
     with pytest.raises(InvalidInputError) as info:
@@ -124,3 +186,161 @@ def test_numpy_integers_are_indices():
                                       project_back(spec, w, 1).data)
     with pytest.raises(InvalidInputError, match=r"^channel 2 outside \[0, 2\)$"):
         demixed_energies(spec, w, np.int64(2))
+
+
+def test_lowpass_edge_may_be_infinite():
+    # +inf drops the one-pole tilt: the highpass alone shapes the noise
+    assert np.all(np.isfinite(synthetic_sources(1, 0.01, 16000.0, band_hz=(150.0, np.inf))))
+
+
+# One value of each bad kind, drawn from a fixed seed: a string (a mistyped
+# number, which a config file cannot parse either), a fractional count, NaN,
+# both infinities and a negative number.
+_DRAW = random.Random(26).randint(2, 9)
+BAD = {"string": f"{_DRAW}o", "float-count": _DRAW + 0.5, "nan": math.nan, "+inf": math.inf,
+       "-inf": -math.inf, "negative": -_DRAW}
+# (callable, parameter) -> the kinds it accepts; a float count is a valid
+# value of every float parameter
+ACCEPTED = {("SceneSpec", "snr_db"): {"+inf", "negative"},
+            ("add_noise", "snr_db"): {"+inf", "negative"},
+            ("fractional_delay", "delay_samples"): {"negative"},
+            ("ArrayGeometry.linear_pair", "spacing"): {"negative"}}
+# parameter -> the name its messages give it, where the two differ
+SPOKEN = {"f": "bin index", "doa_deg": "DOA", "delay_samples": "delay",
+          "reference": "reference channel"}
+SCALARS = (int, float, int | None)
+
+
+def valid_calls():
+    """One valid keyword call of each public callable that takes a number."""
+    spec, w = spec_and_stack()
+    refs = references()
+    v, h = np.eye(2), np.ones((3, 2))
+    d = prior_matrix(np.ones(2), 40.0, 1e-3)
+    return {
+        "ArrayGeometry": dict(mic_positions=PAIR.mic_positions, speed_of_sound=343.0),
+        "ArrayGeometry.linear_pair": dict(spacing=0.21, speed_of_sound=343.0),
+        "DemixingStack.identity": dict(n_bins=3, n_channels=2),
+        "PriorConfig": dict(constrained_channels=(0,), doa_per_channel=(45.0,),
+                            sigma2_per_bin=np.ones(3), lambda_e=1e-3, geometry=PAIR),
+        "PriorConfig.constant": dict(constrained_channels=(0,), doa_per_channel=(45.0,),
+                                     geometry=PAIR, n_bins=3, sigma2=40.0, lambda_e=1e-3),
+        "ReferenceProjector": dict(references=refs, filter_len=64),
+        "SceneSpec": dict(source_signals=np.ones((2, 16)), source_doas=(45.0, 135.0),
+                          snr_db=20.0, seed=0),
+        "SourceModel": dict(epsilon=1e-8),
+        "StftConfig": dict(window_length=4, hop=2, sample_rate=16000.0),
+        "add_noise": dict(clean=np.ones((8, 2)), snr_db=20.0, seed=0),
+        "decompose_sir_sdr": dict(estimate=refs[0], references=refs, filter_len=64),
+        "demixed_energies": dict(spec=spec, w=w, channel=1),
+        "fractional_delay": dict(signal=np.ones(64), delay_samples=1.5, n_taps=63),
+        "gradient_update": dict(w=w, spec=spec, model=SourceModel(), h_field={0: h},
+                                stepsize=0.05, constraint_weight=0.5),
+        "match_permutation": dict(estimates=refs, references=refs, filter_len=64),
+        "penalty_gradient": dict(w=w, h_field={0: h}, constraint_weight=0.5),
+        "prior_matrix": dict(h=np.ones(2), sigma2=40.0, lambda_e=1e-3),
+        "project_back": dict(demixed=spec, w=w, reference=0),
+        "run_gradient_iva": dict(spec=spec, constrained_channels=(0,), target_doas=(45.0,),
+                                 geometry=PAIR, model=SourceModel(), iterations=1,
+                                 stepsize=0.05, constraint_weight=0.5),
+        "run_informed_iva": dict(spec=spec, prior=None, model=SourceModel(), iterations=1),
+        "steering_stack": dict(doa_deg=45.0, geometry=PAIR, config=CONFIG),
+        "steering_vector": dict(f=1, doa_deg=45.0, geometry=PAIR, config=CONFIG),
+        "synthetic_sources": dict(n_sources=2, duration=0.01, sample_rate=16000.0, seed=0,
+                                  envelope_rate_hz=25.0),
+        "update_constrained": dict(w=w, cov=v, prior_mat=d, f=1, channel=0),
+        "update_unconstrained": dict(w=w, cov=v, f=1, channel=0),
+        "weighted_covariance": dict(spec=spec, energies=np.ones(4), model=SourceModel(), f=1),
+    }
+
+
+def public_callables():
+    """(qualified name, callable) of every public function, class and public
+    classmethod that ``gciva`` exports, exceptions aside."""
+    found = []
+    for name in gciva.__all__:
+        obj = getattr(gciva, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        found.append((name, obj))
+        if isinstance(obj, type):
+            found += [(f"{name}.{attr}", getattr(obj, attr)) for attr, raw in vars(obj).items()
+                      if isinstance(raw, classmethod) and not attr.startswith("_")]
+    return found
+
+
+def scalar_parameters():
+    # (qualified name, parameter, its annotation) of every numeric parameter
+    return [(name, p.name, p.annotation) for name, obj in public_callables()
+            for p in inspect.signature(obj).parameters.values() if p.annotation in SCALARS]
+
+
+def table_cases():
+    cases = []
+    for name, param, kind in scalar_parameters():
+        for bad, value in BAD.items():
+            if bad in ACCEPTED.get((name, param), ()) or (bad == "float-count" and kind is float):
+                continue
+            cases.append(pytest.param(name, param, value, id=f"{name}-{param}-{bad}"))
+    return cases
+
+
+def test_every_numeric_parameter_has_a_valid_call():
+    calls = valid_calls()
+    assert {name for name, _, _ in scalar_parameters()} == set(calls)
+    for name, obj in public_callables():
+        if name in calls:
+            obj(**calls[name])
+
+
+@pytest.mark.parametrize("name, param, value", table_cases())
+def test_bad_number_raises_naming_the_parameter(name, param, value):
+    call = dict(public_callables())[name]
+    with pytest.raises(InvalidInputError) as info:
+        call(**{**valid_calls()[name], param: value})
+    assert str(info.value).startswith(f"{SPOKEN.get(param, param)} ")
+
+
+# config key -> the command that reads it, as the keys a config file gives
+# besides the one under test
+COMMANDS = {"iterations": {"algorithm": "gc-aux", "doas": "135"},
+            "sigma2": {"algorithm": "gc-aux", "doas": "135", "iterations": "1"},
+            "lambda_e": {"algorithm": "gc-aux", "doas": "135", "iterations": "1"},
+            "stepsize": {"algorithm": "gc-grad", "doas": "45", "iterations": "1"},
+            "constraint_weight": {"algorithm": "gc-grad", "doas": "45", "iterations": "1"}}
+CLI_ACCEPTED = {("snr_db", "+inf"), ("snr_db", "negative"), ("mic_spacing", "negative")}
+
+
+def config_cases():
+    cases = []
+    for f in fields(ExperimentConfig):
+        if f.type in SCALARS:
+            cases += [pytest.param(f.name, str(value), id=f"{f.name}-{bad}")
+                      for bad, value in BAD.items() if (f.name, bad) not in CLI_ACCEPTED
+                      and not (bad == "float-count" and f.type is float)]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def mixture(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scene")
+    assert main(["simulate", "--duration", "0.5", "--out", str(out)]) == 0
+    return out / "mixture.wav"
+
+
+@pytest.mark.parametrize("key, text", config_cases())
+def test_bad_config_number_exits_one(key, text, mixture, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    if key in COMMANDS:
+        lines = {**COMMANDS[key], key: text}
+        argv = ["separate", str(mixture)]
+    else:
+        lines = {"duration": "0.5", key: text}
+        argv = ["simulate"]
+    config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gc-iva: config error: ") and "Traceback" not in err
+    assert {"mic_spacing": "spacing"}.get(key, key) in err
+    assert not out.exists()
