@@ -280,10 +280,15 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
             print(f"gc-iva: warning: reference {path} has {len(ref)} samples, "
                   f"mixture has {mixture.shape[0]}; comparing the common length",
                   file=sys.stderr)
-    # the spectrogram is not held past the solve, which lowers the peak
-    # memory of the output stage
-    stack, demixed, trace = run_separation(analyze(mixture, cfg.stft_config(rate)), cfg)
-    outputs = _outputs(demixed, stack, None, mixture.shape[0])
+    # each large array is dropped at its last use: the mixture once analyzed
+    # (only its length is read after), the spectrogram once solved and the
+    # demixed spectrogram once projected back, so synthesis holds one
+    # spectrogram, not three
+    n_samples = mixture.shape[0]
+    spec = analyze(mixture, cfg.stft_config(rate))
+    del mixture
+    stack, demixed, trace = run_separation(spec, cfg)
+    del spec
 
     report: dict = {"config": cfg.echo(), "algorithm": cfg.algorithm,
                     "iterations": cfg.resolved_iterations(cfg.algorithm),
@@ -292,12 +297,17 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         # metrics compare against the first (reference) microphone, so they
         # are computed on reference-projected outputs; the written WAVs keep
         # the per-channel own-microphone scaling
-        ref_outputs = _outputs(demixed, stack, 0, mixture.shape[0])
+        ref_outputs = _outputs(demixed, stack, 0, n_samples)
         n = min(ref_outputs.shape[0], min(len(r) for r in refs))
         projector = ReferenceProjector(np.stack([r[:n] for r in refs]))
         sir, sdr, perm, matched = _score(projector, ref_outputs[:n], range(len(refs)))
+        del projector, ref_outputs
         report["metrics"] = {"sir_db": sir.tolist(), "sdr_db": sdr.tolist(),
                              "permutation": list(perm), "permutation_matched": matched}
+    projected = project_back(demixed, stack, None)
+    del demixed
+    outputs = synthesize(projected)[:n_samples]
+    del projected
     report["cost_trace"] = {
         "j_iva": [float(v) for v in trace.j_iva],
         "j_prior": [float(v) for v in trace.j_prior],

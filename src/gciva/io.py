@@ -145,7 +145,7 @@ def write_wav(path, data, rate: int) -> None:
     rate = checked_scalar(rate, "WAV sample rate", 1.0, (2**32 - 1) // (4 * channels))
     if not rate.is_integer():
         raise InvalidInputError(f"WAV sample rate {rate} is not a whole number of Hz")
-    samples = x.astype("<f4")
+    samples = x.astype("<f4", order="C")  # written from its buffer, which must be C-ordered
     rate = int(rate)
     header = b"".join((
         b"RIFF", struct.pack("<I", 50 + samples.nbytes), b"WAVE",
@@ -156,7 +156,7 @@ def write_wav(path, data, rate: int) -> None:
     ))
     with open(path, "wb") as f:
         f.write(header)
-        f.write(samples.tobytes())
+        f.write(samples)
 
 
 def read_keyvalue(path) -> dict[str, str]:

@@ -295,19 +295,28 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     samples equal those of the scipy formulation bit for bit while loading
     no scipy.
 
-    Raises InvalidInputError unless ``n_sources >= 1``, ``band_hz[0] > 0``,
-    ``band_hz[1] > 0`` (+inf skips the tilt), ``sample_rate > 2 *
-    band_hz[0]``, the envelope rate is positive and the duration renders at
-    least one sample.
+    Raises InvalidInputError unless ``n_sources >= 1``, ``band_hz`` is a
+    pair with ``band_hz[0] > 0`` and ``band_hz[1] > 0`` (+inf skips the
+    tilt), ``sample_rate > 2 * band_hz[0]``, the envelope rate is positive
+    and the duration renders at least one sample and no more than an array
+    can index.
     """
     n_sources = checked_index(n_sources, "n_sources", low=1)
-    highpass = checked_scalar(band_hz[0], "band_hz[0]", low=0.0, strict=True)
-    lowpass = checked_scalar(band_hz[1], "band_hz[1]", low=0.0, strict=True, inf_ok=True)
+    try:
+        highpass, lowpass = band_hz
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"band_hz {band_hz!r} is not a pair of edges") from None
+    highpass = checked_scalar(highpass, "band_hz[0]", low=0.0, strict=True)
+    lowpass = checked_scalar(lowpass, "band_hz[1]", low=0.0, strict=True, inf_ok=True)
     sample_rate = checked_scalar(sample_rate, "sample_rate", low=2.0 * highpass, strict=True)
     duration = checked_scalar(duration, "duration")
     envelope_rate_hz = checked_scalar(envelope_rate_hz, "envelope_rate_hz", low=0.0, strict=True)
     rng = np.random.default_rng(checked_index(seed, "seed"))
-    n_samples = int(round(duration * sample_rate))
+    count = duration * sample_rate
+    if not count < np.iinfo(np.intp).max:  # inf if the product overflows
+        raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
+                                f"{count:g} samples, more than an array can index")
+    n_samples = int(round(count))
     if n_samples < 1:
         raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
                                 f"{n_samples} samples; need at least 1")

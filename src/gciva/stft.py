@@ -14,6 +14,9 @@ import numpy as np
 from .errors import InvalidInputError, checked_array, checked_index, checked_scalar
 
 WINDOW_KINDS = ("hamming", "hann")
+# frames that analysis windows and synthesis inverts at a time: a block's
+# working arrays are small beside the signal and the spectrogram
+_BLOCK_FRAMES = 8
 
 
 def _window(kind: str, length: int) -> np.ndarray:
@@ -115,16 +118,35 @@ def analyze(signal, config: StftConfig) -> ComplexSpectrogram:
             f"signal has {n_samples} samples, needs at least window_length={length}"
         )
     n_frames = int(np.ceil((n_samples - length) / hop)) + 1
-    padded = np.zeros((n_channels, (n_frames - 1) * hop + length))
-    padded[:, :n_samples] = x.T
-
-    # (channel, frame, sample) windows of the padded signal: a strided view,
-    # so the only copy made is the windowed one the transform reads, and the
-    # transform writes straight into the (bin, frame, channel) layout
-    frames = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)[:, ::hop]
+    win = config.window()
     spectra = np.empty((config.n_bins, n_frames, n_channels), dtype=np.complex128)
-    np.fft.rfft(frames * config.window(), axis=2, out=spectra.transpose(2, 1, 0))
+    out = spectra.transpose(1, 2, 0)  # (frame, channel, bin) view the transform writes
+
+    # (frame, channel, sample) windows of the frames inside the signal: a
+    # strided view, windowed and transformed a block at a time, so neither a
+    # padded signal nor all windowed frames exist at once
+    frames = np.lib.stride_tricks.sliding_window_view(x, length, axis=0)[::hop]
+    for lo in range(0, len(frames), _BLOCK_FRAMES):
+        block = slice(lo, min(lo + _BLOCK_FRAMES, len(frames)))
+        np.fft.rfft(frames[block] * win, axis=2, out=out[block])
+    if len(frames) < n_frames:  # one frame runs past the last sample
+        start = len(frames) * hop
+        tail = np.zeros((1, n_channels, length))
+        tail[0, :, : n_samples - start] = x[start:].T
+        np.fft.rfft(tail * win, axis=2, out=out[len(frames):])
     return ComplexSpectrogram(spectra, config)
+
+
+def _window_sums(win_sq: np.ndarray, hop: int, n_frames: int, lo: int, hi: int) -> np.ndarray:
+    """Samples ``lo:hi`` of the overlap-added squared window, each sample's
+    terms added in frame order, as over the whole signal."""
+    length = len(win_sq)
+    norm = np.zeros(hi - lo)
+    for n in range(max(0, (lo - length) // hop + 1), min(n_frames, (hi - 1) // hop + 1)):
+        start = n * hop
+        a, b = max(start, lo), min(start + length, hi)
+        norm[a - lo : b - lo] += win_sq[a - start : b - start]
+    return norm
 
 
 def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
@@ -141,19 +163,28 @@ def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
         raise InvalidInputError("spectrogram dimensions do not match its config")
     length, hop = config.window_length, config.hop
     n_frames, n_channels = data.shape[1], data.shape[2]
-
-    frames = np.fft.irfft(data, n=length, axis=0)  # (length, frame, channel)
     win = config.window()
+    win_sq = win**2
     total = (n_frames - 1) * hop + length
     out = np.zeros((total, n_channels))
-    norm = np.zeros(total)
-    for n in range(n_frames):
-        lo = n * hop
-        out[lo : lo + length] += win[:, None] * frames[:, n, :]
-        norm[lo : lo + length] += win**2
-    # edge samples where the window vanishes (Hann endpoints) are lost by
-    # the analysis and stay zero instead of dividing by zero
-    covered = norm > 1e-12 * norm.max()
-    np.divide(out, norm[:, None], out=out, where=covered[:, None])
-    out[~covered] = 0.0
+    # inverse transforms a block of frames at a time, each frame added in
+    # order, so no (length, frame, channel) array of all frames exists
+    for first in range(0, n_frames, _BLOCK_FRAMES):
+        frames = np.fft.irfft(data[:, first : first + _BLOCK_FRAMES], n=length, axis=0)
+        for j in range(frames.shape[1]):
+            lo = (first + j) * hop
+            out[lo : lo + length] += win[:, None] * frames[:, j, :]
+    # the window sums are made and divided out a span at a time, once to
+    # find their peak and once to divide; edge samples where the window
+    # vanishes (Hann endpoints) are lost by the analysis and stay zero
+    # instead of dividing by zero
+    step = _BLOCK_FRAMES * hop
+    spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    peak = max(_window_sums(win_sq, hop, n_frames, lo, hi).max() for lo, hi in spans)
+    for lo, hi in spans:
+        norm = _window_sums(win_sq, hop, n_frames, lo, hi)
+        covered = norm > 1e-12 * peak
+        span = out[lo:hi]
+        np.divide(span, norm[:, None], out=span, where=covered[:, None])
+        span[~covered] = 0.0
     return out

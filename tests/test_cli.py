@@ -399,6 +399,47 @@ class TestSeparate:
             channel, _ = gio.read_wav(out / f"separated{k + 1:02d}.wav")
             np.testing.assert_array_equal(channel, mixture[:, k])
 
+    @pytest.mark.parametrize("refs", [False, True])
+    def test_arrays_die_at_their_last_use(self, tmp_path, monkeypatch, refs):
+        # the mixture is dropped once analyzed, its spectrogram once solved
+        # and the demixed spectrogram once projected back, so the solve
+        # holds no mixture and the written outputs' synthesis neither
+        # spectrogram; scoring synthesizes from the demixed one first
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        made, alive = {}, []
+
+        def living(stage):
+            gc.collect()
+            alive.append((stage, sorted(name for name, ref in made.items() if ref() is not None)))
+
+        def analyzing(mixture, config, original=gciva.cli.analyze):
+            made["mixture"] = weakref.ref(mixture)
+            spec = original(mixture, config)
+            made["spectrogram"] = weakref.ref(spec)
+            return spec
+
+        def solving(spec, cfg, original=gciva.cli.run_separation):
+            living("solve")
+            stack, demixed, trace = original(spec, cfg)
+            made["demixed"] = weakref.ref(demixed)
+            return stack, demixed, trace
+
+        def synthesizing(spec, original=gciva.cli.synthesize):
+            living("synthesize")
+            return original(spec)
+
+        monkeypatch.setattr(gciva.cli, "analyze", analyzing)
+        monkeypatch.setattr(gciva.cli, "run_separation", solving)
+        monkeypatch.setattr(gciva.cli, "synthesize", synthesizing)
+        argv = ["separate", scene / "mixture.wav", "--algorithm", "gc-aux", "--doa", "135",
+                "--iterations", "2", "--out", tmp_path / "sep"]
+        if refs:
+            argv += ["--refs", f"{scene / 'source01.wav'},{scene / 'source02.wav'}"]
+        assert run_cli(*argv) == 0
+        scoring = [("synthesize", ["demixed"])] if refs else []
+        assert alive == [("solve", ["spectrogram"]), *scoring, ("synthesize", [])]
+
     def test_report_and_trace_artifacts(self, tmp_path):
         scene = tmp_path / "scene"
         assert simulate_small(scene) == 0

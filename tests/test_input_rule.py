@@ -69,7 +69,9 @@ CASES = ("string-field-key", "string-reference", "string-bin", "fractional-bin",
          "string-doa", "string-noise-snr", "string-scene-snr", "fractional-noise-seed",
          "negative-noise-seed", "fractional-sources-seed", "negative-sources-seed",
          "string-duration", "zero-envelope-rate", "nan-envelope-rate", "fractional-scene-seed",
-         "negative-scene-seed", "nan-lowpass-edge", "nan-sample-rate")
+         "negative-scene-seed", "nan-lowpass-edge", "nan-sample-rate", "string-mic-positions",
+         "string-source-signals", "bytes-signal", "scalar-band", "one-edge-band",
+         "overflowing-duration")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -170,6 +172,19 @@ def test_bad_input_raises_naming_the_input(case):
         # the sample rate must exceed twice the 150 Hz highpass edge
         "nan-sample-rate": (lambda: synthetic_sources(2, 1.0, np.nan),
                             "sample_rate nan outside (300, inf)"),
+        # numeric strings are not parsed
+        "string-mic-positions": (lambda: ArrayGeometry([["0", "0", "0"], ["0.21", "0", "0"]]),
+                                 "mic_positions is not a numeric array"),
+        "string-source-signals": (lambda: SceneSpec(np.full((2, 16), "1"), (45.0, 135.0)),
+                                  "source signals is not a numeric array"),
+        "bytes-signal": (lambda: analyze([b"0"] * 8, CONFIG), "signal is not a numeric array"),
+        "scalar-band": (lambda: synthetic_sources(2, 0.01, 16000.0, band_hz=150.0),
+                        "band_hz 150.0 is not a pair of edges"),
+        "one-edge-band": (lambda: synthetic_sources(2, 0.01, 16000.0, band_hz=(150.0,)),
+                          "band_hz (150.0,) is not a pair of edges"),
+        "overflowing-duration": (lambda: synthetic_sources(2, 1e305, 16000.0),
+                                 "duration 1e+305 s at 16000 Hz renders inf samples, "
+                                 "more than an array can index"),
     }
     call, message = calls[case]
     with pytest.raises(InvalidInputError) as info:
@@ -343,4 +358,15 @@ def test_bad_config_number_exits_one(key, text, mixture, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("gc-iva: config error: ") and "Traceback" not in err
     assert {"mic_spacing": "spacing"}.get(key, key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_overflowing_duration_exits_one(command, tmp_path, capsys):
+    # the sample count of a finite duration overflows a float
+    out = tmp_path / "out"
+    assert main([command, "--duration", "1e305", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("gc-iva: config error: duration 1e+305 s at 16000 Hz renders inf samples, "
+                   "more than an array can index\n")
     assert not out.exists()

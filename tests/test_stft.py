@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import gciva.stft
 from gciva import ComplexSpectrogram, InvalidInputError, StftConfig, analyze, synthesize
+
+BLOCK = gciva.stft._BLOCK_FRAMES
 
 
 def small_config(length=64, hop=32, rate=1000.0):
@@ -41,6 +46,26 @@ def gathered_spectrogram(signal, config):
     idx = np.arange(length)[:, None] + hop * np.arange(n_frames)[None, :]
     frames = padded[idx, :] * config.window()[:, None, None]  # (length, frame, channel)
     return np.fft.rfft(frames, axis=0)
+
+
+def whole_overlap_add(spec):
+    """Oracle: weighted overlap-add over the whole signal at once. Every
+    frame is inverted in one call, and the squared-window sums are built
+    for all samples before any is divided out."""
+    config = spec.config
+    length, hop = config.window_length, config.hop
+    frames = np.fft.irfft(spec.data, n=length, axis=0)  # (length, frame, channel)
+    win = config.window()
+    total = (spec.n_frames - 1) * hop + length
+    out = np.zeros((total, spec.n_channels))
+    norm = np.zeros(total)
+    for n in range(spec.n_frames):
+        out[n * hop : n * hop + length] += win[:, None] * frames[:, n, :]
+        norm[n * hop : n * hop + length] += win**2
+    covered = norm > 1e-12 * norm.max()
+    np.divide(out, norm[:, None], out=out, where=covered[:, None])
+    out[~covered] = 0.0
+    return out
 
 
 def one_sided_energy(spec):
@@ -174,6 +199,53 @@ class TestSynthesize:
         spec.data = np.zeros((config.n_bins - 1, 2, 1), dtype=complex)
         with pytest.raises(InvalidInputError):
             synthesize(spec)
+
+
+class TestFrameBlocks:
+    """Analysis and synthesis run a block of frames at a time; the result is
+    the whole-array formulas' bit for bit, whatever the frame count."""
+
+    @pytest.mark.parametrize("n_channels", [1, 2, 3])
+    # the frames end on the last sample (tail 0), or the last runs past it,
+    # which one frame alone cannot
+    @pytest.mark.parametrize("n_frames, tail", [
+        (n, tail) for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 78) for tail in (0, 7)
+        if n > 1 or not tail])
+    @pytest.mark.parametrize("kind, hop", [("hamming", 32), ("hann", 23)])
+    def test_blocks_equal_whole_array_formulas(self, n_channels, n_frames, tail, kind, hop):
+        config = StftConfig(window_length=64, hop=hop, sample_rate=1000.0, window_kind=kind)
+        n_samples = 64 + (n_frames - 1) * hop - (hop - tail if tail else 0)
+        signal = np.random.default_rng(n_frames).standard_normal((n_samples, n_channels))
+        spec = analyze(signal, config)
+        expected = gathered_spectrogram(signal, config)
+        assert spec.data.shape == expected.shape == (33, n_frames, n_channels)
+        assert np.array_equal(spec.data, expected)
+        rng = np.random.default_rng(n_channels)
+        for data in (spec.data, rng.standard_normal(expected.shape)
+                     + 1j * rng.standard_normal(expected.shape)):
+            given = ComplexSpectrogram(data, config)
+            assert np.array_equal(synthesize(given), whole_overlap_add(given))
+
+    def test_minute_of_stereo_holds_little_beside_the_output(self):
+        # beside what it returns, analysis holds a few blocks of windowed
+        # frames and the one-byte-per-entry mask of the spectrogram's
+        # finiteness check; synthesis a few blocks of inverted frames. Whole
+        # arrays of frames would take 30 MB more each.
+        config = StftConfig()
+        signal = np.random.default_rng(60).standard_normal((60 * 16000, 2))
+        block = BLOCK * 2 * config.window_length * 8  # one block of real frames, in bytes
+        tracemalloc.start()
+        try:
+            spec = analyze(signal, config)
+            analysis_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = synthesize(spec)
+            synthesis_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert analysis_peak <= spec.data.nbytes + spec.data.size + 4 * block
+        assert synthesis_peak <= out.nbytes + 4 * block
 
 
 class TestConfig:
