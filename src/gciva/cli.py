@@ -21,6 +21,7 @@ from .errors import (
     GcivaError,
     InvalidInputError,
     SingularUpdateError,
+    checked_index,
 )
 from .iva import PriorConfig, SourceModel, project_back, run_gradient_iva, run_informed_iva
 from .metrics import ReferenceProjector
@@ -37,7 +38,8 @@ class ExperimentConfig:
     """Fully resolved experiment settings (defaults mirror the reference
     operating point: 2048-sample Hamming window at 16 kHz, sigma2 = 40,
     lambda_e = 1e-3, stepsize 0.05 with constraint weight 0.5, a 0.21 m
-    microphone pair, and an SNR sweep over 10/20/30 dB)."""
+    microphone pair, and an SNR sweep over 10/20/30 dB). Checks its
+    algorithms, iterations and seeds when made, by ``replace()`` too."""
 
     algorithm: str = "gc-aux"
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -63,6 +65,16 @@ class ExperimentConfig:
     sources: tuple[str, ...] = ()
     refs: tuple[str, ...] = ()
     out_dir: str = "."
+
+    def __post_init__(self) -> None:
+        for name in (self.algorithm, *self.algorithms):
+            if name not in ALGORITHMS:
+                raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+        if self.iterations is not None:
+            checked_index(self.iterations, "iterations")
+        checked_index(self.seed, "seed")
+        for seed in self.seeds:
+            checked_index(seed, "seeds")
 
     def resolved_iterations(self, algorithm: str) -> int:
         if self.iterations is not None:
@@ -173,15 +185,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.command == "simulate" and snr_source and len(cfg.snrs) != 1:
         name, text = snr_source
         raise ConfigError(f"simulate {name} takes one SNR in dB like 20 or inf, got {text!r}")
-    for name in (cfg.algorithm, *cfg.algorithms):
-        if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
-    if cfg.iterations is not None and cfg.iterations < 0:
-        raise ConfigError("iterations must be nonnegative")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-    if any(seed < 0 for seed in cfg.seeds):
-        raise ConfigError(f"seeds must be nonnegative, got {cfg.seeds}")
     return cfg
 
 
@@ -209,8 +212,6 @@ def run_separation(spec, cfg: ExperimentConfig):
     ``cfg.doas``: for ``gc-aux`` these are directions to suppress, for
     ``gc-grad`` directions to preserve. Returns ``(stack, demixed, trace)``.
     """
-    if cfg.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     iterations = cfg.resolved_iterations(cfg.algorithm)
     model = SourceModel()
     if cfg.algorithm == "gc-grad":
@@ -221,11 +222,10 @@ def run_separation(spec, cfg: ExperimentConfig):
     return run_informed_iva(spec, prior, model, iterations)
 
 
-def _outputs(demixed, stack, reference: int | None, n_samples: int) -> np.ndarray:
-    """Time-domain outputs (samples x channels) cropped to ``n_samples``:
-    ``reference=None`` scales each to its own microphone (identity demixing
-    stays untouched), an integer projects every one back to that microphone."""
-    return synthesize(project_back(demixed, stack, reference))[:n_samples]
+def _outputs(demixed, stack, n_samples: int) -> np.ndarray:
+    """Time-domain outputs (samples x channels) cropped to ``n_samples``,
+    each projected back to the reference microphone 0."""
+    return synthesize(project_back(demixed, stack, 0))[:n_samples]
 
 
 def _score(projector: ReferenceProjector, outputs: np.ndarray, order):
@@ -297,7 +297,7 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         # metrics compare against the first (reference) microphone, so they
         # are computed on reference-projected outputs; the written WAVs keep
         # the per-channel own-microphone scaling
-        ref_outputs = _outputs(demixed, stack, 0, n_samples)
+        ref_outputs = _outputs(demixed, stack, n_samples)
         n = min(ref_outputs.shape[0], min(len(r) for r in refs))
         projector = ReferenceProjector(np.stack([r[:n] for r in refs]))
         sir, sdr, perm, matched = _score(projector, ref_outputs[:n], range(len(refs)))
@@ -341,7 +341,7 @@ def _benchmark_runs(cfg: ExperimentConfig, spec, doas, n_samples: int):
             doa = doas[other] if cfg.algorithm == "gc-aux" else doas[target]
             run_cfg, order = replace(cfg, constrained_channels=(0,), doas=(doa,)), (target, other)
         stack, demixed, _ = run_separation(spec, run_cfg)
-        outputs = _outputs(demixed, stack, 0, n_samples)
+        outputs = _outputs(demixed, stack, n_samples)
         del stack, demixed  # not held while the caller scores the outputs
         yield target, outputs, order
 

@@ -124,7 +124,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 def check_wav_samples(data) -> None:
     """Raise InvalidInputError naming the peak unless every sample is finite
     and at most float32's largest value in magnitude."""
-    peak = float(np.max(np.abs(np.asarray(data, dtype=np.float64)), initial=0.0))
+    x = np.asarray(data, dtype=np.float64)
+    # two reductions, no temporary as large as x; a NaN propagates through both
+    peak = float(np.maximum(-np.min(x, initial=0.0), np.max(x, initial=0.0)))
     if not peak <= float(np.finfo(np.float32).max):  # a NaN peak fails too
         raise InvalidInputError(f"WAV samples peak at {peak:g}, beyond float32's range")
 

@@ -24,9 +24,9 @@ imaginary parts of the K(K-1)/2 upper-triangle entries, K^2 reals per bin.
 The cache holds ``x_n x_n^H`` of every frame and bin in that layout, frame
 by frame: F*K^2*N real values, half the bytes of the frames' complex outer
 products (about 2.6 MB for a 5 s stereo scene at 2048/1024), freed before
-the output is demixed. One helper, :func:`_form_coefficients`, turns a row
-``a`` into the K^2 real coefficients with ``a X a^H = coef . X`` for any X
-in that layout, and every Hermitian form of the solvers goes through it. Two
+the output is demixed. One routine writes the cache and the K^2 real
+coefficients ``c`` of a row ``a`` with ``a X a^H = c . X`` for any X in that
+layout, through which every Hermitian form of the solvers goes. Two
 real matrix products per iteration read the cache, and they are nearly all of
 an iteration's memory traffic:
 
@@ -239,23 +239,29 @@ def _upper_pairs(n_ch: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n_ch) for j in range(i + 1, n_ch)]
 
 
+def _pair_products(x: np.ndarray, re_scale: float, im_scale: float) -> np.ndarray:
+    # (..., K^2, F) reals in the cache layout's order from (..., K, F) x: |x_i|^2,
+    # then re_scale Re and im_scale Im of x_i conj(x_j) per pair i < j; the
+    # diagonal is built in place, so no temporary outgrows one (..., F) slice
+    n_ch = x.shape[-2]
+    pairs = _upper_pairs(n_ch)
+    out = np.empty(x.shape[:-2] + (n_ch * n_ch, x.shape[-1]))
+    for i in range(n_ch):
+        np.square(x[..., i, :].real, out=out[..., i, :])
+        out[..., i, :] += np.square(x[..., i, :].imag)
+    for p, (i, j) in enumerate(pairs):
+        pair = x[..., i, :] * x[..., j, :].conj()
+        np.multiply(pair.real, re_scale, out=out[..., n_ch + p, :])
+        np.multiply(pair.imag, im_scale, out=out[..., n_ch + len(pairs) + p, :])
+    return out
+
+
 def _hermitian_cache(data: np.ndarray) -> np.ndarray:
     # (N, K^2, F) cache of x x^H per frame and bin, from (F, N, K)
     # spectrogram data, each frame in the cache layout. C-contiguous, so its
     # flat (N, K^2*F) view costs no copy per iteration, and frame-major,
     # the order in which BLAS streams it fastest through both GEMMs.
-    n_bins, n_frames, n_ch = data.shape
-    pairs = _upper_pairs(n_ch)
-    x = data.transpose(1, 2, 0)  # (N, K, F)
-    cache = np.empty((n_frames, n_ch * n_ch, n_bins))
-    for i in range(n_ch):
-        np.square(x[:, i].real, out=cache[:, i])
-        cache[:, i] += np.square(x[:, i].imag)
-    for p, (i, j) in enumerate(pairs):
-        cross = x[:, i] * x[:, j].conj()
-        cache[:, n_ch + p] = cross.real
-        cache[:, n_ch + len(pairs) + p] = cross.imag
-    return cache
+    return _pair_products(data.transpose(1, 2, 0), 1.0, 1.0)
 
 
 def _cache_layout(matrices: np.ndarray) -> np.ndarray:
@@ -271,15 +277,7 @@ def _form_coefficients(rows: np.ndarray) -> np.ndarray:
     # the (..., K^2, F) real c with a X a^H = sum_r c[..., r, f] h[r, f] for
     # every row a = rows[..., :, f] and Hermitian X in the cache layout h:
     # |a_i|^2 on the diagonal, 2 Re and -2 Im of a_i conj(a_j) for a pair
-    n_ch = rows.shape[-2]
-    pairs = _upper_pairs(n_ch)
-    coef = np.empty(rows.shape[:-2] + (n_ch * n_ch, rows.shape[-1]))
-    np.add(np.square(rows.real), np.square(rows.imag), out=coef[..., :n_ch, :])
-    for p, (i, j) in enumerate(pairs):
-        pair = rows[..., i, :] * rows[..., j, :].conj()
-        np.multiply(pair.real, 2.0, out=coef[..., n_ch + p, :])
-        np.multiply(pair.imag, -2.0, out=coef[..., n_ch + len(pairs) + p, :])
-    return coef
+    return _pair_products(rows, 2.0, -2.0)
 
 
 def _cache_energies(cache: np.ndarray, coef: np.ndarray) -> np.ndarray:

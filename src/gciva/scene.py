@@ -299,7 +299,7 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     pair with ``band_hz[0] > 0`` and ``band_hz[1] > 0`` (+inf skips the
     tilt), ``sample_rate > 2 * band_hz[0]``, the envelope rate is positive
     and the duration renders at least one sample and no more than an array
-    can index.
+    can index or memory can hold.
     """
     n_sources = checked_index(n_sources, "n_sources", low=1)
     try:
@@ -322,8 +322,12 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
                                 f"{n_samples} samples; need at least 1")
     segment = max(1, int(round(sample_rate / envelope_rate_hz)))
     n_nodes = n_samples // segment + 2
-    out = np.empty((n_sources, n_samples))
-    t = np.arange(n_samples, dtype=np.float64)
+    try:
+        out = np.empty((n_sources, n_samples))
+        t = np.arange(n_samples, dtype=np.float64)
+    except MemoryError:
+        raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
+                                f"{n_samples} samples, more than memory holds") from None
     node_t = np.arange(n_nodes, dtype=np.float64) * segment
     alpha = float(np.exp(-2.0 * np.pi * lowpass / sample_rate))
     b_hp, a_hp = _butter_highpass2(highpass, sample_rate)

@@ -19,16 +19,6 @@ WINDOW_KINDS = ("hamming", "hann")
 _BLOCK_FRAMES = 8
 
 
-def _window(kind: str, length: int) -> np.ndarray:
-    # periodic (DFT-even) windows, nonnegative by construction
-    n = np.arange(length)
-    if kind == "hamming":
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / length)
-    if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
-    raise InvalidInputError(f"unknown window kind: {kind!r}")
-
-
 @dataclass(frozen=True)
 class StftConfig:
     """Transform configuration.
@@ -58,7 +48,11 @@ class StftConfig:
         return np.asarray(f) * self.sample_rate / self.window_length
 
     def window(self) -> np.ndarray:
-        return _window(self.window_kind, self.window_length)
+        # periodic (DFT-even), nonnegative; __post_init__ admits no third kind
+        n = np.arange(self.window_length)
+        if self.window_kind == "hamming":
+            return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / self.window_length)
+        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.window_length)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +181,7 @@ class TestConfigResolution:
     @pytest.mark.parametrize("command", ["simulate", "benchmark"])
     @pytest.mark.parametrize("flag, value, key", [
         ("--duration", "nan", "duration"), ("--duration", "inf", "duration"),
-        ("--seed", "-1", "seed")])
+        ("--seed", "-1", "seed"), ("--iterations", "-1", "iterations")])
     def test_bad_duration_or_seed_exits_one(self, tmp_path, command, flag, value, key):
         out = tmp_path / "out"
         proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
@@ -195,8 +195,24 @@ class TestConfigResolution:
     def test_negative_seed_in_a_list_names_seeds(self, tmp_path):
         config = tmp_path / "seeds.cfg"
         config.write_text("seeds = 0,-2\n")
-        with pytest.raises(gciva.ConfigError, match="seeds must be nonnegative"):
+        with pytest.raises(gciva.InvalidInputError, match=r"^seeds -2 outside \[0, inf\)$"):
             resolve_file(config)
+
+    @pytest.mark.parametrize("changes, error, message", [
+        ({"seed": -1}, gciva.InvalidInputError, "seed -1 outside [0, inf)"),
+        ({"seeds": (0, -2)}, gciva.InvalidInputError, "seeds -2 outside [0, inf)"),
+        ({"iterations": -1}, gciva.InvalidInputError, "iterations -1 outside [0, inf)"),
+        ({"algorithm": "x"}, gciva.ConfigError,
+         "unknown algorithm 'x', expected one of ('aux', 'gc-aux', 'gc-grad')"),
+        ({"algorithms": ("aux", "x")}, gciva.ConfigError,
+         "unknown algorithm 'x', expected one of ('aux', 'gc-aux', 'gc-grad')"),
+    ])
+    def test_replace_checks_each_value(self, changes, error, message):
+        # every configuration is checked when made, so a replace() of a
+        # valid one is too, not only the configurations the CLI resolves
+        with pytest.raises(error) as info:
+            replace(ExperimentConfig(), **changes)
+        assert str(info.value) == message
 
 
 class TestSimulate:

@@ -71,7 +71,7 @@ CASES = ("string-field-key", "string-reference", "string-bin", "fractional-bin",
          "string-duration", "zero-envelope-rate", "nan-envelope-rate", "fractional-scene-seed",
          "negative-scene-seed", "nan-lowpass-edge", "nan-sample-rate", "string-mic-positions",
          "string-source-signals", "bytes-signal", "scalar-band", "one-edge-band",
-         "overflowing-duration")
+         "overflowing-duration", "unallocatable-duration")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -185,6 +185,10 @@ def test_bad_input_raises_naming_the_input(case):
         "overflowing-duration": (lambda: synthetic_sources(2, 1e305, 16000.0),
                                  "duration 1e+305 s at 16000 Hz renders inf samples, "
                                  "more than an array can index"),
+        # 2 x 1.6e16 float64 samples, more than any allocator grants at once
+        "unallocatable-duration": (lambda: synthetic_sources(2, 1e12, 16000.0),
+                                   "duration 1e+12 s at 16000 Hz renders 16000000000000000 "
+                                   "samples, more than memory holds"),
     }
     call, message = calls[case]
     with pytest.raises(InvalidInputError) as info:
@@ -369,4 +373,16 @@ def test_overflowing_duration_exits_one(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("gc-iva: config error: duration 1e+305 s at 16000 Hz renders inf samples, "
                    "more than an array can index\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_unallocatable_duration_exits_one(command, tmp_path, capsys):
+    # the sample count fits an index but not memory, so the allocation
+    # fails at once
+    out = tmp_path / "out"
+    assert main([command, "--duration", "1e12", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("gc-iva: config error: duration 1e+12 s at 16000 Hz "
+                                       "renders 16000000000000000 samples, more than memory "
+                                       "holds\n")
     assert not out.exists()

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ class TestWav:
             gio.write_wav(tmp_path / "big.wav", np.array([0.5, -1e39, 0.25]), 16000)
         assert not (tmp_path / "big.wav").exists()
         gio.check_wav_samples(np.array([np.finfo(np.float32).max, 0.0]))  # the edge is kept
+
+    @pytest.mark.parametrize("bad, peak", [
+        (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"), (-1e39, "1e+39")])
+    def test_peak_names_the_worst_sample(self, bad, peak):
+        for data in (np.array([0.5, bad, -0.25]), np.array([[1.0, 2.0], [3.0, bad]])):
+            with pytest.raises(InvalidInputError) as err:
+                gio.check_wav_samples(data)
+            assert str(err.value) == f"WAV samples peak at {peak}, beyond float32's range"
+
+    def test_check_makes_no_copy_of_the_samples(self):
+        # 5 s of stereo at 16 kHz (1.28 MB) is checked by reductions alone
+        data = np.random.default_rng(27).standard_normal((80000, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gio.check_wav_samples(data)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("rate", [0, -1, 16000.5, -16000.0, 2**29, float("nan")])
     def test_rejects_rate_that_the_header_cannot_hold(self, tmp_path, rate):

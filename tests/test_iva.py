@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -201,6 +202,50 @@ class TestWeightedCovariance:
             norm = np.linalg.norm(v)
             assert np.max(np.abs(v - v.conj().T)) <= 1e-12 * norm
             assert np.linalg.eigvalsh(v).min() >= -1e-10 * norm
+
+
+class TestPairProducts:
+    @pytest.mark.parametrize("n_ch", [1, 2, 3])
+    @pytest.mark.parametrize("re_scale, im_scale", [(1.0, 1.0), (2.0, -2.0)])
+    def test_match_per_pair_formulas(self, n_ch, re_scale, im_scale):
+        # |x_i|^2 per channel, then the scaled real and then imaginary parts
+        # of x_i conj(x_j) per pair i < j, on a contiguous and a strided x
+        rng = np.random.default_rng(90 + n_ch)
+        wide = rng.standard_normal((5, n_ch, 14)) + 1j * rng.standard_normal((5, n_ch, 14))
+        pairs = [(i, j) for i in range(n_ch) for j in range(i + 1, n_ch)]
+        for x in (wide[..., :7].copy(), wide[..., ::2]):
+            out = gciva.iva._pair_products(x, re_scale, im_scale)
+            assert out.shape == (5, n_ch * n_ch, 7) and out.dtype == np.float64
+            expected = np.empty(out.shape)
+            for a in range(5):
+                for f in range(7):
+                    v = [complex(x[a, i, f]) for i in range(n_ch)]
+                    products = [v[i] * v[j].conjugate() for i, j in pairs]
+                    expected[a, :, f] = ([abs(c) ** 2 for c in v]
+                                         + [re_scale * c.real for c in products]
+                                         + [im_scale * c.imag for c in products])
+            np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
+
+    def test_cache_build_holds_no_channel_sized_temporary(self):
+        # beside the cache, the build holds one cross product and its
+        # conjugated operand, two complex (N, F) arrays, and numpy's
+        # fixed-size ufunc buffers; any (N, K, F) real array, such as the
+        # squares of all channels at once, would be more
+        rng = np.random.default_rng(95)
+        n_bins, n_frames, n_ch = 513, 78, 6
+        shape = (n_bins, n_frames, n_ch)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        bound = 2 * n_frames * n_bins * 16 + 256 * 1024
+        assert bound < n_frames * n_ch * n_bins * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cache = gciva.iva._hermitian_cache(data)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - cache.nbytes <= bound
 
 
 class TestCovarianceKernel:
