@@ -47,10 +47,10 @@ class DegenerateReferenceError(GcivaError):
 
 def checked_array(value, name: str, dtype=np.float64) -> np.ndarray:
     """``value`` as an array of ``dtype``, not copied if it is one; raises
-    InvalidInputError "<name> is not a numeric array" (a ragged list, a
-    string, which is never parsed) or "<name> contains non-finite entries"."""
+    InvalidInputError "<name> is not a numeric array" (a ragged list, a bool,
+    a string, which is never parsed) or "<name> contains non-finite entries"."""
     try:
-        if np.asarray(value).dtype.kind in "SUT":  # bytes, str, StringDType
+        if np.asarray(value).dtype.kind in "bSUT":  # bool, bytes, str, StringDType
             raise TypeError
         array = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):

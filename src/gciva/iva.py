@@ -94,7 +94,7 @@ class SourceModel:
         checked_scalar(self.epsilon, "epsilon", low=0.0, strict=True)
 
     def weight(self, r) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+        r = np.atleast_1d(checked_array(r, "magnitudes"))
         rms = np.sqrt((r**2).sum(axis=0) / max(r.shape[0], 1))
         floor = np.where(rms > 0.0, self.epsilon * rms, self.epsilon)
         return np.ascontiguousarray(1.0 / np.maximum(r, floor))

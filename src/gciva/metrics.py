@@ -64,9 +64,12 @@ class Scores(NamedTuple):
         references taken in ``order``: ``assignment[i]`` is the position in
         ``order`` of the reference for estimate ``i``."""
         n = self.sir_matrix.shape[0]
+        if not np.iterable(order):
+            raise InvalidInputError(f"reference order {order!r} is not a sequence")
+        order = [checked_index(i, "reference order entry") for i in order]
         if self.sir_matrix.shape[1] != n or sorted(order) != list(range(n)):
             raise InvalidInputError("need one reference per estimate, taken in a permuted order")
-        sir = self.sir_matrix[:, list(order)]
+        sir = self.sir_matrix[:, order]
         best_perm, best_score = None, -np.inf
         for perm in itertools.permutations(range(n)):
             score = sum(sir[i, perm[i]] for i in range(n))

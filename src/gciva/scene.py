@@ -10,7 +10,9 @@ with the frequency-domain steering model up to the interpolator's error.
 Everything here is numpy, so rendering a scene loads no scipy. The synthetic
 sources' Butterworth highpass and their IIR filtering repeat scipy's
 ``butter`` and ``lfilter`` operation for operation, so the rendered samples
-are the ones those functions give, bit for bit.
+are the ones those functions give, bit for bit. The sources have one fixed
+shape, a 150 Hz highpass, a 600 Hz tilt and 25 Hz envelopes, so none of it
+is a parameter.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,9 @@ from .stft import StftConfig
 
 SPEED_OF_SOUND = 343.0
 FRACTIONAL_DELAY_TAPS = 63
+_HIGHPASS_HZ = 150.0  # -3 dB edge of the synthetic sources' Butterworth highpass
+_TILT_HZ = 600.0  # edge of their one-pole lowpass tilt
+_ENVELOPE_RATE_HZ = 25.0  # node rate of their random envelopes
 _FILTER_BLOCK = 4096  # samples per Python-float block of _tilt_highpass
 
 
@@ -57,7 +62,9 @@ class ArrayGeometry:
         return self.mic_positions.shape[0]
 
     def path_offsets(self, doa_deg: float) -> np.ndarray:
-        """Microphone offsets from the reference (m) projected on (cos doa, sin doa, 0)."""
+        """Microphone offsets from the reference (m) projected on (cos doa, sin doa, 0),
+        for a DOA in [0, 180] degrees."""
+        doa_deg = checked_scalar(doa_deg, "DOA", 0.0, 180.0)
         d = self.mic_positions - self.mic_positions[0]
         return d[:, 0] * _cos_degrees(doa_deg) + d[:, 1] * np.sin(np.deg2rad(doa_deg))
 
@@ -75,7 +82,6 @@ def steering_vector(f: int, doa_deg: float, geometry: ArrayGeometry, config: Stf
 def steering_stack(doa_deg: float, geometry: ArrayGeometry, config: StftConfig) -> np.ndarray:
     """Steering vectors for all bins at once, shape (n_bins, n_mics), for a
     DOA in [0, 180] degrees."""
-    doa_deg = checked_scalar(doa_deg, "DOA", 0.0, 180.0)
     nu = config.bin_frequency(np.arange(config.n_bins))  # (F,)
     proj = geometry.path_offsets(doa_deg)  # (M,)
     phase = 2.0 * np.pi / geometry.speed_of_sound * nu[:, None] * proj[None, :]
@@ -84,7 +90,8 @@ def steering_stack(doa_deg: float, geometry: ArrayGeometry, config: StftConfig) 
 
 @dataclass
 class SceneSpec:
-    """A determined mixing scenario: one source per microphone.
+    """A determined mixing scenario: one source per microphone, the
+    signals shaped (n_sources, n_samples).
 
     ``rirs`` optionally carries finite impulse responses shaped
     (source, mic, taps); when absent the free-field fractional-delay model
@@ -102,8 +109,6 @@ class SceneSpec:
         if isinstance(signals, (list, tuple)) and len({np.shape(s) for s in signals}) > 1:
             raise InvalidInputError("source signals must all have the same length")
         sig = checked_array(signals, "source signals")
-        if sig.ndim == 1:
-            sig = sig[None, :]
         if sig.ndim != 2 or sig.shape[1] == 0:
             raise InvalidInputError("source_signals must be (n_sources, n_samples)")
         self.source_signals = sig
@@ -128,19 +133,19 @@ class SceneSpec:
         return self.source_signals.shape[1]
 
 
-def fractional_delay(signal: np.ndarray, delay_samples: float, n_taps: int = FRACTIONAL_DELAY_TAPS) -> np.ndarray:
+def fractional_delay(signal: np.ndarray, delay_samples: float) -> np.ndarray:
     """Delay a 1-D signal by a (possibly fractional) number of samples.
 
-    Uses a Blackman-windowed sinc with the window shifted along with the
-    sinc center; integer delays are exact because the kernel then reduces to
-    a unit impulse.
+    Uses a ``FRACTIONAL_DELAY_TAPS``-tap Blackman-windowed sinc with the
+    window shifted along with the sinc center; integer delays are exact
+    because the kernel then reduces to a unit impulse.
     """
     x = checked_array(signal, "signal")
     delay_samples = checked_scalar(delay_samples, "delay")
-    center = (checked_index(n_taps, "n_taps", low=1) - 1) // 2
+    center = (FRACTIONAL_DELAY_TAPS - 1) // 2
     d_int = int(np.floor(delay_samples))
     frac = delay_samples - d_int
-    offset = np.arange(n_taps) - center - frac
+    offset = np.arange(FRACTIONAL_DELAY_TAPS) - center - frac
     half = center + 1.0
     window = np.where(
         np.abs(offset) <= half,
@@ -225,10 +230,10 @@ def add_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     return clean + noise
 
 
-def _butter_highpass2(edge_hz: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+def _butter_highpass2(sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients ``(b, a)`` of the second-order Butterworth highpass with
-    its -3 dB edge at ``edge_hz``, equal bit for bit to scipy's
-    ``butter(2, edge_hz / (sample_rate / 2), btype="high")``.
+    its -3 dB edge at ``_HIGHPASS_HZ``, equal bit for bit to scipy's
+    ``butter(2, _HIGHPASS_HZ / (sample_rate / 2), btype="high")``.
 
     It follows scipy's zero-pole chain with the same operations in the same
     order: the analog prototype's poles (``buttap``), the edge prewarped at a
@@ -238,7 +243,7 @@ def _butter_highpass2(edge_hz: float, sample_rate: float) -> tuple[np.ndarray, n
     enter each step as exact constants.
     """
     poles = -np.exp(1j * np.pi * np.arange(-1.0, 2.0, 2.0) / 4)  # cutoff 1 rad/s
-    warped = float(4.0 * np.tan(np.pi * (edge_hz / (sample_rate / 2.0)) / 2.0))
+    warped = float(4.0 * np.tan(np.pi * (_HIGHPASS_HZ / (sample_rate / 2.0)) / 2.0))
     gain = np.real(1.0 / np.prod(-poles))
     poles = warped / poles
     gain = gain * np.real(16.0 / np.prod(4.0 - poles))
@@ -278,39 +283,29 @@ def _tilt_highpass(noise: np.ndarray, alpha: float, b: np.ndarray, a: np.ndarray
     return out
 
 
-def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed: int = 0,
-                      envelope_rate_hz: float = 25.0, band_hz: tuple = (150.0, 600.0)) -> np.ndarray:
+def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed: int = 0) -> np.ndarray:
     """Independent speech-like test sources, unit RMS each.
 
-    Amplitude-modulated noise with a speech-shaped spectrum: a one-pole
-    lowpass tilt above ``band_hz[1]`` and a second-order Butterworth
-    highpass below ``band_hz[0]``. The slowly varying random envelopes make
-    the signals super-Gaussian and non-stationary, which is what the
-    separation model assumes; the spectral shape keeps the energy away from
-    the bands where a widely spaced microphone pair cannot distinguish
-    directions.
+    Amplitude-modulated noise with a speech-shaped spectrum of one fixed
+    shape: a one-pole lowpass tilt above 600 Hz and a second-order
+    Butterworth highpass below 150 Hz. The slowly varying random envelopes,
+    with nodes 1/25 s apart, make the signals super-Gaussian and
+    non-stationary, which is what the separation model assumes; the spectral
+    shape keeps the energy away from the bands where a widely spaced
+    microphone pair cannot distinguish directions.
 
     The filters are numpy ports of scipy's ``butter`` and ``lfilter``
     (see :func:`_butter_highpass2` and :func:`_tilt_highpass`), so the
     samples equal those of the scipy formulation bit for bit while loading
     no scipy.
 
-    Raises InvalidInputError unless ``n_sources >= 1``, ``band_hz`` is a
-    pair with ``band_hz[0] > 0`` and ``band_hz[1] > 0`` (+inf skips the
-    tilt), ``sample_rate > 2 * band_hz[0]``, the envelope rate is positive
-    and the duration renders at least one sample and no more than an array
-    can index or memory can hold.
+    Raises InvalidInputError unless ``n_sources >= 1``, ``sample_rate`` is
+    above 300 Hz (twice the highpass edge) and the duration renders at least
+    one sample and no more than an array can index or memory can hold.
     """
     n_sources = checked_index(n_sources, "n_sources", low=1)
-    try:
-        highpass, lowpass = band_hz
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"band_hz {band_hz!r} is not a pair of edges") from None
-    highpass = checked_scalar(highpass, "band_hz[0]", low=0.0, strict=True)
-    lowpass = checked_scalar(lowpass, "band_hz[1]", low=0.0, strict=True, inf_ok=True)
-    sample_rate = checked_scalar(sample_rate, "sample_rate", low=2.0 * highpass, strict=True)
+    sample_rate = checked_scalar(sample_rate, "sample_rate", low=2.0 * _HIGHPASS_HZ, strict=True)
     duration = checked_scalar(duration, "duration")
-    envelope_rate_hz = checked_scalar(envelope_rate_hz, "envelope_rate_hz", low=0.0, strict=True)
     rng = np.random.default_rng(checked_index(seed, "seed"))
     count = duration * sample_rate
     if not count < np.iinfo(np.intp).max:  # inf if the product overflows
@@ -320,7 +315,7 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     if n_samples < 1:
         raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
                                 f"{n_samples} samples; need at least 1")
-    segment = max(1, int(round(sample_rate / envelope_rate_hz)))
+    segment = int(round(sample_rate / _ENVELOPE_RATE_HZ))
     n_nodes = n_samples // segment + 2
     try:
         out = np.empty((n_sources, n_samples))
@@ -329,8 +324,8 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
         raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
                                 f"{n_samples} samples, more than memory holds") from None
     node_t = np.arange(n_nodes, dtype=np.float64) * segment
-    alpha = float(np.exp(-2.0 * np.pi * lowpass / sample_rate))
-    b_hp, a_hp = _butter_highpass2(highpass, sample_rate)
+    alpha = float(np.exp(-2.0 * np.pi * _TILT_HZ / sample_rate))
+    b_hp, a_hp = _butter_highpass2(sample_rate)
     for k in range(n_sources):
         carrier = _tilt_highpass(rng.standard_normal(n_samples), alpha, b_hp, a_hp)
         envelope = np.interp(t, node_t, 0.05 + np.abs(rng.standard_normal(n_nodes)))

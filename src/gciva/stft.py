@@ -45,7 +45,7 @@ class StftConfig:
 
     def bin_frequency(self, f) -> np.ndarray | float:
         """Center frequency in Hz of one-sided bin ``f`` (0-based)."""
-        return np.asarray(f) * self.sample_rate / self.window_length
+        return checked_array(f, "bin index") * self.sample_rate / self.window_length
 
     def window(self) -> np.ndarray:
         # periodic (DFT-even), nonnegative; __post_init__ admits no third kind

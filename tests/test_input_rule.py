@@ -6,6 +6,7 @@ import inspect
 import math
 import random
 from dataclasses import fields
+from types import FunctionType
 
 import numpy as np
 import pytest
@@ -64,14 +65,16 @@ CASES = ("string-field-key", "string-reference", "string-bin", "fractional-bin",
          "ragged-mic-positions", "ragged-spectrogram", "ragged-cost-trace", "ragged-sigma2",
          "ragged-references", "ragged-estimates", "nan-delay", "float-filter-length",
          "fractional-prior-channel", "float-window-length", "nan-clean-signal", "nan-rirs",
-         "float-prior-bin-count", "float-stack-bin-count", "float-tap-count", "zero-tap-count",
+         "float-prior-bin-count", "float-stack-bin-count",
          "string-sigma2", "string-epsilon", "string-sample-rate", "string-speed-of-sound",
          "string-doa", "string-noise-snr", "string-scene-snr", "fractional-noise-seed",
          "negative-noise-seed", "fractional-sources-seed", "negative-sources-seed",
-         "string-duration", "zero-envelope-rate", "nan-envelope-rate", "fractional-scene-seed",
-         "negative-scene-seed", "nan-lowpass-edge", "nan-sample-rate", "string-mic-positions",
-         "string-source-signals", "bytes-signal", "scalar-band", "one-edge-band",
-         "overflowing-duration", "unallocatable-duration")
+         "string-duration", "fractional-scene-seed", "negative-scene-seed", "nan-sample-rate",
+         "string-mic-positions", "string-source-signals", "bytes-signal",
+         "overflowing-duration", "unallocatable-duration", "string-magnitudes", "nan-magnitudes",
+         "ragged-magnitudes", "fractional-order-entry", "nan-path-doa", "string-path-doa",
+         "string-bin-frequency", "nan-bin-frequency", "scalar-order", "none-order",
+         "bool-magnitudes", "bool-bin-frequency", "bool-signal")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -133,10 +136,6 @@ def test_bad_input_raises_naming_the_input(case):
                                   "n_bins 3.0 is not an integer"),
         "float-stack-bin-count": (lambda: DemixingStack.identity(3.0, 2),
                                   "n_bins 3.0 is not an integer"),
-        "float-tap-count": (lambda: fractional_delay(np.ones(64), 1.5, 63.0),
-                            "n_taps 63.0 is not an integer"),
-        "zero-tap-count": (lambda: fractional_delay(np.ones(64), 1.5, 0),
-                           "n_taps 0 outside [1, inf)"),
         "string-sigma2": (lambda: prior_matrix(np.ones(2), "40", 1e-3),
                           "sigma2 '40' is not a real number"),
         "string-epsilon": (lambda: SourceModel("1e-8"), "epsilon '1e-8' is not a real number"),
@@ -158,17 +157,9 @@ def test_bad_input_raises_naming_the_input(case):
                                   "seed -1 outside [0, inf)"),
         "string-duration": (lambda: synthetic_sources(2, "1", 16000.0),
                             "duration '1' is not a real number"),
-        "zero-envelope-rate": (lambda: synthetic_sources(2, 0.01, 16000.0, envelope_rate_hz=0),
-                               "envelope_rate_hz 0.0 outside (0, inf)"),
-        "nan-envelope-rate": (
-            lambda: synthetic_sources(2, 0.01, 16000.0, envelope_rate_hz=np.nan),
-            "envelope_rate_hz nan outside (0, inf)"),
         "fractional-scene-seed": (lambda: SceneSpec(*scene, seed=0.5),
                                   "seed 0.5 is not an integer"),
         "negative-scene-seed": (lambda: SceneSpec(*scene, seed=-1), "seed -1 outside [0, inf)"),
-        "nan-lowpass-edge": (
-            lambda: synthetic_sources(2, 0.01, 16000.0, band_hz=(150.0, np.nan)),
-            "band_hz[1] nan outside (0, inf]"),
         # the sample rate must exceed twice the 150 Hz highpass edge
         "nan-sample-rate": (lambda: synthetic_sources(2, 1.0, np.nan),
                             "sample_rate nan outside (300, inf)"),
@@ -178,10 +169,6 @@ def test_bad_input_raises_naming_the_input(case):
         "string-source-signals": (lambda: SceneSpec(np.full((2, 16), "1"), (45.0, 135.0)),
                                   "source signals is not a numeric array"),
         "bytes-signal": (lambda: analyze([b"0"] * 8, CONFIG), "signal is not a numeric array"),
-        "scalar-band": (lambda: synthetic_sources(2, 0.01, 16000.0, band_hz=150.0),
-                        "band_hz 150.0 is not a pair of edges"),
-        "one-edge-band": (lambda: synthetic_sources(2, 0.01, 16000.0, band_hz=(150.0,)),
-                          "band_hz (150.0,) is not a pair of edges"),
         "overflowing-duration": (lambda: synthetic_sources(2, 1e305, 16000.0),
                                  "duration 1e+305 s at 16000 Hz renders inf samples, "
                                  "more than an array can index"),
@@ -189,6 +176,30 @@ def test_bad_input_raises_naming_the_input(case):
         "unallocatable-duration": (lambda: synthetic_sources(2, 1e12, 16000.0),
                                    "duration 1e+12 s at 16000 Hz renders 16000000000000000 "
                                    "samples, more than memory holds"),
+        "string-magnitudes": (lambda: SourceModel().weight(["1", "4"]),
+                              "magnitudes is not a numeric array"),
+        "nan-magnitudes": (lambda: SourceModel().weight([np.nan, 1.0]),
+                           "magnitudes contains non-finite entries"),
+        "ragged-magnitudes": (lambda: SourceModel().weight(RAGGED),
+                              "magnitudes is not a numeric array"),
+        "fractional-order-entry": (lambda: ReferenceProjector(references(), 64).score(
+            references()).assignment((0.0, 1.0)), "reference order entry 0.0 is not an integer"),
+        "nan-path-doa": (lambda: PAIR.path_offsets(np.nan), "DOA nan outside [0, 180]"),
+        "string-path-doa": (lambda: PAIR.path_offsets("45"), "DOA '45' is not a real number"),
+        "string-bin-frequency": (lambda: CONFIG.bin_frequency("3"),
+                                 "bin index is not a numeric array"),
+        "nan-bin-frequency": (lambda: CONFIG.bin_frequency(np.nan),
+                              "bin index contains non-finite entries"),
+        "scalar-order": (lambda: ReferenceProjector(references(), 64).score(
+            references()).assignment(2), "reference order 2 is not a sequence"),
+        "none-order": (lambda: ReferenceProjector(references(), 64).score(
+            references()).assignment(None), "reference order None is not a sequence"),
+        # bools are not numbers, as for scalars
+        "bool-magnitudes": (lambda: SourceModel().weight(True), "magnitudes is not a numeric array"),
+        "bool-bin-frequency": (lambda: CONFIG.bin_frequency(True),
+                               "bin index is not a numeric array"),
+        "bool-signal": (lambda: analyze(np.ones((8, 2), dtype=bool), CONFIG),
+                        "signal is not a numeric array"),
     }
     call, message = calls[case]
     with pytest.raises(InvalidInputError) as info:
@@ -205,11 +216,6 @@ def test_numpy_integers_are_indices():
                                       project_back(spec, w, 1).data)
     with pytest.raises(InvalidInputError, match=r"^channel 2 outside \[0, 2\)$"):
         demixed_energies(spec, w, np.int64(2))
-
-
-def test_lowpass_edge_may_be_infinite():
-    # +inf drops the one-pole tilt: the highpass alone shapes the noise
-    assert np.all(np.isfinite(synthetic_sources(1, 0.01, 16000.0, band_hz=(150.0, np.inf))))
 
 
 # One value of each bad kind, drawn from a fixed seed: a string (a mistyped
@@ -239,6 +245,7 @@ def valid_calls():
     return {
         "ArrayGeometry": dict(mic_positions=PAIR.mic_positions, speed_of_sound=343.0),
         "ArrayGeometry.linear_pair": dict(spacing=0.21, speed_of_sound=343.0),
+        "ArrayGeometry.path_offsets": dict(self=PAIR, doa_deg=45.0),
         "DemixingStack.identity": dict(n_bins=3, n_channels=2),
         "PriorConfig": dict(constrained_channels=(0,), doa_per_channel=(45.0,),
                             sigma2_per_bin=np.ones(3), lambda_e=1e-3, geometry=PAIR),
@@ -252,7 +259,7 @@ def valid_calls():
         "add_noise": dict(clean=np.ones((8, 2)), snr_db=20.0, seed=0),
         "decompose_sir_sdr": dict(estimate=refs[0], references=refs, filter_len=64),
         "demixed_energies": dict(spec=spec, w=w, channel=1),
-        "fractional_delay": dict(signal=np.ones(64), delay_samples=1.5, n_taps=63),
+        "fractional_delay": dict(signal=np.ones(64), delay_samples=1.5),
         "gradient_update": dict(w=w, spec=spec, model=SourceModel(), h_field={0: h},
                                 stepsize=0.05, constraint_weight=0.5),
         "match_permutation": dict(estimates=refs, references=refs, filter_len=64),
@@ -265,8 +272,7 @@ def valid_calls():
         "run_informed_iva": dict(spec=spec, prior=None, model=SourceModel(), iterations=1),
         "steering_stack": dict(doa_deg=45.0, geometry=PAIR, config=CONFIG),
         "steering_vector": dict(f=1, doa_deg=45.0, geometry=PAIR, config=CONFIG),
-        "synthetic_sources": dict(n_sources=2, duration=0.01, sample_rate=16000.0, seed=0,
-                                  envelope_rate_hz=25.0),
+        "synthetic_sources": dict(n_sources=2, duration=0.01, sample_rate=16000.0, seed=0),
         "update_constrained": dict(w=w, cov=v, prior_mat=d, f=1, channel=0),
         "update_unconstrained": dict(w=w, cov=v, f=1, channel=0),
         "weighted_covariance": dict(spec=spec, energies=np.ones(4), model=SourceModel(), f=1),
@@ -275,7 +281,8 @@ def valid_calls():
 
 def public_callables():
     """(qualified name, callable) of every public function, class and public
-    classmethod that ``gciva`` exports, exceptions aside."""
+    classmethod or method that ``gciva`` exports, exceptions aside; a method
+    is called with ``self`` as a keyword."""
     found = []
     for name in gciva.__all__:
         obj = getattr(gciva, name)
@@ -284,7 +291,7 @@ def public_callables():
         found.append((name, obj))
         if isinstance(obj, type):
             found += [(f"{name}.{attr}", getattr(obj, attr)) for attr, raw in vars(obj).items()
-                      if isinstance(raw, classmethod) and not attr.startswith("_")]
+                      if isinstance(raw, (classmethod, FunctionType)) and not attr.startswith("_")]
     return found
 
 

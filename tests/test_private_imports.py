@@ -1,9 +1,9 @@
 """No gciva module imports an underscore name from a sibling module: a name
 that another module needs belongs to the package's interface, so it is public.
-No module keeps a private helper that it never uses, or imports a name it
-never reads, and no module but ``errors.py`` writes its own ``0 <= i < n``
-index check or rejects a parameter or field by its own finiteness test or
-numeric comparison: indices, counts and seeds go through
+No module keeps a private helper or constant that it never uses, or imports
+a name it never reads, and no module but ``errors.py`` writes its own
+``0 <= i < n`` index check or rejects a parameter or field by its own
+finiteness test or numeric comparison: indices, counts and seeds go through
 ``errors.checked_index``, other numbers through ``errors.checked_scalar``.
 ``errors.py`` itself imports numpy and operator alone, so importing gciva
 stays as fast as it is. The modules are read as source with ``ast``."""
@@ -34,17 +34,27 @@ def referenced_names(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    # the names a module-level function, class or assignment binds
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
 def unused_private_definitions(tree: ast.Module) -> list[str]:
-    # module-level private functions and classes that no other statement of
-    # their module references; no sibling may import them (checked below)
+    # module-level private functions, classes and constants (dunders aside)
+    # that no other statement of their module references; no sibling may
+    # import them (checked below)
     unused = []
     for definition in tree.body:
-        if isinstance(definition, (ast.FunctionDef, ast.ClassDef)) and \
-                definition.name.startswith("_"):
+        private = [name for name in defined_names(definition)
+                   if name.startswith("_") and not name.startswith("__")]
+        if private:
             uses = set().union(*(referenced_names(node) for node in tree.body
                                  if node is not definition))
-            if definition.name not in uses:
-                unused.append(definition.name)
+            unused += [name for name in private if name not in uses]
     return unused
 
 
@@ -275,8 +285,9 @@ def test_check_finds_index_range_checks_only():
 
 def test_checks_find_a_dead_helper_and_an_unused_import():
     tree = ast.parse("import os\nfrom .stft import StftConfig\n"
-                     "def _dead():\n    return _dead()\n")
-    assert unused_private_definitions(tree) == ["_dead"]
+                     "def _dead():\n    return _dead()\n"
+                     "_DEAD, _READ = 1, 2\nLIMIT = _READ\n")
+    assert unused_private_definitions(tree) == ["_dead", "_DEAD"]
     assert unused_imports(tree) == ["os", "StftConfig"]
 
 
