@@ -47,7 +47,6 @@ class ExperimentConfig:
     window_length: int = StftConfig.window_length
     hop: int = StftConfig.hop
     sample_rate: float = StftConfig.sample_rate
-    window_kind: str = StftConfig.window_kind
     sigma2: float = 40.0
     lambda_e: float = 1e-3
     doas: tuple[float, ...] = ()
@@ -83,7 +82,7 @@ class ExperimentConfig:
 
     def stft_config(self, sample_rate: float | None = None) -> StftConfig:
         rate = self.sample_rate if sample_rate is None else sample_rate
-        return StftConfig(self.window_length, self.hop, rate, self.window_kind)
+        return StftConfig(self.window_length, self.hop, rate)
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry.linear_pair(self.mic_spacing, self.speed_of_sound)

@@ -82,7 +82,7 @@ def steering_vector(f: int, doa_deg: float, geometry: ArrayGeometry, config: Stf
 def steering_stack(doa_deg: float, geometry: ArrayGeometry, config: StftConfig) -> np.ndarray:
     """Steering vectors for all bins at once, shape (n_bins, n_mics), for a
     DOA in [0, 180] degrees."""
-    nu = config.bin_frequency(np.arange(config.n_bins))  # (F,)
+    nu = config.bin_frequencies  # (F,)
     proj = geometry.path_offsets(doa_deg)  # (M,)
     phase = 2.0 * np.pi / geometry.speed_of_sound * nu[:, None] * proj[None, :]
     return np.exp(1j * phase)

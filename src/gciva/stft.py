@@ -3,8 +3,9 @@
 Spectrograms are one-sided (``n_bins = window_length // 2 + 1``) and indexed
 ``(bin, frame, channel)``. The synthesis path divides the overlap-added
 windowed frames by the overlap-added squared window, which makes the
-analyze/synthesize round trip exact up to floating point everywhere the
-window sum is positive (always, for Hamming and Hann).
+analyze/synthesize round trip exact up to floating point everywhere. The
+window is periodic Hamming, at least 0.08, and ``hop <= window_length`` puts
+every sample in some frame, so no window sum is below 0.0064.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,6 @@ import numpy as np
 
 from .errors import InvalidInputError, checked_array, checked_index, checked_scalar
 
-WINDOW_KINDS = ("hamming", "hann")
 # frames that analysis windows and synthesis inverts at a time: a block's
 # working arrays are small beside the signal and the spectrogram
 _BLOCK_FRAMES = 8
@@ -30,29 +30,25 @@ class StftConfig:
     window_length: int = 2048
     hop: int = 1024
     sample_rate: float = 16000.0
-    window_kind: str = "hamming"
 
     def __post_init__(self) -> None:
         length = checked_index(self.window_length, "window_length", low=1)
         checked_index(self.hop, "hop", low=1, high=length + 1)  # hop <= window_length
         checked_scalar(self.sample_rate, "sample_rate", low=0.0, strict=True)
-        if self.window_kind not in WINDOW_KINDS:
-            raise InvalidInputError(f"unknown window kind: {self.window_kind!r}")
 
     @property
     def n_bins(self) -> int:
         return self.window_length // 2 + 1
 
-    def bin_frequency(self, f) -> np.ndarray | float:
-        """Center frequency in Hz of one-sided bin ``f`` (0-based)."""
-        return checked_array(f, "bin index") * self.sample_rate / self.window_length
+    @property
+    def bin_frequencies(self) -> np.ndarray:
+        """Center frequency in Hz of each one-sided bin, shape (n_bins,)."""
+        return np.arange(self.n_bins, dtype=float) * self.sample_rate / self.window_length
 
     def window(self) -> np.ndarray:
-        # periodic (DFT-even), nonnegative; __post_init__ admits no third kind
+        # periodic (DFT-even) Hamming, at least 0.08
         n = np.arange(self.window_length)
-        if self.window_kind == "hamming":
-            return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / self.window_length)
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.window_length)
+        return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / self.window_length)
 
 
 @dataclass
@@ -168,17 +164,10 @@ def synthesize(spec: ComplexSpectrogram) -> np.ndarray:
         for j in range(frames.shape[1]):
             lo = (first + j) * hop
             out[lo : lo + length] += win[:, None] * frames[:, j, :]
-    # the window sums are made and divided out a span at a time, once to
-    # find their peak and once to divide; edge samples where the window
-    # vanishes (Hann endpoints) are lost by the analysis and stay zero
-    # instead of dividing by zero
+    # the window sums are made and divided out a span at a time; none
+    # vanishes (see the module docstring)
     step = _BLOCK_FRAMES * hop
-    spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    peak = max(_window_sums(win_sq, hop, n_frames, lo, hi).max() for lo, hi in spans)
-    for lo, hi in spans:
-        norm = _window_sums(win_sq, hop, n_frames, lo, hi)
-        covered = norm > 1e-12 * peak
-        span = out[lo:hi]
-        np.divide(span, norm[:, None], out=span, where=covered[:, None])
-        span[~covered] = 0.0
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        out[lo:hi] /= _window_sums(win_sq, hop, n_frames, lo, hi)[:, None]
     return out

@@ -90,6 +90,25 @@ class TestConfigResolution:
         with pytest.raises(Exception, match="sigma3"):
             resolve_file(path)
 
+    def test_window_kind_is_an_unknown_key(self, tmp_path, capsys):
+        # the window is Hamming only, so no key selects it
+        path = tmp_path / "exp.cfg"
+        path.write_text("window_kind = hamming\n")
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 1
+        assert "unknown config key: 'window_kind'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_documents_every_config_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| config key | default | what it sets |") + 2  # past the rule
+        keys = set()
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            keys.add(line.split("|")[1].strip().strip("`"))
+        assert keys == {f.name for f in fields(ExperimentConfig)}
+
     def test_defaults_round_trip_through_config_text(self, tmp_path):
         def text(value):
             if value is None:

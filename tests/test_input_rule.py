@@ -73,8 +73,7 @@ CASES = ("string-field-key", "string-reference", "string-bin", "fractional-bin",
          "string-mic-positions", "string-source-signals", "bytes-signal",
          "overflowing-duration", "unallocatable-duration", "string-magnitudes", "nan-magnitudes",
          "ragged-magnitudes", "fractional-order-entry", "nan-path-doa", "string-path-doa",
-         "string-bin-frequency", "nan-bin-frequency", "scalar-order", "none-order",
-         "bool-magnitudes", "bool-bin-frequency", "bool-signal")
+         "scalar-order", "none-order", "bool-magnitudes", "bool-signal")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -186,18 +185,12 @@ def test_bad_input_raises_naming_the_input(case):
             references()).assignment((0.0, 1.0)), "reference order entry 0.0 is not an integer"),
         "nan-path-doa": (lambda: PAIR.path_offsets(np.nan), "DOA nan outside [0, 180]"),
         "string-path-doa": (lambda: PAIR.path_offsets("45"), "DOA '45' is not a real number"),
-        "string-bin-frequency": (lambda: CONFIG.bin_frequency("3"),
-                                 "bin index is not a numeric array"),
-        "nan-bin-frequency": (lambda: CONFIG.bin_frequency(np.nan),
-                              "bin index contains non-finite entries"),
         "scalar-order": (lambda: ReferenceProjector(references(), 64).score(
             references()).assignment(2), "reference order 2 is not a sequence"),
         "none-order": (lambda: ReferenceProjector(references(), 64).score(
             references()).assignment(None), "reference order None is not a sequence"),
         # bools are not numbers, as for scalars
         "bool-magnitudes": (lambda: SourceModel().weight(True), "magnitudes is not a numeric array"),
-        "bool-bin-frequency": (lambda: CONFIG.bin_frequency(True),
-                               "bin index is not a numeric array"),
         "bool-signal": (lambda: analyze(np.ones((8, 2), dtype=bool), CONFIG),
                         "signal is not a numeric array"),
     }

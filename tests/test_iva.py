@@ -835,7 +835,7 @@ class TestEvaluateCost:
         dists = np.array([0.0, 0.21])  # PAIR's microphones on the x-axis
         expected_prior = 0.0
         for f in range(3):
-            nu = config.bin_frequency(f)
+            nu = config.bin_frequencies[f]
             h = np.exp(1j * 2 * np.pi * nu / 343.0 * dists * np.cos(np.deg2rad(60.0)))
             d = (0.2 * np.eye(2) + np.outer(h, h.conj())) / 5.0
             wk = w.matrices[f, 1, :].conj()
@@ -1032,7 +1032,7 @@ class TestSharedSolverLoop:
     def test_diverging_gradient_fails_fast(self):
         # twice the level of the default 5 s scene drives the natural-gradient
         # step to overflow; the solve stops at the first non-finite cost
-        config = StftConfig(2048, 1024, 16000.0, "hamming")
+        config = StftConfig(2048, 1024, 16000.0)
         sources = synthetic_sources(2, 5.0, 16000.0, 0)
         mixture, _ = simulate_mixture(SceneSpec(sources, (45.0, 135.0), 20.0, seed=0),
                                       PAIR, config)
