@@ -23,7 +23,8 @@ from .errors import (
     SingularUpdateError,
     checked_index,
 )
-from .iva import PriorConfig, SourceModel, project_back, run_gradient_iva, run_informed_iva
+from .iva import (HermitianCache, PriorConfig, SourceModel, demix_and_project, project_back,
+                  run_gradient_iva, run_informed_iva)
 from .metrics import ReferenceProjector
 from .scene import (SPEED_OF_SOUND, ArrayGeometry, SceneSpec, add_noise, render_images,
                     simulate_mixture, synthetic_sources)
@@ -205,11 +206,12 @@ def _load_sources(cfg: ExperimentConfig, n_synthetic: int):
 
 
 def run_separation(spec, cfg: ExperimentConfig):
-    """Run ``cfg.algorithm`` on an analyzed mixture.
+    """Run ``cfg.algorithm`` on an analyzed mixture or its HermitianCache.
 
     Output channels ``cfg.constrained_channels`` are constrained toward
     ``cfg.doas``: for ``gc-aux`` these are directions to suppress, for
-    ``gc-grad`` directions to preserve. Returns ``(stack, demixed, trace)``.
+    ``gc-grad`` directions to preserve. Returns ``(stack, demixed, trace)``,
+    with no demixed spectrogram for a cache.
     """
     iterations = cfg.resolved_iterations(cfg.algorithm)
     model = SourceModel()
@@ -279,15 +281,13 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
             print(f"gc-iva: warning: reference {path} has {len(ref)} samples, "
                   f"mixture has {mixture.shape[0]}; comparing the common length",
                   file=sys.stderr)
-    # each large array is dropped at its last use: the mixture once analyzed
-    # (only its length is read after), the spectrogram once solved and the
-    # demixed spectrogram once projected back, so synthesis holds one
-    # spectrogram, not three
+    # the solve reads only the mixture's Hermitian cache, built from the
+    # signal and dropped once solved; each output is analyzed again and
+    # demixed and projected back in place, and the mixture is dropped before
+    # the last synthesis, so no two spectrogram-sized arrays are ever held
     n_samples = mixture.shape[0]
-    spec = analyze(mixture, cfg.stft_config(rate))
-    del mixture
-    stack, demixed, trace = run_separation(spec, cfg)
-    del spec
+    stft_cfg = cfg.stft_config(rate)
+    stack, _, trace = run_separation(HermitianCache.from_signal(mixture, stft_cfg), cfg)
 
     report: dict = {"config": cfg.echo(), "algorithm": cfg.algorithm,
                     "iterations": cfg.resolved_iterations(cfg.algorithm),
@@ -296,17 +296,18 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
         # metrics compare against the first (reference) microphone, so they
         # are computed on reference-projected outputs; the written WAVs keep
         # the per-channel own-microphone scaling
-        ref_outputs = _outputs(demixed, stack, n_samples)
+        ref_outputs = synthesize(demix_and_project(analyze(mixture, stft_cfg), stack, 0))
+        ref_outputs = ref_outputs[:n_samples]
         n = min(ref_outputs.shape[0], min(len(r) for r in refs))
         projector = ReferenceProjector(np.stack([r[:n] for r in refs]))
         sir, sdr, perm, matched = _score(projector, ref_outputs[:n], range(len(refs)))
         del projector, ref_outputs
         report["metrics"] = {"sir_db": sir.tolist(), "sdr_db": sdr.tolist(),
                              "permutation": list(perm), "permutation_matched": matched}
-    projected = project_back(demixed, stack, None)
-    del demixed
-    outputs = synthesize(projected)[:n_samples]
-    del projected
+    spec = analyze(mixture, stft_cfg)
+    del mixture
+    outputs = synthesize(demix_and_project(spec, stack, None))[:n_samples]
+    del spec
     report["cost_trace"] = {
         "j_iva": [float(v) for v in trace.j_iva],
         "j_prior": [float(v) for v in trace.j_prior],

@@ -162,19 +162,33 @@ def write_wav(path, data, rate: int) -> None:
 
 
 def read_keyvalue(path) -> dict[str, str]:
-    """Parse a plain-text ``key = value`` file ('#' starts a comment)."""
+    """Parse a UTF-8 ``key = value`` file ('#' starts a comment; a leading
+    byte-order mark is skipped). Raises ConfigError naming the file and the
+    line for a byte that is not UTF-8, a line without '=', an empty key or a
+    key given twice."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; a sentinel closes its line
+        lineno = len((raw[: exc.start].decode("utf-8-sig") + "x").splitlines())
+        raise ConfigError(f"{path}:{lineno}: byte {raw[exc.start]:#04x} is not UTF-8 "
+                          f"text") from None
     result: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    first_line: dict[str, int] = {}
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         result[key] = value.strip()
     return result
 

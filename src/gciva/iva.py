@@ -23,8 +23,13 @@ the *cache layout*: the K diagonal entries, then the real and then the
 imaginary parts of the K(K-1)/2 upper-triangle entries, K^2 reals per bin.
 The cache holds ``x_n x_n^H`` of every frame and bin in that layout, frame
 by frame: F*K^2*N real values, half the bytes of the frames' complex outer
-products (about 2.6 MB for a 5 s stereo scene at 2048/1024), freed before
-the output is demixed. One routine writes the cache and the K^2 real
+products (about 2.6 MB for a 5 s stereo scene at 2048/1024). It is built a
+block of frames at a time, each cross term in the real form by real ufuncs,
+so its bits depend on neither the blocking nor the layout of the frames.
+:class:`HermitianCache` carries it, built from a spectrogram or straight
+from the signal's analysis blocks; either solver takes it in place of the
+spectrogram, and a cache the solver builds itself is freed before the
+output is demixed. One routine writes the cache and the K^2 real
 coefficients ``c`` of a row ``a`` with ``a X a^H = c . X`` for any X in that
 layout, through which every Hermitian form of the solvers goes. Two
 real matrix products per iteration read the cache, and they are nearly all of
@@ -60,7 +65,8 @@ products at every K, which beat batched matmul on stacks this small.
 * :func:`run_gradient_iva` is the gradient-based baseline: natural-gradient
   steps on the IVA cost plus a quadratic penalty steering a unit response
   toward a target direction per constrained channel.
-* :func:`project_back` resolves the scaling ambiguity afterwards.
+* :func:`project_back` resolves the scaling ambiguity afterwards;
+  :func:`demix_and_project` demixes and projects back in place.
 """
 
 import math
@@ -72,9 +78,15 @@ import numpy as np
 from .errors import (CostOverflowError, InvalidInputError, SingularUpdateError, checked_array,
                      checked_index, checked_scalar)
 from .scene import ArrayGeometry, steering_stack
-from .stft import ComplexSpectrogram
+from .stft import ComplexSpectrogram, StftConfig, analysis_blocks
 
 _LOG_DET_FLOOR = math.log(1e-300)
+# frames of the Hermitian cache built at a time, as analysis transforms them,
+# and bins demixed in place at a time
+_BLOCK_FRAMES = 8
+_BLOCK_BINS = 16
+# the largest 1 - |r01|^2 / (r00 r11) of a bin whose channels are linearly dependent
+_RANK_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -168,6 +180,7 @@ class PriorConfig:
         if sigma2.ndim != 1 or np.any(sigma2 <= 0):
             raise InvalidInputError("sigma2_per_bin must be a positive 1-D array")
         self.lambda_e = checked_scalar(self.lambda_e, "lambda_e", low=0.0)
+        _check_prior_scale(sigma2, self.lambda_e)
         self.constrained_channels = channels
         self.doa_per_channel = doas
         self.sigma2_per_bin = sigma2
@@ -203,6 +216,19 @@ class CostTrace:
         return self.j_iva / j0
 
 
+def _check_prior_scale(sigma2, lambda_e: float, h=None) -> None:
+    # raises InvalidInputError naming sigma2 unless (lambda_e + max |h_i|^2)
+    # / sigma2, the largest entry of a prior matrix (lambda_e I + h h^H) /
+    # sigma2, is finite; steering vectors, the default h, have |h_i| = 1
+    smallest = np.min(sigma2)
+    with np.errstate(over="ignore"):
+        peak = 1.0 if h is None else np.max(np.square(np.abs(h)), initial=0.0)
+        largest = (lambda_e + peak) / smallest
+    if not np.isfinite(largest):
+        raise InvalidInputError(f"sigma2 {float(smallest)} overflows the prior matrix "
+                                f"(lambda_e I + h h^H) / sigma2")
+
+
 def _prior_formula(h: np.ndarray, sigma2, lambda_e: float) -> np.ndarray:
     # (lambda_e * I + h h^H) / sigma2 over the leading axes of h (..., M) and sigma2
     outer = h[..., :, None] * h[..., None, :].conj()
@@ -216,6 +242,7 @@ def prior_matrix(h: np.ndarray, sigma2: float, lambda_e: float) -> np.ndarray:
     h = checked_array(h, "steering vector", np.complex128)
     if h.ndim != 1:
         raise InvalidInputError("steering vector must be 1-D")
+    _check_prior_scale(sigma2, lambda_e, h)
     return _prior_formula(h, sigma2, lambda_e)
 
 
@@ -239,29 +266,102 @@ def _upper_pairs(n_ch: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n_ch) for j in range(i + 1, n_ch)]
 
 
-def _pair_products(x: np.ndarray, re_scale: float, im_scale: float) -> np.ndarray:
+def _pair_products(x: np.ndarray, re_scale: float, im_scale: float, out=None,
+                   scratch=None) -> np.ndarray:
     # (..., K^2, F) reals in the cache layout's order from (..., K, F) x: |x_i|^2,
-    # then re_scale Re and im_scale Im of x_i conj(x_j) per pair i < j; the
-    # diagonal is built in place, so no temporary outgrows one (..., F) slice
+    # then re_scale Re and im_scale Im of x_i conj(x_j) per pair i < j, into
+    # out if given. Every entry comes from real ufuncs in the real form
+    # (a.re b.re + a.im b.im, a.im b.re - a.re b.im), whose bits do not depend
+    # on x's layout or on how its leading axes are blocked, as a complex
+    # product's can. scratch, a (..., F) buffer, is the only temporary.
     n_ch = x.shape[-2]
     pairs = _upper_pairs(n_ch)
-    out = np.empty(x.shape[:-2] + (n_ch * n_ch, x.shape[-1]))
+    if out is None:
+        out = np.empty(x.shape[:-2] + (n_ch * n_ch, x.shape[-1]))
+    if scratch is None:
+        scratch = np.empty(x.shape[:-2] + x.shape[-1:])
+    re, im = x.real, x.imag
     for i in range(n_ch):
-        np.square(x[..., i, :].real, out=out[..., i, :])
-        out[..., i, :] += np.square(x[..., i, :].imag)
+        np.square(re[..., i, :], out=out[..., i, :])
+        out[..., i, :] += np.square(im[..., i, :], out=scratch)
     for p, (i, j) in enumerate(pairs):
-        pair = x[..., i, :] * x[..., j, :].conj()
-        np.multiply(pair.real, re_scale, out=out[..., n_ch + p, :])
-        np.multiply(pair.imag, im_scale, out=out[..., n_ch + len(pairs) + p, :])
+        real, imag = out[..., n_ch + p, :], out[..., n_ch + len(pairs) + p, :]
+        np.multiply(re[..., i, :], re[..., j, :], out=real)
+        real += np.multiply(im[..., i, :], im[..., j, :], out=scratch)
+        real *= re_scale
+        np.multiply(im[..., i, :], re[..., j, :], out=imag)
+        imag -= np.multiply(re[..., i, :], im[..., j, :], out=scratch)
+        imag *= im_scale
     return out
 
 
 def _hermitian_cache(data: np.ndarray) -> np.ndarray:
     # (N, K^2, F) cache of x x^H per frame and bin, from (F, N, K)
-    # spectrogram data, each frame in the cache layout. C-contiguous, so its
-    # flat (N, K^2*F) view costs no copy per iteration, and frame-major,
-    # the order in which BLAS streams it fastest through both GEMMs.
-    return _pair_products(data.transpose(1, 2, 0), 1.0, 1.0)
+    # spectrogram data, a block of frames at a time
+    n_bins, n_frames, n_ch = data.shape
+    blocks = ((lo, data[:, lo : lo + _BLOCK_FRAMES].transpose(1, 2, 0))
+              for lo in range(0, n_frames, _BLOCK_FRAMES))
+    return _cache_of_blocks(n_frames, n_ch, n_bins, blocks)
+
+
+def _cache_of_blocks(n_frames: int, n_ch: int, n_bins: int, blocks) -> np.ndarray:
+    # the (N, K^2, F) cache, each frame in the cache layout, filled from
+    # blocks of (first frame, (frames, K, F) spectra) through one scratch
+    # buffer. C-contiguous, so its flat (N, K^2*F) view costs no copy per
+    # iteration, and frame-major, the order in which BLAS streams it fastest
+    # through both GEMMs. An overflow shows in the solver's first cost.
+    cache = np.empty((n_frames, n_ch * n_ch, n_bins))
+    scratch = None  # sized by the first block, the largest
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, x in blocks:
+            if scratch is None:
+                scratch = np.empty((len(x), n_bins))
+            _pair_products(x, 1.0, 1.0, cache[first : first + len(x)], scratch[: len(x)])
+    return cache
+
+
+@dataclass(frozen=True)
+class HermitianCache:
+    """All that the solvers read of an analyzed mixture: ``x_n x_n^H`` of
+    every frame and bin, as (N, K^2, F) reals in the cache layout (see the
+    module docstring), with the STFT configuration that analyzed it.
+
+    Build it with :meth:`from_spectrogram`, or with :meth:`from_signal` a
+    block of frames at a time, so that no spectrogram exists beside it. The
+    two are equal bit for bit, as is a cache of any other frame blocking.
+    A solver given a cache returns no demixed spectrogram.
+    """
+
+    data: np.ndarray
+    config: StftConfig
+
+    def __post_init__(self) -> None:
+        data = self.data
+        n_ch = math.isqrt(data.shape[1]) if isinstance(data, np.ndarray) and data.ndim == 3 else 0
+        if (n_ch < 1 or data.dtype != np.float64
+                or data.shape[1:] != (n_ch * n_ch, self.config.n_bins)):
+            raise InvalidInputError("Hermitian cache must be a float64 (frames, K^2, n_bins) array")
+
+    @classmethod
+    def from_spectrogram(cls, spec: ComplexSpectrogram) -> "HermitianCache":
+        if not isinstance(spec, ComplexSpectrogram):
+            raise InvalidInputError("from_spectrogram expects a ComplexSpectrogram")
+        return cls(_hermitian_cache(spec.data), spec.config)
+
+    @classmethod
+    def from_signal(cls, signal, config: StftConfig) -> "HermitianCache":
+        """The cache of ``analyze(signal, config)``, built from its analysis
+        blocks: beside the cache, only one block of frames is held."""
+        n_frames, n_ch, blocks = analysis_blocks(signal, config)
+        return cls(_cache_of_blocks(n_frames, n_ch, config.n_bins, blocks), config)
+
+    @property
+    def n_channels(self) -> int:
+        return math.isqrt(self.data.shape[1])
+
+    @property
+    def n_bins(self) -> int:
+        return self.data.shape[2]
 
 
 def _cache_layout(matrices: np.ndarray) -> np.ndarray:
@@ -546,19 +646,56 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
     return j_iva, _prior_cost(matrices, _form_coefficients(matrices), _priors(prior, spec))
 
 
-def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update,
-           penalty, callback, solver: str) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
-    # update(it, w, cov) returns the next bins-last (K, K, F) array and the
-    # (K, K^2, F) form coefficients of its rows, from w and the (K, K^2, F)
-    # cache-layout weighted covariances cov[k] of w's outputs; penalty(w,
-    # coef) fills the trace's second column and is taken for every stack
-    # before an update starts from it; solver names the algorithm in a
-    # CostOverflowError
+def _check_rank(cache: np.ndarray, solver: str) -> None:
+    """Raises SingularUpdateError if the channels are linearly dependent in
+    more than half of the bins where every channel has power, as copies of
+    one channel are: in the frame sum of the cache, ``1 - |r01|^2 / (r00
+    r11)`` for two channels, the ratio of the smallest to the largest
+    eigenvalue for more, is at most 1e-10 there. Bins without power, and
+    bins whose sum overflowed, are left to the solver."""
+    n_ch = math.isqrt(cache.shape[1])
+    if n_ch < 2:
+        return
+    with np.errstate(all="ignore"):
+        total = cache.sum(axis=0)
+        powered = np.all(total[:n_ch] > 0.0, axis=0)
+        if n_ch == 2:
+            r00, r11, re, im = total
+            independence = 1.0 - (re / r00) * (re / r11) - (im / r00) * (im / r11)
+        else:
+            independence = np.full(total.shape[1], np.nan)
+            usable = powered & np.all(np.isfinite(total), axis=0)
+            eye = np.repeat(np.eye(n_ch, dtype=np.complex128)[:, :, None],
+                            np.count_nonzero(usable), axis=2)
+            # the summed covariances as (K, K, F) matrices I M, eigenvalues ascending
+            eig = np.linalg.eigvalsh(_times_hermitian(eye, total[:, usable]).transpose(2, 0, 1))
+            independence[usable] = eig[:, 0] / eig[:, -1]
+    n_powered = np.count_nonzero(powered)
+    dependent = np.count_nonzero(powered & (independence <= _RANK_FLOOR))
+    if 2 * dependent > n_powered:
+        raise SingularUpdateError(
+            f"{solver} input is rank deficient: its channels are linearly dependent "
+            f"in {dependent} of the {n_powered} bins with power")
+
+
+def _check_data(spec) -> None:
+    if not isinstance(spec, (ComplexSpectrogram, HermitianCache)):
+        raise InvalidInputError("solver data must be a ComplexSpectrogram or a HermitianCache")
+
+
+def _solve(spec, model: SourceModel, iterations: int, update, penalty, callback,
+           solver: str) -> tuple[DemixingStack, ComplexSpectrogram | None, CostTrace]:
+    # spec is a ComplexSpectrogram or a HermitianCache; update(it, w, cov)
+    # returns the next bins-last (K, K, F) array and the (K, K^2, F) form
+    # coefficients of its rows, from w and the (K, K^2, F) cache-layout
+    # weighted covariances cov[k] of w's outputs; penalty(w, coef) fills the
+    # trace's second column and is taken for every stack before an update
+    # starts from it; solver names the algorithm in an error
     iterations = checked_index(iterations, "iterations")
     w = _bins_last(DemixingStack.identity(spec.n_bins, spec.n_channels).matrices)
     coef = _form_coefficients(w)
-    with np.errstate(over="ignore", invalid="ignore"):  # any overflow shows in the cost
-        cache = _hermitian_cache(spec.data)
+    cache = spec.data if isinstance(spec, HermitianCache) else _hermitian_cache(spec.data)
+    _check_rank(cache, solver)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
         with np.errstate(all="ignore"):  # a bad update shows in the cost or a retry
@@ -574,14 +711,15 @@ def _solve(spec: ComplexSpectrogram, model: SourceModel, iterations: int, update
         trace.append(entry)
         if it and callback is not None:
             callback(it, DemixingStack(w.transpose(2, 0, 1).copy()))
-    del cache  # not held while the output is demixed
+    del cache  # a cache built here is not held while the output is demixed
     stack = DemixingStack(np.ascontiguousarray(w.transpose(2, 0, 1)))
-    return stack, demix(spec, stack), CostTrace(*np.array(trace).T)
+    demixed = None if isinstance(spec, HermitianCache) else demix(spec, stack)
+    return stack, demixed, CostTrace(*np.array(trace).T)
 
 
-def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
+def run_informed_iva(spec: ComplexSpectrogram | HermitianCache, prior: PriorConfig | None,
                      model: SourceModel, iterations: int,
-                     callback=None) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
+                     callback=None) -> tuple[DemixingStack, ComplexSpectrogram | None, CostTrace]:
     """Majorize-minimize demixing estimation with an optional directional prior.
 
     Starts from identity matrices and sweeps channels sequentially; every
@@ -593,7 +731,14 @@ def run_informed_iva(spec: ComplexSpectrogram, prior: PriorConfig | None,
 
     ``callback(l, stack)``, if given, is invoked after each iteration with a
     snapshot of the current demixing stack.
+
+    ``spec`` is the analyzed mixture or its :class:`HermitianCache`, which
+    is all the solve reads. Returns ``(stack, demixed, trace)``; the demixed
+    spectrogram is None when given a cache. Channels that are linearly
+    dependent in most bins raise SingularUpdateError before the first
+    iteration.
     """
+    _check_data(spec)
     if spec.n_channels < 1:
         raise InvalidInputError("need at least one channel")
     priors = _priors(prior, spec)
@@ -720,15 +865,17 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     return DemixingStack(np.ascontiguousarray(step.transpose(2, 0, 1)))
 
 
-def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas,
-                     geometry: ArrayGeometry, model: SourceModel, iterations: int,
-                     stepsize: float = 0.05, constraint_weight: float = 0.5,
-                     callback=None) -> tuple[DemixingStack, ComplexSpectrogram, CostTrace]:
+def run_gradient_iva(spec: ComplexSpectrogram | HermitianCache, constrained_channels,
+                     target_doas, geometry: ArrayGeometry, model: SourceModel,
+                     iterations: int, stepsize: float = 0.05, constraint_weight: float = 0.5,
+                     callback=None) -> tuple[DemixingStack, ComplexSpectrogram | None, CostTrace]:
     """Gradient-based baseline steering a unit response per constrained channel.
 
     The trace's prior column records the quadratic constraint penalty of the
-    baseline rather than a directional-prior term.
+    baseline rather than a directional-prior term. ``spec`` and the result
+    are as for :func:`run_informed_iva`.
     """
+    _check_data(spec)
     channels, doas = _constraint_pairs(constrained_channels, target_doas)
     field = _steering_field(channels, doas, geometry, spec)
     stepsize = checked_scalar(stepsize, "stepsize", low=0.0)
@@ -745,6 +892,19 @@ def run_gradient_iva(spec: ComplexSpectrogram, constrained_channels, target_doas
     return _solve(spec, model, iterations, step, penalty, callback, "gc-grad")
 
 
+def _projection_scale(w: DemixingStack, reference) -> np.ndarray:
+    # the (F, K) scale of each bin's output channels, see project_back
+    try:
+        inv = np.linalg.inv(w.matrices)
+    except np.linalg.LinAlgError as exc:
+        raise SingularUpdateError("demixing stack is singular, cannot project back") from exc
+    if not np.all(np.isfinite(inv)):
+        raise SingularUpdateError("demixing stack is singular, cannot project back")
+    if reference is None:
+        return np.einsum("fkk->fk", inv)
+    return inv[:, checked_index(reference, "reference channel", high=w.n_channels), :]
+
+
 def project_back(demixed: ComplexSpectrogram, w: DemixingStack,
                  reference: int | None = None) -> ComplexSpectrogram:
     """Rescale separated channels with entries of the inverse demixing stack.
@@ -756,14 +916,21 @@ def project_back(demixed: ComplexSpectrogram, w: DemixingStack,
     which leaves identity demixing untouched.
     """
     _check_shapes(demixed, w)
-    try:
-        inv = np.linalg.inv(w.matrices)
-    except np.linalg.LinAlgError as exc:
-        raise SingularUpdateError("demixing stack is singular, cannot project back") from exc
-    if not np.all(np.isfinite(inv)):
-        raise SingularUpdateError("demixing stack is singular, cannot project back")
-    if reference is None:
-        scale = np.einsum("fkk->fk", inv)
-    else:
-        scale = inv[:, checked_index(reference, "reference channel", high=w.n_channels), :]
+    scale = _projection_scale(w, reference)
     return ComplexSpectrogram(demixed.data * scale[:, None, :], demixed.config)
+
+
+def demix_and_project(spec: ComplexSpectrogram, w: DemixingStack,
+                      reference: int | None = None) -> ComplexSpectrogram:
+    """``project_back(demix(spec, w), w, reference)``, bit for bit, written
+    over ``spec``'s data a block of bins at a time, so that no second
+    spectrogram is made; returns ``spec``. Each bin is demixed by the same
+    matrix product as in :func:`demix`, whose bits a block of frames could
+    change."""
+    _check_shapes(spec, w)
+    scale = _projection_scale(w, reference)[:, None, :]
+    data = spec.data
+    for lo in range(0, spec.n_bins, _BLOCK_BINS):
+        block = slice(lo, lo + _BLOCK_BINS)
+        np.multiply(_demix_data(data[block], w.matrices[block]), scale[block], out=data[block])
+    return spec

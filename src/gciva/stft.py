@@ -89,6 +89,44 @@ def _as_signal_matrix(signal) -> np.ndarray:
     return x
 
 
+def analysis_blocks(signal, config: StftConfig):
+    """The STFT of a multichannel time signal a block of frames at a time.
+
+    Returns ``(n_frames, n_channels, blocks)``: ``blocks`` yields ``(first
+    frame, spectra)`` with ``spectra`` the complex (frames, channels, bins)
+    transform of up to a few frames, in frame order. Each block is a view
+    into one buffer that the next block overwrites. The signal is checked
+    before this returns; see :func:`analyze` for the framing.
+    """
+    x = _as_signal_matrix(signal)
+    n_samples, n_channels = x.shape
+    length, hop = config.window_length, config.hop
+    if n_samples < length:
+        raise InvalidInputError(
+            f"signal has {n_samples} samples, needs at least window_length={length}"
+        )
+    n_frames = int(np.ceil((n_samples - length) / hop)) + 1
+
+    def blocks():
+        win = config.window()
+        buffer = np.empty((min(_BLOCK_FRAMES, n_frames), n_channels, config.n_bins),
+                          dtype=np.complex128)
+        # (frame, channel, sample) windows of the frames inside the signal: a
+        # strided view, windowed and transformed a block at a time, so neither
+        # a padded signal nor all windowed frames exist at once
+        frames = np.lib.stride_tricks.sliding_window_view(x, length, axis=0)[::hop]
+        for lo in range(0, len(frames), _BLOCK_FRAMES):
+            block = frames[lo : lo + _BLOCK_FRAMES]
+            yield lo, np.fft.rfft(block * win, axis=2, out=buffer[: len(block)])
+        if len(frames) < n_frames:  # one frame runs past the last sample
+            start = len(frames) * hop
+            tail = np.zeros((1, n_channels, length))
+            tail[0, :, : n_samples - start] = x[start:].T
+            yield len(frames), np.fft.rfft(tail * win, axis=2, out=buffer[:1])
+
+    return n_frames, n_channels, blocks()
+
+
 def analyze(signal, config: StftConfig) -> ComplexSpectrogram:
     """Forward STFT of a multichannel time signal.
 
@@ -100,30 +138,11 @@ def analyze(signal, config: StftConfig) -> ComplexSpectrogram:
     signal : array, shape (samples,) or (samples, channels)
     config : StftConfig
     """
-    x = _as_signal_matrix(signal)
-    n_samples, n_channels = x.shape
-    length, hop = config.window_length, config.hop
-    if n_samples < length:
-        raise InvalidInputError(
-            f"signal has {n_samples} samples, needs at least window_length={length}"
-        )
-    n_frames = int(np.ceil((n_samples - length) / hop)) + 1
-    win = config.window()
+    n_frames, n_channels, blocks = analysis_blocks(signal, config)
     spectra = np.empty((config.n_bins, n_frames, n_channels), dtype=np.complex128)
-    out = spectra.transpose(1, 2, 0)  # (frame, channel, bin) view the transform writes
-
-    # (frame, channel, sample) windows of the frames inside the signal: a
-    # strided view, windowed and transformed a block at a time, so neither a
-    # padded signal nor all windowed frames exist at once
-    frames = np.lib.stride_tricks.sliding_window_view(x, length, axis=0)[::hop]
-    for lo in range(0, len(frames), _BLOCK_FRAMES):
-        block = slice(lo, min(lo + _BLOCK_FRAMES, len(frames)))
-        np.fft.rfft(frames[block] * win, axis=2, out=out[block])
-    if len(frames) < n_frames:  # one frame runs past the last sample
-        start = len(frames) * hop
-        tail = np.zeros((1, n_channels, length))
-        tail[0, :, : n_samples - start] = x[start:].T
-        np.fft.rfft(tail * win, axis=2, out=out[len(frames):])
+    out = spectra.transpose(1, 2, 0)  # (frame, channel, bin) view the blocks fill
+    for first, block in blocks:
+        out[first : first + len(block)] = block
     return ComplexSpectrogram(spectra, config)
 
 

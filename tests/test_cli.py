@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -97,6 +98,28 @@ class TestConfigResolution:
         assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 1
         assert "unknown config key: 'window_kind'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"sigma2 = 40\n\xff = 3\n", "exp.cfg:2: byte 0xff is not UTF-8 text"),
+        (b"sigma2 = 40\n# again\nsigma2 = 50\n", "exp.cfg:3: key 'sigma2' repeats line 1"),
+    ], ids=["undecodable-byte", "repeated-key"])
+    def test_bad_config_file_exits_one_naming_file_and_line(self, tmp_path, capsys,
+                                                              content, message):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", path, "--duration", "0.5", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gc-iva: config error: ") and err.endswith(f"{message}\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes("sigma2 = 41\n".encode("utf-8-sig"))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", path, "--duration", "0.5", "--out", out) == 0
+        assert json.loads((out / "scene.json").read_text())["config"]["sigma2"] == 41.0
 
     def test_readme_documents_every_config_key(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -436,10 +459,10 @@ class TestSeparate:
 
     @pytest.mark.parametrize("refs", [False, True])
     def test_arrays_die_at_their_last_use(self, tmp_path, monkeypatch, refs):
-        # the mixture is dropped once analyzed, its spectrogram once solved
-        # and the demixed spectrogram once projected back, so the solve
-        # holds no mixture and the written outputs' synthesis neither
-        # spectrogram; scoring synthesizes from the demixed one first
+        # the solve holds the mixture and its Hermitian cache, no
+        # spectrogram; each output is analyzed from the mixture once the
+        # cache is gone, and the mixture is dropped before the written
+        # outputs' spectrogram is synthesized; scoring synthesizes first
         scene = tmp_path / "scene"
         assert simulate_small(scene) == 0
         made, alive = {}, []
@@ -448,32 +471,65 @@ class TestSeparate:
             gc.collect()
             alive.append((stage, sorted(name for name, ref in made.items() if ref() is not None)))
 
-        def analyzing(mixture, config, original=gciva.cli.analyze):
-            made["mixture"] = weakref.ref(mixture)
-            spec = original(mixture, config)
-            made["spectrogram"] = weakref.ref(spec)
-            return spec
+        def reading(path, original=gciva.cli.io.read_wav):
+            data, rate = original(path)
+            made.setdefault("mixture", weakref.ref(data))  # the first file read
+            return data, rate
 
-        def solving(spec, cfg, original=gciva.cli.run_separation):
+        def solving(data, cfg, original=gciva.cli.run_separation):
+            made["cache"] = weakref.ref(data)
             living("solve")
-            stack, demixed, trace = original(spec, cfg)
-            made["demixed"] = weakref.ref(demixed)
+            stack, demixed, trace = original(data, cfg)
+            assert isinstance(data, gciva.HermitianCache) and demixed is None
             return stack, demixed, trace
+
+        def analyzing(mixture, config, original=gciva.cli.analyze):
+            living("analyze")
+            spec = original(mixture, config)
+            made[f"spectrogram{sum(name.startswith('spec') for name in made) + 1}"] = \
+                weakref.ref(spec)
+            return spec
 
         def synthesizing(spec, original=gciva.cli.synthesize):
             living("synthesize")
             return original(spec)
 
-        monkeypatch.setattr(gciva.cli, "analyze", analyzing)
+        monkeypatch.setattr(gciva.cli.io, "read_wav", reading)
         monkeypatch.setattr(gciva.cli, "run_separation", solving)
+        monkeypatch.setattr(gciva.cli, "analyze", analyzing)
         monkeypatch.setattr(gciva.cli, "synthesize", synthesizing)
         argv = ["separate", scene / "mixture.wav", "--algorithm", "gc-aux", "--doa", "135",
                 "--iterations", "2", "--out", tmp_path / "sep"]
         if refs:
             argv += ["--refs", f"{scene / 'source01.wav'},{scene / 'source02.wav'}"]
         assert run_cli(*argv) == 0
-        scoring = [("synthesize", ["demixed"])] if refs else []
-        assert alive == [("solve", ["spectrogram"]), *scoring, ("synthesize", [])]
+        last = "spectrogram2" if refs else "spectrogram1"
+        scoring = [("analyze", ["mixture"]), ("synthesize", ["mixture", "spectrogram1"])]
+        assert alive == [("solve", ["cache", "mixture"]), *(scoring if refs else []),
+                         ("analyze", ["mixture"]), ("synthesize", [last])]
+
+    def test_peak_is_the_mixture_the_cache_and_one_spectrogram(self, tmp_path):
+        # an in-process separate never holds more than the mixture, its
+        # Hermitian cache and one spectrogram-sized array (1.28, 2.56 and
+        # 2.56 MB for this 5 s scene); a solve that held the spectrogram
+        # beside the cache and its build would need more
+        scene = tmp_path / "scene"
+        assert run_cli("simulate", "--out", scene, "--seed", "0", "--duration", "5.0") == 0
+        mixture, _ = gio.read_wav(scene / "mixture.wav")
+        config = ExperimentConfig().stft_config()
+        bound = (mixture.nbytes + gciva.analyze(mixture, config).data.nbytes
+                 + gciva.HermitianCache.from_signal(mixture, config).data.nbytes)
+        del mixture
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run_cli("separate", scene / "mixture.wav", "--algorithm", "gc-aux",
+                           "--doa", "135", "--iterations", "2", "--out", tmp_path / "sep") == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_report_and_trace_artifacts(self, tmp_path):
         scene = tmp_path / "scene"
@@ -643,8 +699,28 @@ class TestSeparate:
         assert not out.exists()
 
     def test_determinant_floor_names_solver_and_iteration(self, tmp_path):
-        # two copies of one channel leave the demixing determinant to collapse;
-        # the failure names the separator and the iteration it stopped at
+        # a float64 mixture at 1e150 squares near float64's limit, and the
+        # demixing determinant falls below the floor; the failure names the
+        # separator and the iteration it stopped at
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        mixture, rate = gio.read_wav(scene / "mixture.wav")
+        wavfile.write(str(tmp_path / "huge.wav"), rate, 1e150 * mixture)
+        out = tmp_path / "sep"
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          "separate", str(tmp_path / "huge.wav"), "--algorithm", "aux",
+                          "--out", str(out), capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert re.search(r"numerical failure: aux demixing determinant below 1e-300 "
+                         r"at iteration [1-9]\d*$", proc.stderr.strip())
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm, doa", [("aux", "135"), ("gc-aux", "135"),
+                                                ("gc-grad", "45")])
+    def test_copied_channels_exit_three_before_solving(self, tmp_path, algorithm, doa):
+        # two copies of one channel are linearly dependent in every bin with
+        # power, which every separator rejects before its first iteration
         scene = tmp_path / "scene"
         assert simulate_small(scene) == 0
         mixture, rate = gio.read_wav(scene / "mixture.wav")
@@ -652,12 +728,24 @@ class TestSeparate:
         gio.write_wav(tmp_path / "copied.wav", mixture, rate)
         out = tmp_path / "sep"
         proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
-                          "separate", str(tmp_path / "copied.wav"), "--algorithm", "aux",
-                          "--out", str(out), capture_output=True, text=True)
+                          "separate", str(tmp_path / "copied.wav"), "--algorithm", algorithm,
+                          "--doa", doa, "--out", str(out), capture_output=True, text=True)
         assert proc.returncode == 3
-        assert re.search(r"numerical failure: aux demixing determinant below 1e-300 "
-                         r"at iteration [1-9]\d*$", proc.stderr.strip())
-        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stderr == (f"gc-iva: numerical failure: {algorithm} input is rank "
+                               f"deficient: its channels are linearly dependent in 1025 of "
+                               f"the 1025 bins with power\n")
+        assert not out.exists()
+
+    def test_overflowing_sigma2_exits_one(self, tmp_path, capsys):
+        # sigma2 = 1e-320 passes as positive, but the prior matrices'
+        # (1 + lambda_e) / sigma2 overflows
+        scene = tmp_path / "scene"
+        assert simulate_small(scene) == 0
+        out = tmp_path / "sep"
+        assert run_cli("separate", scene / "mixture.wav", "--algorithm", "gc-aux",
+                       "--doa", "135", "--sigma2", "1e-320", "--out", out) == 1
+        assert capsys.readouterr().err == ("gc-iva: config error: sigma2 1e-320 overflows the "
+                                           "prior matrix (lambda_e I + h h^H) / sigma2\n")
         assert not out.exists()
 
     def test_overflowing_gradient_step_exits_three(self, tmp_path, capsys):

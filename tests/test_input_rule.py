@@ -18,6 +18,7 @@ from gciva import (
     ComplexSpectrogram,
     CostTrace,
     DemixingStack,
+    HermitianCache,
     InvalidInputError,
     PriorConfig,
     ReferenceProjector,
@@ -73,7 +74,9 @@ CASES = ("string-field-key", "string-reference", "string-bin", "fractional-bin",
          "string-mic-positions", "string-source-signals", "bytes-signal",
          "overflowing-duration", "unallocatable-duration", "string-magnitudes", "nan-magnitudes",
          "ragged-magnitudes", "fractional-order-entry", "nan-path-doa", "string-path-doa",
-         "scalar-order", "none-order", "bool-magnitudes", "bool-signal")
+         "scalar-order", "none-order", "bool-magnitudes", "bool-signal", "bool-cache-signal",
+         "misshapen-cache", "array-cache-spectrogram", "array-solver-data-aux",
+         "array-solver-data-grad")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -193,6 +196,20 @@ def test_bad_input_raises_naming_the_input(case):
         "bool-magnitudes": (lambda: SourceModel().weight(True), "magnitudes is not a numeric array"),
         "bool-signal": (lambda: analyze(np.ones((8, 2), dtype=bool), CONFIG),
                         "signal is not a numeric array"),
+        "bool-cache-signal": (lambda: HermitianCache.from_signal(np.ones((8, 2), dtype=bool),
+                                                                 CONFIG),
+                              "signal is not a numeric array"),
+        "array-cache-spectrogram": (lambda: HermitianCache.from_spectrogram(np.zeros((3, 4, 2))),
+                                    "from_spectrogram expects a ComplexSpectrogram"),
+        "array-solver-data-aux": (
+            lambda: run_informed_iva(np.zeros((3, 4, 2)), None, SourceModel(), 1),
+            "solver data must be a ComplexSpectrogram or a HermitianCache"),
+        "array-solver-data-grad": (
+            lambda: run_gradient_iva(np.zeros((3, 4, 2)), (0,), (45.0,), PAIR, SourceModel(), 1),
+            "solver data must be a ComplexSpectrogram or a HermitianCache"),
+        # K^2 = 3 entries per bin make no Hermitian matrix
+        "misshapen-cache": (lambda: HermitianCache(np.ones((4, 3, 3)), CONFIG),
+                            "Hermitian cache must be a float64 (frames, K^2, n_bins) array"),
     }
     call, message = calls[case]
     with pytest.raises(InvalidInputError) as info:
@@ -251,6 +268,7 @@ def valid_calls():
         "StftConfig": dict(window_length=4, hop=2, sample_rate=16000.0),
         "add_noise": dict(clean=np.ones((8, 2)), snr_db=20.0, seed=0),
         "decompose_sir_sdr": dict(estimate=refs[0], references=refs, filter_len=64),
+        "demix_and_project": dict(spec=spec, w=w, reference=0),
         "demixed_energies": dict(spec=spec, w=w, channel=1),
         "fractional_delay": dict(signal=np.ones(64), delay_samples=1.5),
         "gradient_update": dict(w=w, spec=spec, model=SourceModel(), h_field={0: h},

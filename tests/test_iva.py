@@ -10,6 +10,7 @@ from gciva import (
     ComplexSpectrogram,
     CostOverflowError,
     DemixingStack,
+    HermitianCache,
     InvalidInputError,
     PriorConfig,
     SceneSpec,
@@ -18,6 +19,7 @@ from gciva import (
     StftConfig,
     analyze,
     demix,
+    demix_and_project,
     demixed_energies,
     evaluate_cost,
     gradient_update,
@@ -227,16 +229,17 @@ class TestPairProducts:
             np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
 
     def test_cache_build_holds_no_channel_sized_temporary(self):
-        # beside the cache, the build holds one cross product and its
-        # conjugated operand, two complex (N, F) arrays, and numpy's
-        # fixed-size ufunc buffers; any (N, K, F) real array, such as the
-        # squares of all channels at once, would be more
+        # beside the cache, the build holds one block of frames: its scratch
+        # buffer and numpy's ufunc buffers, at most one block for each
+        # operand of a three-operand ufunc. Any (N, F) array, such as one
+        # channel pair's complex product over all frames, would be more
         rng = np.random.default_rng(95)
         n_bins, n_frames, n_ch = 513, 78, 6
         shape = (n_bins, n_frames, n_ch)
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        bound = 2 * n_frames * n_bins * 16 + 256 * 1024
-        assert bound < n_frames * n_ch * n_bins * 8
+        block = gciva.iva._BLOCK_FRAMES * n_bins * 8
+        bound = 4 * block + 16 * 1024
+        assert bound < n_frames * n_bins * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -246,6 +249,104 @@ class TestPairProducts:
         finally:
             tracemalloc.stop()
         assert peak - cache.nbytes <= bound
+
+
+class TestHermitianCache:
+    """The cache's bits do not depend on how its frames are blocked or laid
+    out, nor on whether it is built from a signal or from its spectrogram."""
+
+    @pytest.mark.parametrize("n_ch", [1, 2, 3])
+    def test_any_blocking_gives_the_same_bits(self, n_ch):
+        rng = np.random.default_rng(40 + n_ch)
+        config = StftConfig(window_length=64, hop=23)
+        signal = rng.standard_normal((64 + 76 * 23 + 5, n_ch))  # 78 frames, a padded tail
+        spec = analyze(signal, config)
+        n_bins, n_frames, _ = spec.data.shape
+        noise = rng.standard_normal(spec.data.shape) + 1j * rng.standard_normal(spec.data.shape)
+        for data in (spec.data, noise):
+            cache = HermitianCache.from_spectrogram(ComplexSpectrogram(data, config)).data
+            assert cache.shape == (n_frames, n_ch * n_ch, n_bins) and cache.flags.c_contiguous
+            frames = data.transpose(1, 2, 0)
+            for size in (1, 3, 8, 37):
+                blocks = ((lo, frames[lo : lo + size]) for lo in range(0, n_frames, size))
+                built = gciva.iva._cache_of_blocks(n_frames, n_ch, n_bins, blocks)
+                assert np.array_equal(built, cache)
+            whole = gciva.iva._cache_of_blocks(n_frames, n_ch, n_bins,
+                                               [(0, np.ascontiguousarray(frames))])
+            assert np.array_equal(whole, cache)
+        from_signal = HermitianCache.from_signal(signal, config)
+        assert np.array_equal(from_signal.data,
+                              HermitianCache.from_spectrogram(spec).data)
+        assert from_signal.config == config and from_signal.n_channels == n_ch
+
+    @pytest.mark.parametrize("algorithm", ["aux", "gc-aux", "gc-grad"])
+    def test_solvers_given_the_cache_return_the_spectrograms_results(self, algorithm):
+        spec, _, config = anechoic_scene(12, duration=0.5, window=128)
+        cache = HermitianCache.from_spectrogram(spec)
+        if algorithm == "gc-grad":
+            runs = [run_gradient_iva(data, (0,), (45.0,), PAIR, SourceModel(), 4)
+                    for data in (spec, cache)]
+        else:
+            prior = (PriorConfig.constant((0,), (135.0,), PAIR, config.n_bins)
+                     if algorithm == "gc-aux" else None)
+            runs = [run_informed_iva(data, prior, SourceModel(), 4) for data in (spec, cache)]
+        (stack, demixed, trace), (cache_stack, nothing, cache_trace) = runs
+        assert nothing is None
+        np.testing.assert_array_equal(cache_stack.matrices, stack.matrices)
+        np.testing.assert_array_equal(demixed.data, demix(spec, stack).data)
+        np.testing.assert_array_equal(cache_trace.j_iva, trace.j_iva)
+        np.testing.assert_array_equal(cache_trace.j_prior, trace.j_prior)
+
+
+class TestRankCheck:
+    @pytest.mark.parametrize("n_ch", [2, 3])
+    @pytest.mark.parametrize("algorithm", ["aux", "gc-aux", "gc-grad"])
+    def test_copied_channels_rejected_before_the_first_iteration(self, n_ch, algorithm):
+        # one channel scaled and copied to all makes every bin's covariance
+        # rank one; no iteration runs
+        rng = np.random.default_rng(60 + n_ch)
+        spec = random_spec(rng, 5, 12, 1)
+        copies = ComplexSpectrogram(spec.data * np.array([1.0, -0.5, 2.0j])[:n_ch],
+                                    spec.config)
+        done = []
+        with pytest.raises(SingularUpdateError,
+                           match=rf"^{algorithm} input is rank deficient: its channels are "
+                                 rf"linearly dependent in 5 of the 5 bins with power$"):
+            geometry = ArrayGeometry.linear_pair(0.21) if n_ch == 2 else ArrayGeometry(
+                [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])
+            if algorithm == "gc-grad":
+                run_gradient_iva(copies, (0,), (45.0,), geometry, SourceModel(), 3,
+                                 callback=lambda l, w: done.append(l))
+            else:
+                prior = (PriorConfig.constant((0,), (135.0,), geometry, 5)
+                         if algorithm == "gc-aux" else None)
+                run_informed_iva(copies, prior, SourceModel(), 3,
+                                 callback=lambda l, w: done.append(l))
+        assert done == []
+
+    def test_half_the_powered_bins_is_not_enough(self):
+        # two bins are copies and one holds no power, which is not counted:
+        # 2 of the 3 bins with power are dependent, so the check fires; with
+        # two independent bins, 2 of 4 are not more than half
+        rng = np.random.default_rng(63)
+        data = rng.standard_normal((5, 12, 2)) + 1j * rng.standard_normal((5, 12, 2))
+        data[:2, :, 1] = 3.0 * data[:2, :, 0]
+        data[4] = 0.0
+        spec = ComplexSpectrogram(data[[0, 1, 2, 4]].copy(), tiny_config(4))
+        with pytest.raises(SingularUpdateError, match="in 2 of the 3 bins with power"):
+            run_informed_iva(spec, None, SourceModel(), 1)
+        stack, _, _ = run_informed_iva(ComplexSpectrogram(data[:4].copy(), tiny_config(4)),
+                                       None, SourceModel(), 1)
+        assert np.all(np.isfinite(stack.matrices))
+
+    def test_a_silent_channel_is_left_to_the_solver(self):
+        # no bin has power in both channels, so none is counted, and the
+        # solve runs as before the check
+        rng = np.random.default_rng(64)
+        spec = random_spec(rng, 5, 12, 2)
+        spec.data[:, :, 1] = 0.0
+        _, _, trace = run_informed_iva(spec, None, SourceModel(), 2)
+        assert np.all(np.isfinite(trace.total))
 
 
 class TestCovarianceKernel:
@@ -457,6 +558,19 @@ class TestPriorMatrix:
     def test_invalid_sigma2(self):
         with pytest.raises(InvalidInputError):
             prior_matrix(np.ones(2), 0.0, 1e-3)
+
+    def test_sigma2_that_overflows_the_prior_is_rejected(self):
+        # (lambda_e + |h|^2) / sigma2 must be finite, for the prior matrix of
+        # one bin and for the prior config's steering vectors alike
+        message = r"^sigma2 1e-320 overflows the prior matrix \(lambda_e I \+ h h\^H\) / sigma2$"
+        with pytest.raises(InvalidInputError, match=message):
+            prior_matrix(np.ones(2), 1e-320, 1e-3)
+        with pytest.raises(InvalidInputError, match=message):
+            PriorConfig.constant((0,), (45.0,), PAIR, 3, sigma2=1e-320)
+        with pytest.raises(InvalidInputError, match=r"^sigma2 1e-300 overflows"):
+            prior_matrix(np.full(2, 1e5), 1e-300, 0.0)
+        assert np.all(np.isfinite(prior_matrix(np.ones(2), 1e-300, 1e-3)))
+        PriorConfig.constant((0,), (45.0,), PAIR, 3, sigma2=1e-300)
 
 
 class TestUpdateUnconstrained:
@@ -1125,6 +1239,20 @@ class TestProjectBack:
         w = DemixingStack.identity(2, 2)
         projected = project_back(demix(spec, w), w)
         np.testing.assert_array_equal(projected.data, spec.data)
+
+    @pytest.mark.parametrize("n_ch", [2, 3])
+    @pytest.mark.parametrize("n_frames", [1, 7])
+    def test_in_place_blocks_equal_project_back_of_demix(self, n_ch, n_frames):
+        rng = np.random.default_rng(23 + n_ch + n_frames)
+        n_bins = 2 * gciva.iva._BLOCK_BINS + 3  # a partial last block of bins
+        spec = random_spec(rng, n_bins, n_frames, n_ch)
+        w = DemixingStack(rng.standard_normal((n_bins, n_ch, n_ch))
+                          + 1j * rng.standard_normal((n_bins, n_ch, n_ch)))
+        for reference in (None, 0, n_ch - 1):
+            expected = project_back(demix(spec, w), w, reference).data
+            copy = ComplexSpectrogram(spec.data.copy(), spec.config)
+            assert demix_and_project(copy, w, reference) is copy
+            assert np.array_equal(copy.data, expected)
 
     def test_singular_stack_rejected(self):
         rng = np.random.default_rng(22)
