@@ -23,12 +23,12 @@ from .errors import (
     SingularUpdateError,
     checked_index,
 )
-from .iva import (HermitianCache, PriorConfig, SourceModel, demix_and_project, project_back,
-                  run_gradient_iva, run_informed_iva)
+from .iva import (HermitianCache, PriorConfig, SourceModel, checked_prior_scale,
+                  demix_and_project, run_gradient_iva, run_informed_iva)
 from .metrics import ReferenceProjector
 from .scene import (SPEED_OF_SOUND, ArrayGeometry, SceneSpec, add_noise, render_images,
                     simulate_mixture, synthetic_sources)
-from .stft import StftConfig, analyze, synthesize
+from .stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 
 ALGORITHMS = ("aux", "gc-aux", "gc-grad")
 DEFAULT_ITERATIONS = {"aux": 100, "gc-aux": 100, "gc-grad": 350}
@@ -40,7 +40,9 @@ class ExperimentConfig:
     operating point: 2048-sample Hamming window at 16 kHz, sigma2 = 40,
     lambda_e = 1e-3, stepsize 0.05 with constraint weight 0.5, a 0.21 m
     microphone pair, and an SNR sweep over 10/20/30 dB). Checks its
-    algorithms, iterations and seeds when made, by ``replace()`` too."""
+    algorithms, iterations, seeds, sigma2 and lambda_e when made, by
+    ``replace()`` too, so a command that would never build a prior still
+    rejects a bad one."""
 
     algorithm: str = "gc-aux"
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -75,6 +77,7 @@ class ExperimentConfig:
         checked_index(self.seed, "seed")
         for seed in self.seeds:
             checked_index(seed, "seeds")
+        checked_prior_scale(self.sigma2, self.lambda_e)
 
     def resolved_iterations(self, algorithm: str) -> int:
         if self.iterations is not None:
@@ -223,10 +226,13 @@ def run_separation(spec, cfg: ExperimentConfig):
     return run_informed_iva(spec, prior, model, iterations)
 
 
-def _outputs(demixed, stack, n_samples: int) -> np.ndarray:
+def _outputs(spec: ComplexSpectrogram, stack, n_samples: int) -> np.ndarray:
     """Time-domain outputs (samples x channels) cropped to ``n_samples``,
-    each projected back to the reference microphone 0."""
-    return synthesize(project_back(demixed, stack, 0))[:n_samples]
+    each projected back to the reference microphone 0: a copy of ``spec``
+    is demixed and projected in place, so beside ``spec`` one
+    spectrogram-sized array is made."""
+    copy = ComplexSpectrogram(spec.data.copy(), spec.config)
+    return synthesize(demix_and_project(copy, stack, 0))[:n_samples]
 
 
 def _score(projector: ReferenceProjector, outputs: np.ndarray, order):
@@ -333,6 +339,11 @@ def _benchmark_runs(cfg: ExperimentConfig, spec, doas, n_samples: int):
     nulls the other source's DOA, gc-grad preserves the target's. Outputs are
     projected back to the reference microphone, matching the ground-truth
     images the metrics compare against.
+
+    Each run solves from ``spec``'s Hermitian cache, which dies with the
+    solve, and forms its outputs from one copy of ``spec``. No name here
+    holds the outputs, so once the caller drops them none is alive while
+    the next run solves.
     """
     for target in (-1,) if cfg.algorithm == "aux" else range(len(doas)):
         run_cfg, order = cfg, (0, 1)
@@ -340,10 +351,8 @@ def _benchmark_runs(cfg: ExperimentConfig, spec, doas, n_samples: int):
             other = 1 - target
             doa = doas[other] if cfg.algorithm == "gc-aux" else doas[target]
             run_cfg, order = replace(cfg, constrained_channels=(0,), doas=(doa,)), (target, other)
-        stack, demixed, _ = run_separation(spec, run_cfg)
-        outputs = _outputs(demixed, stack, n_samples)
-        del stack, demixed  # not held while the caller scores the outputs
-        yield target, outputs, order
+        stack = run_separation(HermitianCache.from_spectrogram(spec), run_cfg)[0]
+        yield target, _outputs(spec, stack, n_samples), order
 
 
 def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, signals, swap: int):
@@ -372,6 +381,7 @@ def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, signals, swap: 
             for target, outputs, order in _benchmark_runs(
                     replace(cfg, algorithm=algorithm), spec, doas, n_samples):
                 sir, sdr, _, matched = _score(projector, outputs, order)
+                del outputs  # not held while the next run solves
                 rows.append([
                     label, snr, f"{seed}", algorithm, f"{target}",
                     sir[0], sir[1], sdr[0], sdr[1], input_sir,

@@ -59,7 +59,9 @@ def _wav_format(path, body, order: str) -> tuple[int, int, int, int]:
 def _decode(raw, tag: int, bits: int, order: str) -> np.ndarray:
     """Flat float64 samples of a data chunk."""
     if tag == _IEEE_FLOAT:
-        return np.frombuffer(raw, f"{order}f{bits // 8}").astype(np.float64)
+        # a signalling NaN would warn in the cast; read_wav rejects it after
+        with np.errstate(invalid="ignore"):
+            return np.frombuffer(raw, f"{order}f{bits // 8}").astype(np.float64)
     if bits == 8:  # 8-bit PCM is unsigned
         return (np.frombuffer(raw, np.uint8).astype(np.float64) - 128.0) / 128.0
     if bits == 24:  # left-justified in an int32, x / 2**23 is the int32's x / 2**31
@@ -69,6 +71,16 @@ def _decode(raw, tag: int, bits: int, order: str) -> np.ndarray:
         raw, bits = word, 32
     ints = np.frombuffer(raw, f"{order}i{bits // 8}")
     return ints.astype(np.float64) / 2.0 ** (bits - 1)
+
+
+def _check_finite(path, samples: np.ndarray, channels: int) -> None:
+    # two reductions, no temporary as large as the samples, unless one is
+    # not finite; a NaN propagates through both
+    with np.errstate(invalid="ignore"):
+        if np.isfinite(np.min(samples, initial=0.0) + np.max(samples, initial=0.0)):
+            return
+        frame, channel = divmod(int(np.argmin(np.isfinite(samples))), channels)
+    raise _unreadable(path, f"non-finite sample at frame {frame}, channel {channel}")
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
@@ -89,8 +101,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     Raises OSError naming the path and the cause when the file cannot be
     opened, or has a bad RIFF/WAVE tag, is RF64, lacks a ``fmt `` or
     ``data`` chunk or has a short one, holds data that is not a whole
-    number of frames, or has any other sample format (such as mu-law or
-    12-bit PCM).
+    number of frames, has any other sample format (such as mu-law or
+    12-bit PCM), or holds a float sample that is not finite (naming its
+    frame and channel).
     """
     buf = memoryview(Path(path).read_bytes())
     riff = bytes(buf[:4])
@@ -116,6 +129,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
                 raise _unreadable(path, f"{size} data bytes are not a whole number of "
                                         f"{channels}-channel {bits}-bit frames")
             samples = _decode(body, tag, bits, order)
+            if tag == _IEEE_FLOAT:
+                _check_finite(path, samples, channels)
             return (samples.reshape(-1, channels) if channels > 1 else samples), rate
         pos += 8 + size + size % 2
     raise _unreadable(path, "no data chunk" if fmt is not None else "no fmt chunk")

@@ -189,7 +189,7 @@ class PriorConfig:
     def constant(cls, constrained_channels, doa_per_channel, geometry: ArrayGeometry,
                  n_bins: int, sigma2: float = 40.0, lambda_e: float = 1e-3) -> "PriorConfig":
         """Constant prior variance across bins (the experiment default)."""
-        sigma2 = checked_scalar(sigma2, "sigma2", low=0.0, strict=True)
+        sigma2, lambda_e = checked_prior_scale(sigma2, lambda_e)
         return cls(tuple(constrained_channels), tuple(np.atleast_1d(doa_per_channel)),
                    np.full(checked_index(n_bins, "n_bins"), sigma2), lambda_e, geometry)
 
@@ -229,6 +229,17 @@ def _check_prior_scale(sigma2, lambda_e: float, h=None) -> None:
                                 f"(lambda_e I + h h^H) / sigma2")
 
 
+def checked_prior_scale(sigma2: float, lambda_e: float, h=None) -> tuple[float, float]:
+    """``(sigma2, lambda_e)`` as floats, checked by the one input rule:
+    sigma2 in (0, inf), lambda_e in [0, inf), and the prior matrix
+    ``(lambda_e I + h h^H) / sigma2`` of ``h`` (by default any steering
+    vector) finite. Raises InvalidInputError naming the value at fault."""
+    sigma2 = checked_scalar(sigma2, "sigma2", low=0.0, strict=True)
+    lambda_e = checked_scalar(lambda_e, "lambda_e", low=0.0)
+    _check_prior_scale(sigma2, lambda_e, h)
+    return sigma2, lambda_e
+
+
 def _prior_formula(h: np.ndarray, sigma2, lambda_e: float) -> np.ndarray:
     # (lambda_e * I + h h^H) / sigma2 over the leading axes of h (..., M) and sigma2
     outer = h[..., :, None] * h[..., None, :].conj()
@@ -237,12 +248,10 @@ def _prior_formula(h: np.ndarray, sigma2, lambda_e: float) -> np.ndarray:
 
 def prior_matrix(h: np.ndarray, sigma2: float, lambda_e: float) -> np.ndarray:
     """Prior matrix ``(lambda_e * I + h h^H) / sigma2`` for one bin."""
-    sigma2 = checked_scalar(sigma2, "sigma2", low=0.0, strict=True)
-    lambda_e = checked_scalar(lambda_e, "lambda_e", low=0.0)
     h = checked_array(h, "steering vector", np.complex128)
     if h.ndim != 1:
         raise InvalidInputError("steering vector must be 1-D")
-    _check_prior_scale(sigma2, lambda_e, h)
+    sigma2, lambda_e = checked_prior_scale(sigma2, lambda_e, h)
     return _prior_formula(h, sigma2, lambda_e)
 
 

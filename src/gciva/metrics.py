@@ -161,12 +161,11 @@ class ReferenceProjector:
 
     Holds the Cholesky factors of the loaded Gram matrix ``G + load * I`` of
     delayed reference copies, for the full span and for each single-reference
-    span, plus what the energies need of G itself: the references' own cross
-    vectors (``ref_cross``, shaped (n_refs * flen, n_refs)) and one
-    off-diagonal block ``G[span_i, span_j]`` per reference pair ``i < j``
-    (``blocks[i, j]``). Neither G nor its full factor is stored whole: the
-    full factor L is kept as its span blocks, the diagonal ones in
-    ``factor_full[i]`` and ``panels[i, j] = L[span_j, span_i].T`` for
+    span, plus the references' own cross vectors (``ref_cross``, shaped
+    (n_refs * flen, n_refs)), from which every block of G is built where it
+    is used; no block of G is kept. Neither G nor its full factor is stored
+    whole: the full factor L is kept as its span blocks, the diagonal ones
+    in ``factor_full[i]`` and ``panels[i, j] = L[span_j, span_i].T`` for
     ``i < j``. Its first diagonal block is also the first reference's own
     factor, ``factor_single[0]``. Each factor is ``(lower, inverses)``, a
     lower triangular array and the inverses of its diagonal blocks of order
@@ -179,9 +178,10 @@ class ReferenceProjector:
     quadratic form ``c @ G @ c`` whose Gram product the normal equations
     just solved give: c solves ``(G + load * I) c = cross``, so
     ``G @ c = cross - load * c`` on the span it was solved on, and only the
-    off-diagonal blocks are multiplied. No signal is re-synthesized. Build
-    one per reference set and score every estimate with ``score``, which
-    handles all of its rows at once. A silent reference, or one that
+    off-diagonal blocks are multiplied, each built once per ``score`` call.
+    No signal is re-synthesized. Build one per reference set and score every
+    estimate with ``score``, which solves for all of its rows at once after
+    correlating them one row at a time. A silent reference, or one that
     another's span explains to within ``COPY_MATCH`` of its energy (a scaled
     or delayed copy), raises DegenerateReferenceError. The projector needs
     numpy alone.
@@ -206,74 +206,80 @@ class ReferenceProjector:
         # finite samples can still overflow here; the check below rejects that
         with np.errstate(over="ignore", invalid="ignore"):
             self.spectra = np.fft.rfft(references, n=self.n_fft, axis=1)
-            cross = self.ref_cross = self._cross(self.spectra.copy())
+            cross = self.ref_cross = self._cross(self.spectra)
         # every Gram entry is one of these correlations
         if not np.all(np.isfinite(cross)):
             raise InvalidInputError("metric inputs overflow the reference correlations")
-        # block (i, j) of G is Toeplitz: its first column is reference j's
-        # cross vector against the copies of reference i, its first row
-        # reference i's against those of j; a diagonal block's diagonal holds
-        # its reference's energy
+        # a diagonal block's diagonal holds its reference's energy (see _block)
         energy = cross[np.arange(n_refs) * filter_len, np.arange(n_refs)]
         # G's trace, its diagonal summed entry by entry as np.trace sums it
         self.load = 1e-10 * np.repeat(energy, filter_len).sum() / (n_refs * filter_len)
-        self.blocks = {(i, j): _toeplitz(cross[self._span(i), j], cross[self._span(j), i])
-                       for i in range(n_refs) for j in range(i + 1, n_refs)}
         try:  # the correlations are checked finite above
-            self._factor(cross)
+            self._factor_full()
+            # the first block's factor is also the first reference's own; the
+            # others are factored from their blocks built again, not from
+            # copies held through the full factor's Schur complements
+            self.factor_single = [self.factor_full[0], *(
+                _cholesky(self._loaded_block(j)) for j in range(1, n_refs))]
         except np.linalg.LinAlgError as exc:
             raise DegenerateReferenceError(
                 "reference correlation system is not positive definite"
             ) from exc
         self._check_distinguishable()
 
-    def _factor(self, cross: np.ndarray) -> None:
+    def _factor_full(self) -> None:
         """Factor the loaded Gram matrix span by span: each diagonal block
         minus what the earlier spans explain of it (its Schur complement),
-        the panels below it by forward substitution, and each reference's
-        own block on its own."""
+        and the panels below it by forward substitution."""
         n_refs = self.n_refs
-        loaded = []
-        for i in range(n_refs):
-            block = _toeplitz(cross[self._span(i), i], cross[self._span(i), i])
-            block.flat[:: self.flen + 1] += self.load
-            loaded.append(block)
-        # the first block's factor is both the first reference's own and the
-        # full factor's leading block; the others are factored from copies
-        # before their Schur complements overwrite them
-        others = [_cholesky(block.copy()) for block in loaded[1:]]
+        loaded = [self._loaded_block(i) for i in range(n_refs)]
         self.factor_full, self.panels = [], {}
         for i in range(n_refs):
             factor = _cholesky(loaded[i])
             self.factor_full.append(factor)
             for j in range(i + 1, n_refs):
-                rhs = self.blocks[i, j]
+                rhs = self._block(i, j)
                 for k in range(i):
                     rhs = rhs - self.panels[k, i].T @ self.panels[k, j]
                 panel = self.panels[i, j] = _solve_lower(factor, rhs)
-                loaded[j] -= panel.T @ panel
-        self.factor_single = [self.factor_full[0], *others]
+                # the spent right-hand side takes the product
+                loaded[j] -= np.matmul(panel.T, panel, out=rhs)
+
+    def _loaded_block(self, i: int) -> np.ndarray:
+        """The diagonal block ``G[span_i, span_i] + load * I``."""
+        block = self._block(i, i)
+        block.flat[:: self.flen + 1] += self.load
+        return block
 
     def _span(self, i: int) -> slice:
         return slice(i * self.flen, (i + 1) * self.flen)
 
-    def _cross(self, spectra: np.ndarray) -> np.ndarray:
-        """Cross vectors of the signals whose ``rfft`` rows are ``spectra``:
-        column m holds the inner products of signal m with every delayed
-        reference copy, reference by reference, shaped (n_refs * flen, n).
-        ``spectra`` is conjugated in place, so pass an array nothing else
-        reads."""
+    def _block(self, i: int, j: int) -> np.ndarray:
+        """The Gram block ``G[span_i, span_j]``, ``i <= j``, built from the
+        references' cross vectors where it is used: it is Toeplitz, its
+        first column reference j's cross vector against the copies of
+        reference i, its first row reference i's against those of j."""
+        cross = self.ref_cross
+        return _toeplitz(cross[self._span(i), j], cross[self._span(j), i])
+
+    def _cross(self, spectra) -> np.ndarray:
+        """Cross vectors of the signals whose ``rfft`` rows ``spectra`` holds
+        or yields: column m holds the inner products of signal m with every
+        delayed reference copy, reference by reference, shaped
+        (n_refs * flen, n). The rows are correlated one at a time, so only
+        one row's conjugate, product and ``irfft`` exist at once; no row is
+        changed."""
         lags = -np.arange(self.flen)  # copy delayed by d: correlation lag -d
-        cross = np.empty((self.n_refs * self.flen, spectra.shape[0]))
-        # one product buffer for all references: fewer MB-sized temporaries
-        # keep a long sweep's heap from fragmenting
-        conj = np.conjugate(spectra, out=spectra)
-        product = np.empty_like(conj)
-        for i in range(self.n_refs):
-            np.multiply(self.spectra[i], conj, out=product)
-            corr = np.fft.irfft(product, n=self.n_fft, axis=1)
-            cross[self._span(i)] = corr[:, lags].T
-        return cross
+        conj, product = np.empty((2, self.spectra.shape[1]), np.complex128)
+        columns = []
+        for spectrum in spectra:
+            np.conjugate(spectrum, out=conj)
+            column = np.empty(self.n_refs * self.flen)
+            for i in range(self.n_refs):
+                np.multiply(self.spectra[i], conj, out=product)
+                column[self._span(i)] = np.fft.irfft(product, n=self.n_fft)[lags]
+            columns.append(column)
+        return np.stack(columns, axis=1)
 
     def _solve_full(self, cross: np.ndarray) -> np.ndarray:
         """Coefficients on the full span: block forward substitution with the
@@ -325,30 +331,31 @@ class ReferenceProjector:
             raise InvalidInputError("estimate and references must have equal lengths")
         n_est, n_refs = estimates.shape[0], self.n_refs
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            cross = self._cross(np.fft.rfft(estimates, n=self.n_fft, axis=1))
+            cross = self._cross(np.fft.rfft(row, n=self.n_fft) for row in estimates)
         if not np.all(np.isfinite(cross)):
             raise InvalidInputError("metric inputs overflow the cross-correlations")
         energy = np.einsum("ij,ij->i", estimates, estimates)
         full = self._solve_full(cross)
         gram_full = cross - self.load * full  # G @ full, from the normal equations
         full_energy = _column_dots(full, gram_full)
+        singles = [self._project_single(cross, j, energy) for j in range(n_refs)]
+        # G[:, span_j] @ coeffs_j: its own span from the normal equations, each
+        # other span through an off-diagonal block, built once per pair
+        gram = [np.empty_like(cross) for _ in range(n_refs)]
+        for j, (_, gram_single, _, _) in enumerate(singles):
+            gram[j][self._span(j)] = gram_single
+        for i, j in itertools.combinations(range(n_refs), 2):
+            block = self._block(i, j)
+            gram[j][self._span(i)] = block @ singles[j][0]
+            gram[i][self._span(j)] = block.T @ singles[i][0]
+            del block  # not held beside the next
         energies = np.empty((n_est, n_refs, 3))
-        for j in range(n_refs):
-            coeffs, gram_single, target, distortion = self._project_single(cross, j, energy)
-            # G[:, span_j] @ coeffs: one off-diagonal block product per other span
-            gram_coeffs = np.empty_like(cross)
-            for i in range(n_refs):
-                if i == j:
-                    gram_coeffs[self._span(i)] = gram_single
-                elif i < j:
-                    gram_coeffs[self._span(i)] = self.blocks[i, j] @ coeffs
-                else:
-                    gram_coeffs[self._span(i)] = self.blocks[j, i].T @ coeffs
+        for j, (coeffs, _, target, distortion) in enumerate(singles):
             # the interference filter itself, so no two large energies cancel
             rest = full.copy()
             rest[self._span(j)] -= coeffs
             energies[:, j] = np.stack(
-                (target, _column_dots(rest, gram_full - gram_coeffs), distortion), axis=1)
+                (target, _column_dots(rest, gram_full - gram[j]), distortion), axis=1)
         sir_matrix = np.array([[_db_ratio(t, e) for t, e, _ in row] for row in energies])
         best = np.argmax(energies[:, :, 0], axis=1)
         rows = np.arange(n_est)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -531,6 +532,31 @@ class TestSeparate:
             tracemalloc.stop()
         assert peak <= bound
 
+    # the bits of each value as a 32- and a 64-bit IEEE float
+    NON_FINITE = {"quiet-nan": (0x7FC00000, 0x7FF8000000000000),
+                  "signalling-nan": (0x7F800001, 0x7FF0000000000001),
+                  "+inf": (0x7F800000, 0x7FF0000000000000),
+                  "-inf": (0xFF800000, 0xFFF0000000000000)}
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    @pytest.mark.parametrize("value", sorted(NON_FINITE))
+    def test_non_finite_float_sample_exits_two(self, tmp_path, capsys, value, bits):
+        # the reader names the file and the first bad frame; a signalling
+        # NaN is decoded without numpy's invalid-cast warning
+        samples = np.random.default_rng(29).standard_normal((4000, 2)).astype(f"f{bits // 8}")
+        samples[3, 0] = np.nan  # a later bad frame is not the one named
+        samples.view(f"u{bits // 8}")[1, 1] = self.NON_FINITE[value][bits // 64]
+        path = tmp_path / "mixture.wav"
+        wavfile.write(path, 16000, samples)
+        out = tmp_path / "sep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("separate", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == (f"gc-iva: I/O error: {path}: not a readable WAV file "
+                       f"(non-finite sample at frame 1, channel 1)\n")
+        assert not out.exists()
+
     def test_report_and_trace_artifacts(self, tmp_path):
         scene = tmp_path / "scene"
         assert simulate_small(scene) == 0
@@ -948,6 +974,88 @@ class TestBenchmark:
         assert run_cli("benchmark", "--out", tmp_path / "bench", "--snr", "20", "--seed", "0",
                        "--doa", "45:135", "--duration", "1.0", "--iterations", "1") == 0
         assert alive == [[False, False]]  # the images, then the finite-SNR mixture
+
+    def test_outputs_are_the_demixed_spectrogram_projected_back(self, tmp_path, monkeypatch):
+        # each run solves from the scene spectrogram's Hermitian cache and
+        # demixes and projects a copy of the spectrogram in place: its stack
+        # is the one solved from the spectrogram, its outputs are, bit for
+        # bit, synthesize(project_back(demix(spec, stack), stack, 0)), and
+        # the spectrogram the five runs share is left as analyzed
+        specs, runs = [], []
+        analyze, run_separation = gciva.cli.analyze, gciva.cli.run_separation
+        score = gciva.cli._score
+
+        def analyzing(*args):
+            spec = analyze(*args)
+            specs.append((spec, spec.data.copy()))
+            return spec
+
+        def solving(data, cfg):
+            result = run_separation(data, cfg)
+            runs.append((data, cfg, result[0]))
+            return result
+
+        def scoring(projector, outputs, order):
+            runs[-1] += (outputs.copy(),)
+            return score(projector, outputs, order)
+
+        monkeypatch.setattr(gciva.cli, "analyze", analyzing)
+        monkeypatch.setattr(gciva.cli, "run_separation", solving)
+        monkeypatch.setattr(gciva.cli, "_score", scoring)
+        assert run_cli("benchmark", "--out", tmp_path / "bench", "--snr", "20", "--seed", "0",
+                       "--doa", "45:135", "--duration", "1.0", "--iterations", "3") == 0
+        [(spec, analyzed)] = specs
+        assert np.array_equal(spec.data, analyzed)
+        assert len(runs) == 5
+        for data, cfg, stack, outputs in runs:
+            assert isinstance(data, gciva.HermitianCache)
+            assert np.array_equal(run_separation(spec, cfg)[0].matrices, stack.matrices)
+            expected = gciva.synthesize(gciva.project_back(gciva.demix(spec, stack), stack, 0))
+            assert outputs.shape == (16000, 2)
+            assert np.array_equal(outputs, expected[:16000])
+
+    def test_peak_is_the_projector_the_spectrogram_its_copy_the_cache_and_a_row(self, tmp_path):
+        # a one-scene benchmark holds the projector's kept arrays, the
+        # sources, their clean sum and the scene spectrogram throughout; on
+        # top of them, a run's Hermitian cache while it solves, one copy of
+        # the spectrogram while its outputs are formed, and one row's FFT
+        # buffers (its spectrum, conjugate, product and irfft) while they are
+        # scored. The bound sums all of these (23.3 MB for this 5 s scene);
+        # a projector that kept its Gram block, a run that demixed into a
+        # new array and projected back into another, and a score that
+        # transformed all rows at once needed 26.1 MB
+        cfg = ExperimentConfig()
+        stft = cfg.stft_config()
+        sources = gciva.synthetic_sources(2, cfg.duration, cfg.sample_rate, 0)
+        images = gciva.render_images(gciva.SceneSpec(sources, (45.0, 135.0), seed=0),
+                                     cfg.geometry(), stft)
+        projector = ReferenceProjector(images[:, :, 0])
+        kept = {}
+        values = list(vars(projector).values())
+        while values:
+            value = values.pop()
+            if isinstance(value, np.ndarray):
+                kept[id(value)] = value.nbytes
+            elif isinstance(value, (list, tuple, dict)):
+                values += list(value.values() if isinstance(value, dict) else value)
+        clean = images.sum(axis=0)
+        spec = gciva.analyze(clean, stft)
+        bound = (sum(kept.values()) + sources.nbytes + clean.nbytes + 2 * spec.data.nbytes
+                 + gciva.HermitianCache.from_spectrogram(spec).data.nbytes
+                 + 4 * projector.spectra[0].nbytes)
+        del projector, images, clean, spec
+        argv = ("benchmark", "--snr", "20", "--seed", "0", "--doa", "45:135",
+                "--iterations", "2", "--out")
+        assert run_cli(*argv, tmp_path / "warm") == 0  # lazy imports and FFT plans
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run_cli(*argv, tmp_path / "bench") == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_sweep_is_its_scenes_in_pair_snr_seed_order(self, tmp_path, monkeypatch,
                                                         projector_builds):

@@ -383,6 +383,34 @@ def test_bad_config_number_exits_one(key, text, mixture, tmp_path, capsys):
     assert not out.exists()
 
 
+# sigma2 and lambda_e: every bad kind of a float, and a sigma2 so small that
+# the prior matrices overflow
+PRIOR_CASES = [pytest.param(key, str(value), id=f"{key}-{bad}") for key in ("sigma2", "lambda_e")
+               for bad, value in BAD.items() if bad != "float-count"]
+PRIOR_CASES.append(pytest.param("sigma2", "1e-320", id="sigma2-overflowing"))
+PRIOR_COMMANDS = {"simulate": ["simulate", "--duration", "0.5"],
+                  "separate": ["separate", "--algorithm", "aux"],
+                  "benchmark": ["benchmark", "--duration", "0.5", "--snr", "20", "--seed", "0",
+                                "--doa", "45:135", "--iterations", "1"]}
+
+
+@pytest.mark.parametrize("command", sorted(PRIOR_COMMANDS))
+@pytest.mark.parametrize("key, text", PRIOR_CASES)
+def test_bad_prior_scale_exits_one_in_every_command(command, key, text, mixture, tmp_path,
+                                                     capsys):
+    # ExperimentConfig checks sigma2 and lambda_e when it is made, so a
+    # command that builds no prior matrix (simulate, an aux separate, a
+    # benchmark before its first gc-aux run) rejects them too
+    argv = PRIOR_COMMANDS[command] + ([str(mixture)] if command == "separate" else [])
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "out"
+    assert main([*argv, f"{flag}={text}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gc-iva: config error: ") and "Traceback" not in err
+    assert key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])
 def test_overflowing_duration_exits_one(command, tmp_path, capsys):
     # the sample count of a finite duration overflows a float

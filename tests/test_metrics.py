@@ -322,13 +322,34 @@ class TestBatchedScore:
                     direct = np.correlate(signal, ref, "full")[lags + n - 1]
                     np.testing.assert_allclose(cross[i * flen : (i + 1) * flen, m],
                                                direct[flen - 1 :], atol=1e-9)
-        # the stored Gram block (0, 1) holds every lag -(flen-1)..flen-1 of
-        # the reference pair: entry (d, e) is lag d - e
-        assert list(projector.blocks) == [(0, 1)]
+        # the Gram block (0, 1) holds every lag -(flen-1)..flen-1 of the
+        # reference pair: entry (d, e) is lag d - e
         direct = np.correlate(refs[1], refs[0], "full")[lags + n - 1]
-        block = projector.blocks[0, 1]
+        block = projector._block(0, 1)
         for d in range(flen):
             np.testing.assert_allclose(block[d], direct[d : d + flen][::-1], atol=1e-9)
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_row_by_row_cross_vectors_equal_the_batched_transforms(self, n_rows):
+        # each row is correlated on its own; its cross vectors equal, bit for
+        # bit, those of one batched rfft, product and irfft over all rows,
+        # and a row scored in a stack has the cross vectors it has alone
+        flen = 64
+        rng = np.random.default_rng(85 + n_rows)
+        refs = make_refs()
+        projector = ReferenceProjector(refs, flen)
+        estimates = self.estimates(refs, rng, n_rows)
+        spectra = np.fft.rfft(estimates, n=projector.n_fft, axis=1)
+        batched = np.empty((2 * flen, n_rows))
+        for i in range(2):
+            corr = np.fft.irfft(projector.spectra[i] * spectra.conj(), n=projector.n_fft, axis=1)
+            batched[i * flen : (i + 1) * flen] = corr[:, -np.arange(flen)].T
+        cross = projector._cross(spectra)
+        assert np.array_equal(cross, batched)
+        for m in range(n_rows):
+            assert np.array_equal(projector._cross(spectra[m : m + 1])[:, 0], cross[:, m])
+        assert np.array_equal(projector.ref_cross,
+                              projector._cross(np.fft.rfft(refs, n=projector.n_fft, axis=1)))
 
     @pytest.mark.parametrize("n, flen", [(6000, 64), (80000, 512), (8192, 1), (12289, 100)])
     def test_fft_length_is_the_smallest_5_smooth_cover(self, n, flen):
@@ -344,9 +365,9 @@ class TestBatchedScore:
 
 
 class TestProjectorMemory:
-    """A projector keeps its Cholesky factors, the references' spectra and
-    cross vectors and one off-diagonal Gram block per reference pair; the
-    Gram matrix itself is never held whole."""
+    """A projector keeps its Cholesky factors and the references' spectra
+    and cross vectors; no Gram block is kept, and the Gram matrix itself is
+    never held whole."""
 
     MIB = 2**20
 
@@ -376,17 +397,22 @@ class TestProjectorMemory:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 15.3 and 17.3 MiB with the full factor held whole; 21.2 and 23.3 MiB
-        # with a dense Gram matrix beside it
-        assert (kept - before) / self.MIB <= 13.0
-        assert (peak - before) / self.MIB <= 15.0
+        # four 2 MiB flen-square arrays, their 64-row blocks' inverses
+        # (0.75 MiB) and the spectra (1.24 MiB): 10.0 MiB kept, and a peak of
+        # 10.1 MiB, as the one transient flen-square array, the right-hand
+        # side of the panel, is made while the second reference's diagonal
+        # block is not yet factored on its own; 12.0 and 13.8 MiB with the
+        # Gram block kept, that copy held through the full factor and the
+        # references' spectra copied whole for their cross vectors
+        assert (kept - before) / self.MIB <= 10.5
+        assert (peak - before) / self.MIB <= 10.5
         # the full factor is kept as its span blocks: two diagonal factors and
         # one panel, the first diagonal factor shared with the first
-        # reference's own; with the second reference's factor and the Gram
-        # block, five flen-square arrays and none of the full order
+        # reference's own; with the second reference's own factor, four
+        # flen-square arrays and none of the full order
         arrays = [a for v in vars(projector).values() for a in self.arrays(v)]
         assert not [a for a in arrays if a.shape == (2 * flen, 2 * flen)]
-        assert len({id(a) for a in arrays if a.shape == (flen, flen)}) == 5
+        assert len({id(a) for a in arrays if a.shape == (flen, flen)}) == 4
         assert projector.factor_single[0] is projector.factor_full[0]
         # the references' shape is kept, not their samples
         assert not [a for a in arrays if np.shares_memory(a, stack)]
@@ -433,11 +459,10 @@ class TestScipyOracle:
         refs = np.random.default_rng(7).standard_normal((3, 1200))
         projector = ReferenceProjector(refs, flen)
         cross = projector.ref_cross
-        assert list(projector.blocks) == [(0, 1), (0, 2), (1, 2)]
-        for (i, j), block in projector.blocks.items():
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
             np.testing.assert_array_equal(
-                block, toeplitz(cross[i * flen : (i + 1) * flen, j],
-                                cross[j * flen : (j + 1) * flen, i]))
+                projector._block(i, j), toeplitz(cross[i * flen : (i + 1) * flen, j],
+                                                 cross[j * flen : (j + 1) * flen, i]))
 
     # only 512 is a multiple of the 64-row blocks the factors are inverted in
     @pytest.mark.parametrize("flen", [1, 12, 100, 512])
