@@ -23,11 +23,12 @@ from .errors import (
     SingularUpdateError,
     checked_index,
 )
-from .iva import (HermitianCache, PriorConfig, SourceModel, checked_prior_scale,
+from .iva import (HermitianCache, PriorConfig, SourceModel, checked_prior_scale, checked_step,
                   demix_and_project, run_gradient_iva, run_informed_iva)
 from .metrics import ReferenceProjector
-from .scene import (SPEED_OF_SOUND, ArrayGeometry, SceneSpec, add_noise, render_images,
-                    simulate_mixture, synthetic_sources)
+from .scene import (SPEED_OF_SOUND, ArrayGeometry, SceneSpec, add_noise, checked_doa,
+                    checked_duration, checked_snr, render_images, simulate_mixture,
+                    synthetic_sources)
 from .stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 
 ALGORITHMS = ("aux", "gc-aux", "gc-grad")
@@ -39,10 +40,11 @@ class ExperimentConfig:
     """Fully resolved experiment settings (defaults mirror the reference
     operating point: 2048-sample Hamming window at 16 kHz, sigma2 = 40,
     lambda_e = 1e-3, stepsize 0.05 with constraint weight 0.5, a 0.21 m
-    microphone pair, and an SNR sweep over 10/20/30 dB). Checks its
-    algorithms, iterations, seeds, sigma2 and lambda_e when made, by
-    ``replace()`` too, so a command that would never build a prior still
-    rejects a bad one."""
+    microphone pair, and an SNR sweep over 10/20/30 dB). Checks every
+    value when made, by ``replace()`` too, each by the rule of the library
+    check that reads it, so a command that never reads a key still rejects
+    a bad value of it rather than echo it into its JSON. Only the paths are
+    left to the commands that open them."""
 
     algorithm: str = "gc-aux"
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -78,6 +80,19 @@ class ExperimentConfig:
         for seed in self.seeds:
             checked_index(seed, "seeds")
         checked_prior_scale(self.sigma2, self.lambda_e)
+        checked_step(self.stepsize, self.constraint_weight)
+        self.stft_config()
+        n_mics = self.geometry().n_mics
+        for channel in self.constrained_channels:
+            checked_index(channel, "constrained_channels", high=n_mics)
+        for doa in self.doas:
+            checked_doa(doa, "doas")
+        for doa in (doa for pair in self.doa_pairs for doa in pair):
+            checked_doa(doa, "doa_pairs")
+        for snr in self.snrs:
+            checked_snr(snr, "snrs")
+        checked_snr(self.snr_db)
+        checked_duration(self.duration, self.sample_rate)
 
     def resolved_iterations(self, algorithm: str) -> int:
         if self.iterations is not None:
@@ -329,21 +344,15 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     return 0
 
 
-def _benchmark_runs(cfg: ExperimentConfig, spec, doas, n_samples: int):
-    """Yields the (constrained source, outputs, intended reference order)
-    runs of ``cfg.algorithm`` on one analyzed two-source scene.
+def _benchmark_runs(cfg: ExperimentConfig, cache: HermitianCache, doas):
+    """Yields the (constrained source, demixing stack, intended reference
+    order) runs of ``cfg.algorithm`` on one analyzed two-source scene, each
+    solved from the scene's Hermitian ``cache``.
 
     aux runs once, unconstrained (constrained source -1), with the reference
     order (0, 1). gc-aux and gc-grad run once per target source with output
     channel 0 constrained and the reference order (target, other): gc-aux
-    nulls the other source's DOA, gc-grad preserves the target's. Outputs are
-    projected back to the reference microphone, matching the ground-truth
-    images the metrics compare against.
-
-    Each run solves from ``spec``'s Hermitian cache, which dies with the
-    solve, and forms its outputs from one copy of ``spec``. No name here
-    holds the outputs, so once the caller drops them none is alive while
-    the next run solves.
+    nulls the other source's DOA, gc-grad preserves the target's.
     """
     for target in (-1,) if cfg.algorithm == "aux" else range(len(doas)):
         run_cfg, order = cfg, (0, 1)
@@ -351,61 +360,75 @@ def _benchmark_runs(cfg: ExperimentConfig, spec, doas, n_samples: int):
             other = 1 - target
             doa = doas[other] if cfg.algorithm == "gc-aux" else doas[target]
             run_cfg, order = replace(cfg, constrained_channels=(0,), doas=(doa,)), (target, other)
-        stack = run_separation(HermitianCache.from_spectrogram(spec), run_cfg)[0]
-        yield target, _outputs(spec, stack, n_samples), order
+        yield target, run_separation(cache, run_cfg)[0], order
 
 
-def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, signals, swap: int):
+def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, swap: int):
     """The runs.csv rows of one DOA pair and seed, one list per SNR of
-    ``cfg.snrs``. The clean images and the reference projector depend on
-    the pair and the seed alone, so every SNR shares them; only the noise,
-    the mixture and what is computed from it are made per SNR. Each large
-    array is dropped at its last use: the images once the projector and
-    their sum exist, a mixture once it is analyzed."""
+    ``cfg.snrs``, with the pair's DOAs swapped if ``swap``. A unit of the
+    sweep that needs nothing else: it renders the seed's sources itself.
+
+    The clean images and the reference projector depend on the pair and the
+    seed alone, so every SNR shares them; only the noise, the mixture and
+    what is computed from it are made per SNR. Each large array is dropped
+    at its last use: the sources once imaged, the images once the projector
+    and their sum exist, the sum once the last mixture is made, a mixture
+    once analyzed. Every run of an SNR solves from one Hermitian cache of
+    its spectrogram, which is dropped before any run's outputs are formed:
+    those are projected back to the reference microphone, matching the
+    ground-truth images the metrics compare against, and scored one run at
+    a time."""
     stft_cfg = cfg.stft_config()
     doas = (pair[0], pair[1]) if swap == 0 else (pair[1], pair[0])
-    images = render_images(SceneSpec(signals, doas, seed=seed), cfg.geometry(), stft_cfg)
+    sources = synthetic_sources(2, cfg.duration, cfg.sample_rate, seed)
+    images = render_images(SceneSpec(sources, doas, seed=seed), cfg.geometry(), stft_cfg)
+    del sources
     projector = ReferenceProjector(images[:, :, 0])  # keeps no view into images
     clean = images.sum(axis=0)
     del images
     n_samples = clean.shape[0]
     label = f"{pair[0]:g}-{pair[1]:g}"
     rows_per_snr = []
-    for snr in cfg.snrs:
+    for i, snr in enumerate(cfg.snrs):
         mixture = add_noise(clean, snr, seed)
+        if i == len(cfg.snrs) - 1:
+            del clean  # its last use (at an infinite SNR, mixture is clean itself)
         input_sir = float(np.mean(projector.score(mixture.T).sir_db))
         spec = analyze(mixture, stft_cfg)
         del mixture
+        cache = HermitianCache.from_spectrogram(spec)
+        runs = [(algorithm, *run) for algorithm in cfg.algorithms
+                for run in _benchmark_runs(replace(cfg, algorithm=algorithm), cache, doas)]
+        del cache
         rows = []
-        for algorithm in cfg.algorithms:
-            for target, outputs, order in _benchmark_runs(
-                    replace(cfg, algorithm=algorithm), spec, doas, n_samples):
-                sir, sdr, _, matched = _score(projector, outputs, order)
-                del outputs  # not held while the next run solves
-                rows.append([
-                    label, snr, f"{seed}", algorithm, f"{target}",
-                    sir[0], sir[1], sdr[0], sdr[1], input_sir,
-                    int(matched),
-                ])
+        for algorithm, target, stack, order in runs:
+            sir, sdr, _, matched = _score(projector, _outputs(spec, stack, n_samples), order)
+            rows.append([
+                label, snr, f"{seed}", algorithm, f"{target}",
+                sir[0], sir[1], sdr[0], sdr[1], input_sir,
+                int(matched),
+            ])
         rows_per_snr.append(rows)
     return rows_per_snr
+
+
+def _sweep_rows(cfg: ExperimentConfig, unit_rows: dict) -> list:
+    """The runs.csv rows in pair -> SNR -> seed order, from ``unit_rows``,
+    which maps each (pair, seed) unit to its rows per SNR whatever order
+    the units ran in."""
+    return [row for pair in cfg.doa_pairs for s in range(len(cfg.snrs))
+            for seed in cfg.seeds for row in unit_rows[pair, seed][s]]
 
 
 def cmd_benchmark(cfg: ExperimentConfig) -> int:
     for key in ("doa_pairs", "snrs", "seeds", "algorithms"):
         if not getattr(cfg, key):
             raise ConfigError(f"benchmark needs a non-empty {key} list")
-    # the sources and the DOA swap depend on the seed alone
-    sources = {seed: (synthetic_sources(2, cfg.duration, cfg.sample_rate, seed),
-                      int(np.random.default_rng([seed, 1]).integers(0, 2)))
-               for seed in cfg.seeds}
-    run_rows = []
-    for pair in cfg.doa_pairs:
-        # one projector alive at a time; the rows go out pair -> SNR -> seed
-        per_seed = [_benchmark_pair_seed(cfg, pair, seed, *sources[seed]) for seed in cfg.seeds]
-        for s in range(len(cfg.snrs)):
-            for rows_per_snr in per_seed:
-                run_rows.extend(rows_per_snr[s])
+    # the DOA swap depends on the seed alone
+    swaps = {seed: int(np.random.default_rng([seed, 1]).integers(0, 2)) for seed in cfg.seeds}
+    # each unit holds its own projector, so one is alive at a time
+    run_rows = _sweep_rows(cfg, {(pair, seed): _benchmark_pair_seed(cfg, pair, seed, swaps[seed])
+                                 for pair in cfg.doa_pairs for seed in cfg.seeds})
 
     groups: dict[tuple, list] = {}  # (scenario, snr_db, algorithm) -> its runs.csv rows
     for row in run_rows:

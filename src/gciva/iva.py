@@ -655,18 +655,27 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
     return j_iva, _prior_cost(matrices, _form_coefficients(matrices), _priors(prior, spec))
 
 
-def _check_rank(cache: np.ndarray, solver: str) -> None:
+def _check_power(total: np.ndarray, solver: str) -> None:
+    """Raises SingularUpdateError if no channel has power in any bin of
+    ``total``, the (K^2, F) frame sum of the cache, as for an all-zero
+    mixture, whose every update system is zero."""
+    n_ch = math.isqrt(total.shape[0])
+    if not np.any(total[:n_ch] > 0.0):
+        raise SingularUpdateError(f"{solver} input is silent: no channel has power "
+                                  f"in any of its {total.shape[1]} bins")
+
+
+def _check_rank(total: np.ndarray, solver: str) -> None:
     """Raises SingularUpdateError if the channels are linearly dependent in
     more than half of the bins where every channel has power, as copies of
-    one channel are: in the frame sum of the cache, ``1 - |r01|^2 / (r00
-    r11)`` for two channels, the ratio of the smallest to the largest
-    eigenvalue for more, is at most 1e-10 there. Bins without power, and
-    bins whose sum overflowed, are left to the solver."""
-    n_ch = math.isqrt(cache.shape[1])
+    one channel are: in ``total``, the (K^2, F) frame sum of the cache,
+    ``1 - |r01|^2 / (r00 r11)`` for two channels, the ratio of the smallest
+    to the largest eigenvalue for more, is at most 1e-10 there. Bins without
+    power, and bins whose sum overflowed, are left to the solver."""
+    n_ch = math.isqrt(total.shape[0])
     if n_ch < 2:
         return
     with np.errstate(all="ignore"):
-        total = cache.sum(axis=0)
         powered = np.all(total[:n_ch] > 0.0, axis=0)
         if n_ch == 2:
             r00, r11, re, im = total
@@ -704,7 +713,10 @@ def _solve(spec, model: SourceModel, iterations: int, update, penalty, callback,
     w = _bins_last(DemixingStack.identity(spec.n_bins, spec.n_channels).matrices)
     coef = _form_coefficients(w)
     cache = spec.data if isinstance(spec, HermitianCache) else _hermitian_cache(spec.data)
-    _check_rank(cache, solver)
+    with np.errstate(all="ignore"):  # an overflowed sum is left to the solver
+        total = cache.sum(axis=0)
+    _check_power(total, solver)
+    _check_rank(total, solver)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
         with np.errstate(all="ignore"):  # a bad update shows in the cost or a retry
@@ -743,9 +755,9 @@ def run_informed_iva(spec: ComplexSpectrogram | HermitianCache, prior: PriorConf
 
     ``spec`` is the analyzed mixture or its :class:`HermitianCache`, which
     is all the solve reads. Returns ``(stack, demixed, trace)``; the demixed
-    spectrogram is None when given a cache. Channels that are linearly
-    dependent in most bins raise SingularUpdateError before the first
-    iteration.
+    spectrogram is None when given a cache. A silent input, and channels
+    that are linearly dependent in most bins, raise SingularUpdateError
+    before the first iteration.
     """
     _check_data(spec)
     if spec.n_channels < 1:
@@ -855,6 +867,13 @@ def _gradient_step(w: np.ndarray, cov: np.ndarray, field: dict, stepsize: float,
     return step
 
 
+def checked_step(stepsize: float, constraint_weight: float) -> tuple[float, float]:
+    """``(stepsize, constraint_weight)`` of the gradient baseline as floats,
+    each in [0, inf); raises InvalidInputError naming the value at fault."""
+    return (checked_scalar(stepsize, "stepsize", low=0.0),
+            checked_scalar(constraint_weight, "constraint_weight", low=0.0))
+
+
 def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceModel,
                     h_field: dict[int, np.ndarray], stepsize: float,
                     constraint_weight: float) -> DemixingStack:
@@ -865,8 +884,7 @@ def gradient_update(w: DemixingStack, spec: ComplexSpectrogram, model: SourceMod
     frame magnitude.
     """
     _check_shapes(spec, w)
-    stepsize = checked_scalar(stepsize, "stepsize", low=0.0)
-    constraint_weight = checked_scalar(constraint_weight, "constraint_weight", low=0.0)
+    stepsize, constraint_weight = checked_step(stepsize, constraint_weight)
     field = _check_field(w, h_field)
     weights = model.weight(_frame_energies(_demix_data(spec.data, w.matrices)))
     cov = _weighted_covariances(_hermitian_cache(spec.data), weights)
@@ -887,8 +905,7 @@ def run_gradient_iva(spec: ComplexSpectrogram | HermitianCache, constrained_chan
     _check_data(spec)
     channels, doas = _constraint_pairs(constrained_channels, target_doas)
     field = _steering_field(channels, doas, geometry, spec)
-    stepsize = checked_scalar(stepsize, "stepsize", low=0.0)
-    constraint_weight = checked_scalar(constraint_weight, "constraint_weight", low=0.0)
+    stepsize, constraint_weight = checked_step(stepsize, constraint_weight)
 
     def step(it, w, covs):
         w = _gradient_step(w, covs, field, stepsize, constraint_weight)

@@ -35,6 +35,18 @@ def _cos_degrees(theta_deg: float) -> float:
     return float(np.sin(np.deg2rad(90.0 - theta_deg)))
 
 
+def checked_doa(doa_deg, name: str = "DOA") -> float:
+    """``doa_deg`` as a float in [0, 180] degrees, the directions a source
+    may take here; raises InvalidInputError naming ``name`` otherwise."""
+    return checked_scalar(doa_deg, name, 0.0, 180.0)
+
+
+def checked_snr(snr_db, name: str = "snr_db") -> float:
+    """``snr_db`` as a float in dB: any real number, or +inf for no noise;
+    raises InvalidInputError naming ``name`` otherwise."""
+    return checked_scalar(snr_db, name, inf_ok=True)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Microphone positions in meters; the first entry is the reference."""
@@ -64,7 +76,7 @@ class ArrayGeometry:
     def path_offsets(self, doa_deg: float) -> np.ndarray:
         """Microphone offsets from the reference (m) projected on (cos doa, sin doa, 0),
         for a DOA in [0, 180] degrees."""
-        doa_deg = checked_scalar(doa_deg, "DOA", 0.0, 180.0)
+        doa_deg = checked_doa(doa_deg)
         d = self.mic_positions - self.mic_positions[0]
         return d[:, 0] * _cos_degrees(doa_deg) + d[:, 1] * np.sin(np.deg2rad(doa_deg))
 
@@ -112,11 +124,11 @@ class SceneSpec:
         if sig.ndim != 2 or sig.shape[1] == 0:
             raise InvalidInputError("source_signals must be (n_sources, n_samples)")
         self.source_signals = sig
-        self.source_doas = tuple(checked_scalar(d, "DOA", 0.0, 180.0)
+        self.source_doas = tuple(checked_doa(d)
                                  for d in np.ravel(self.source_doas).tolist())
         if len(self.source_doas) != sig.shape[0]:
             raise InvalidInputError("need one DOA per source")
-        self.snr_db = checked_scalar(self.snr_db, "snr_db", inf_ok=True)
+        self.snr_db = checked_snr(self.snr_db)
         self.seed = checked_index(self.seed, "seed")
         if self.rirs is not None:
             rirs = checked_array(self.rirs, "rirs")
@@ -215,7 +227,7 @@ def add_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     noise power matches ``snr_db`` exactly. With ``snr_db = inf`` the noise
     branch is skipped and ``clean`` itself is returned; a silent ``clean``
     gets zero noise."""
-    snr_db = checked_scalar(snr_db, "snr_db", inf_ok=True)
+    snr_db = checked_snr(snr_db)
     rng = np.random.default_rng(checked_index(seed, "seed"))
     clean = checked_array(clean, "clean signal")
     if np.isinf(snr_db):
@@ -283,6 +295,22 @@ def _tilt_highpass(noise: np.ndarray, alpha: float, b: np.ndarray, a: np.ndarray
     return out
 
 
+def checked_duration(duration, sample_rate: float) -> int:
+    """The sample count of ``duration`` seconds at ``sample_rate`` Hz, rounded;
+    raises InvalidInputError naming the duration unless it is a real number
+    whose count is at least 1 and fits an array index."""
+    duration = checked_scalar(duration, "duration")
+    count = duration * sample_rate
+    if not count < np.iinfo(np.intp).max:  # inf if the product overflows
+        raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
+                                f"{count:g} samples, more than an array can index")
+    n_samples = int(round(count))
+    if n_samples < 1:
+        raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
+                                f"{n_samples} samples; need at least 1")
+    return n_samples
+
+
 def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed: int = 0) -> np.ndarray:
     """Independent speech-like test sources, unit RMS each.
 
@@ -305,16 +333,8 @@ def synthetic_sources(n_sources: int, duration: float, sample_rate: float, seed:
     """
     n_sources = checked_index(n_sources, "n_sources", low=1)
     sample_rate = checked_scalar(sample_rate, "sample_rate", low=2.0 * _HIGHPASS_HZ, strict=True)
-    duration = checked_scalar(duration, "duration")
+    n_samples = checked_duration(duration, sample_rate)
     rng = np.random.default_rng(checked_index(seed, "seed"))
-    count = duration * sample_rate
-    if not count < np.iinfo(np.intp).max:  # inf if the product overflows
-        raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
-                                f"{count:g} samples, more than an array can index")
-    n_samples = int(round(count))
-    if n_samples < 1:
-        raise InvalidInputError(f"duration {duration:g} s at {sample_rate:g} Hz renders "
-                                f"{n_samples} samples; need at least 1")
     segment = int(round(sample_rate / _ENVELOPE_RATE_HZ))
     n_nodes = n_samples // segment + 2
     try:

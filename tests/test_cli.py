@@ -249,6 +249,21 @@ class TestConfigResolution:
          "unknown algorithm 'x', expected one of ('aux', 'gc-aux', 'gc-grad')"),
         ({"algorithms": ("aux", "x")}, gciva.ConfigError,
          "unknown algorithm 'x', expected one of ('aux', 'gc-aux', 'gc-grad')"),
+        ({"stepsize": -1.0}, gciva.InvalidInputError, "stepsize -1.0 outside [0, inf)"),
+        ({"constraint_weight": np.nan}, gciva.InvalidInputError,
+         "constraint_weight nan outside [0, inf)"),
+        ({"snrs": (20.0, np.nan)}, gciva.InvalidInputError, "snrs nan outside (-inf, inf]"),
+        ({"snr_db": -np.inf}, gciva.InvalidInputError, "snr_db -inf outside (-inf, inf]"),
+        ({"duration": np.nan}, gciva.InvalidInputError, "duration nan outside (-inf, inf)"),
+        ({"duration": 0.0}, gciva.InvalidInputError,
+         "duration 0 s at 16000 Hz renders 0 samples; need at least 1"),
+        ({"doas": (45.0, 200.0)}, gciva.InvalidInputError, "doas 200.0 outside [0, 180]"),
+        ({"doa_pairs": ((45.0, 135.0), (-1.0, 90.0))}, gciva.InvalidInputError,
+         "doa_pairs -1.0 outside [0, 180]"),
+        ({"constrained_channels": (0, 2)}, gciva.InvalidInputError,
+         "constrained_channels 2 outside [0, 2)"),
+        ({"hop": 4096}, gciva.InvalidInputError, "hop 4096 outside [1, 2049)"),
+        ({"mic_spacing": np.inf}, gciva.InvalidInputError, "spacing inf outside (-inf, inf)"),
     ])
     def test_replace_checks_each_value(self, changes, error, message):
         # every configuration is checked when made, so a replace() of a
@@ -337,7 +352,7 @@ class TestSimulate:
     def test_out_of_range_doa_exits_one(self, tmp_path, capsys):
         out = tmp_path / "scene"
         assert simulate_small(out, doa="45,200") == 1
-        assert "config error: DOA 200.0 outside [0, 180]\n" in capsys.readouterr().err
+        assert "config error: doas 200.0 outside [0, 180]\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("snr", ["10,30", ","])
@@ -643,6 +658,20 @@ class TestSeparate:
                        "--iterations", "1", "--out", tmp_path / "x")
         assert code == 3
 
+    @pytest.mark.parametrize("algorithm, doa", [("aux", "45"), ("gc-aux", "135"),
+                                                ("gc-grad", "45")])
+    def test_silent_mixture_names_the_cause_in_every_algorithm(self, tmp_path, algorithm, doa):
+        gio.write_wav(tmp_path / "silent.wav", np.zeros((4096, 2)), 16000)
+        out = tmp_path / "x"
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          "separate", str(tmp_path / "silent.wav"), "--algorithm", algorithm,
+                          "--doa", doa, "--iterations", "1", "--out", str(out),
+                          capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == (f"gc-iva: numerical failure: {algorithm} input is silent: "
+                               f"no channel has power in any of its 1025 bins\n")
+        assert not out.exists()
+
     def test_gradient_geometry_mismatch_is_config_error(self, tmp_path):
         # the CLI geometry is a microphone pair, so a 3-channel mixture cannot
         # be steered; gc-grad must say so rather than crash in its penalty
@@ -670,7 +699,7 @@ class TestSeparate:
         out = tmp_path / "sep"
         assert run_cli("separate", scene / "mixture.wav", "--algorithm", "gc-aux",
                        "--iterations", "1", "--doa", "200", "--out", out) == 1
-        assert "config error: DOA 200.0 outside [0, 180]\n" in capsys.readouterr().err
+        assert "config error: doas 200.0 outside [0, 180]\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_colon_doa_exits_one(self, tmp_path, capsys):
@@ -690,7 +719,7 @@ class TestSeparate:
                        "--iterations", "1", "--constrained-channels", "2", "--doa", "45",
                        "--out", out)
         assert code == 1
-        assert "constrained channel 2 outside [0, 2)" in capsys.readouterr().err
+        assert "constrained_channels 2 outside [0, 2)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("iterations", ["0", "1"])
@@ -952,11 +981,11 @@ class TestBenchmark:
         assert len(calls) == 3  # 3 SNRs x 1 seed x 1 DOA pair
 
     def test_scene_arrays_die_before_the_separations(self, tmp_path, monkeypatch):
-        # the projector keeps no view into the rendered images, and a
-        # mixture is dropped once analyzed, so neither is held while the
-        # scene's separations run
+        # the sources are dropped once imaged, the projector keeps no view
+        # into the rendered images, and a mixture is dropped once analyzed,
+        # so none is held while the scene's separations run
         made, alive = [], []
-        for name in ("render_images", "add_noise"):
+        for name in ("synthetic_sources", "render_images", "add_noise"):
             def recording(*args, original=getattr(gciva.cli, name)):
                 result = original(*args)
                 made.append(weakref.ref(result))
@@ -973,15 +1002,18 @@ class TestBenchmark:
         monkeypatch.setattr(gciva.cli, "run_separation", checking)
         assert run_cli("benchmark", "--out", tmp_path / "bench", "--snr", "20", "--seed", "0",
                        "--doa", "45:135", "--duration", "1.0", "--iterations", "1") == 0
-        assert alive == [[False, False]]  # the images, then the finite-SNR mixture
+        # the sources, the images, then the finite-SNR mixture
+        assert alive == [[False, False, False]]
 
     def test_outputs_are_the_demixed_spectrogram_projected_back(self, tmp_path, monkeypatch):
         # each run solves from the scene spectrogram's Hermitian cache and
         # demixes and projects a copy of the spectrogram in place: its stack
         # is the one solved from the spectrogram, its outputs are, bit for
         # bit, synthesize(project_back(demix(spec, stack), stack, 0)), and
-        # the spectrogram the five runs share is left as analyzed
-        specs, runs = [], []
+        # the spectrogram the five runs share is left as analyzed. Every run
+        # solves before the first is scored, so the outputs are paired with
+        # the runs by order
+        specs, runs, scored = [], [], []
         analyze, run_separation = gciva.cli.analyze, gciva.cli.run_separation
         score = gciva.cli._score
 
@@ -996,7 +1028,7 @@ class TestBenchmark:
             return result
 
         def scoring(projector, outputs, order):
-            runs[-1] += (outputs.copy(),)
+            scored.append(outputs.copy())
             return score(projector, outputs, order)
 
         monkeypatch.setattr(gciva.cli, "analyze", analyzing)
@@ -1006,29 +1038,81 @@ class TestBenchmark:
                        "--doa", "45:135", "--duration", "1.0", "--iterations", "3") == 0
         [(spec, analyzed)] = specs
         assert np.array_equal(spec.data, analyzed)
-        assert len(runs) == 5
-        for data, cfg, stack, outputs in runs:
+        assert len(runs) == len(scored) == 5
+        for (data, cfg, stack), outputs in zip(runs, scored):
             assert isinstance(data, gciva.HermitianCache)
             assert np.array_equal(run_separation(spec, cfg)[0].matrices, stack.matrices)
             expected = gciva.synthesize(gciva.project_back(gciva.demix(spec, stack), stack, 0))
             assert outputs.shape == (16000, 2)
             assert np.array_equal(outputs, expected[:16000])
 
-    def test_peak_is_the_projector_the_spectrogram_its_copy_the_cache_and_a_row(self, tmp_path):
-        # a one-scene benchmark holds the projector's kept arrays, the
-        # sources, their clean sum and the scene spectrogram throughout; on
-        # top of them, a run's Hermitian cache while it solves, one copy of
-        # the spectrogram while its outputs are formed, and one row's FFT
-        # buffers (its spectrum, conjugate, product and irfft) while they are
-        # scored. The bound sums all of these (23.3 MB for this 5 s scene);
-        # a projector that kept its Gram block, a run that demixed into a
-        # new array and projected back into another, and a score that
-        # transformed all rows at once needed 26.1 MB
+    def test_one_cache_per_snr_dropped_before_any_output(self, tmp_path, monkeypatch):
+        # the five runs of an SNR solve from the one Hermitian cache of its
+        # spectrogram, and that cache is dead before the first run's outputs
+        # are formed
+        caches, solved_from, dead = [], [], []
+        from_spectrogram = gciva.HermitianCache.from_spectrogram
+        run_separation, outputs = gciva.cli.run_separation, gciva.cli._outputs
+
+        def building(cls, spec):
+            cache = from_spectrogram(spec)
+            caches.append(weakref.ref(cache))
+            return cache
+
+        def solving(data, cfg):
+            solved_from.append(len(caches) - 1 if data is caches[-1]() else None)
+            return run_separation(data, cfg)
+
+        def forming(*args):
+            gc.collect()
+            dead.append([ref() is None for ref in caches])
+            return outputs(*args)
+
+        monkeypatch.setattr(gciva.HermitianCache, "from_spectrogram", classmethod(building))
+        monkeypatch.setattr(gciva.cli, "run_separation", solving)
+        monkeypatch.setattr(gciva.cli, "_outputs", forming)
+        assert run_cli("benchmark", "--out", tmp_path / "bench", "--snr", "10,30", "--seed", "0",
+                       "--doa", "45:135", "--duration", "1.0", "--iterations", "1") == 0
+        assert solved_from == [0] * 5 + [1] * 5  # one cache per SNR, built before its solves
+        assert dead == [[True]] * 5 + [[True, True]] * 5
+
+    def test_units_in_any_order_reassemble_to_the_same_runs_csv(self, tmp_path):
+        # a (pair, seed) unit needs only its arguments, so units run in
+        # reverse order and reassembled pair -> SNR -> seed give the sweep's
+        # runs.csv bytes
+        config = tmp_path / "sweep.cfg"
+        config.write_text("doa_pairs = 45:135,20:160\nseeds = 0,2\nsnrs = 10,30\n"
+                          "duration = 1\niterations = 1\n")
+        out = tmp_path / "sweep"
+        assert run_cli("benchmark", "--config", config, "--out", out) == 0
+        cfg = resolve_file(config)
+        units = [(pair, seed) for pair in cfg.doa_pairs for seed in cfg.seeds]
+        swaps = {0: 1, 2: 0}  # see two_seed_sweep
+        unit_rows = {unit: gciva.cli._benchmark_pair_seed(cfg, *unit, swaps[unit[1]])
+                     for unit in reversed(units)}
+        assert list(unit_rows) != units
+        header, _ = (out / "runs.csv").read_text().split("\n", 1)
+        gio.write_csv(tmp_path / "runs.csv", header.split(","),
+                      gciva.cli._sweep_rows(cfg, unit_rows))
+        assert (tmp_path / "runs.csv").read_bytes() == (out / "runs.csv").read_bytes()
+
+    def test_peak_is_the_projector_the_spectrogram_its_copy_and_a_row(self, tmp_path):
+        # a one-scene benchmark holds the projector's kept arrays and the
+        # scene spectrogram throughout; the sources die once imaged, the
+        # clean sum once the last mixture is made, and the Hermitian cache
+        # the five runs solve from before any output is formed. On top of
+        # them, one copy of the spectrogram while a run's outputs are formed,
+        # those outputs (the size of the clean sum) and one row's FFT buffers
+        # (its spectrum, conjugate, product and irfft) while they are scored.
+        # The bound sums these (19.5 MB for this 5 s scene); a sweep that
+        # held its sources and the clean sum throughout needed 20.1 MB, and
+        # with the cache and the sources in it the bound was 23.3 MB
         cfg = ExperimentConfig()
         stft = cfg.stft_config()
         sources = gciva.synthetic_sources(2, cfg.duration, cfg.sample_rate, 0)
         images = gciva.render_images(gciva.SceneSpec(sources, (45.0, 135.0), seed=0),
                                      cfg.geometry(), stft)
+        del sources
         projector = ReferenceProjector(images[:, :, 0])
         kept = {}
         values = list(vars(projector).values())
@@ -1040,8 +1124,7 @@ class TestBenchmark:
                 values += list(value.values() if isinstance(value, dict) else value)
         clean = images.sum(axis=0)
         spec = gciva.analyze(clean, stft)
-        bound = (sum(kept.values()) + sources.nbytes + clean.nbytes + 2 * spec.data.nbytes
-                 + gciva.HermitianCache.from_spectrogram(spec).data.nbytes
+        bound = (sum(kept.values()) + clean.nbytes + 2 * spec.data.nbytes
                  + 4 * projector.spectra[0].nbytes)
         del projector, images, clean, spec
         argv = ("benchmark", "--snr", "20", "--seed", "0", "--doa", "45:135",
@@ -1059,8 +1142,9 @@ class TestBenchmark:
 
     def test_sweep_is_its_scenes_in_pair_snr_seed_order(self, tmp_path, monkeypatch,
                                                         projector_builds):
-        # sources and DOA swap once per seed, clean images and projector once
-        # per (pair, seed), and the same runs.csv rows as one scene at a time
+        # DOA swap once per seed; sources, clean images and projector once
+        # per (pair, seed) unit, and the same runs.csv rows as one scene at
+        # a time
         pairs, snrs, seeds = ("45:135", "20:160"), ("10", "30"), ("0", "2")
         common = ("--duration", "1", "--iterations", "1")
         rendered = []
@@ -1072,7 +1156,7 @@ class TestBenchmark:
         out = tmp_path / "sweep"
         assert run_cli("benchmark", "--config", config, "--out", out, "--doa", ",".join(pairs),
                        "--snr", ",".join(snrs), *common) == 0
-        assert rendered == [0, 2]
+        assert rendered == [0, 2, 0, 2]
         assert len(projector_builds) == 4
         header, *rows = (out / "runs.csv").read_bytes().splitlines(keepends=True)
         expected = []

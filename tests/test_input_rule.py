@@ -411,6 +411,46 @@ def test_bad_prior_scale_exits_one_in_every_command(command, key, text, mixture,
     assert not out.exists()
 
 
+# keys that some commands never read, as config-file text: each kind of bad
+# value their rule rejects (one bad entry for a list key)
+UNREAD_KEYS = {
+    "stepsize": [str(v) for bad, v in BAD.items() if bad != "float-count"],
+    "constraint_weight": [str(v) for bad, v in BAD.items() if bad != "float-count"],
+    "duration": [str(BAD[bad]) for bad in ("string", "nan", "+inf", "-inf", "negative")]
+    + ["0.00001", "1e305"],
+    "snr_db": [str(BAD[bad]) for bad in ("string", "nan", "-inf")],
+    "snrs": [f"20,{BAD[bad]}" for bad in ("string", "nan", "-inf")],
+    "doas": [f"45,{v}" for v in ("200", *(BAD[bad] for bad in BAD if bad != "float-count"))],
+    "doa_pairs": [f"45:{v}" for v in ("200", *(BAD[bad] for bad in BAD if bad != "float-count"))],
+    "constrained_channels": ["2", *(str(BAD[bad]) for bad in BAD)],
+}
+# each command's own keys, which the key under test overrides
+UNREAD_COMMANDS = {"simulate": {"duration": "0.5"},
+                   "separate": {"algorithm": "aux", "iterations": "1"},
+                   "benchmark": {"duration": "0.5", "snrs": "20", "seeds": "0",
+                                 "doa_pairs": "45:135", "algorithms": "aux", "iterations": "1"}}
+UNREAD_CASES = [pytest.param(command, key, text, id=f"{command}-{key}-{text}")
+                for command in UNREAD_COMMANDS for key, texts in UNREAD_KEYS.items()
+                for text in texts]
+
+
+@pytest.mark.parametrize("command, key, text", UNREAD_CASES)
+def test_bad_value_exits_one_in_every_command(command, key, text, mixture, tmp_path, capsys):
+    # ExperimentConfig checks each key when it is made, so a command that
+    # never reads the key rejects a bad value too, rather than echo it
+    config = tmp_path / "bad.cfg"
+    lines = {**UNREAD_COMMANDS[command], key: text}
+    config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    out = tmp_path / "out"
+    argv = [command, *([str(mixture)] if command == "separate" else [])]
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gc-iva: config error: ")
+    assert "Traceback" not in err and "Warning" not in err
+    assert key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])
 def test_overflowing_duration_exits_one(command, tmp_path, capsys):
     # the sample count of a finite duration overflows a float

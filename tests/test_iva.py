@@ -1043,9 +1043,26 @@ class TestRunInformedIva:
         assert c_target > c_interferer
 
     def test_singular_update_carries_context(self):
-        spec = ComplexSpectrogram(np.zeros((2, 3, 2)), tiny_config(2))
-        with pytest.raises(SingularUpdateError, match="iteration 1"):
+        # bin 0 alone has no power, so the input is neither silent nor rank
+        # deficient, and bin 0's update system is zero at the first update
+        spec = random_spec(np.random.default_rng(45), 3, 6, 2)
+        spec.data[0] = 0.0
+        with pytest.raises(SingularUpdateError, match="bin 0, channel 0, iteration 1"):
             run_informed_iva(spec, None, SourceModel(), 2)
+
+    @pytest.mark.parametrize("solver, n_ch", [
+        ("aux", 1), ("aux", 2), ("aux", 3), ("gc-aux", 2), ("gc-grad", 2)])
+    def test_silent_input_fails_before_solving(self, solver, n_ch):
+        # an all-zero input has no update system to solve; each solver says
+        # so by name, before any iteration, whatever its channel count
+        spec = ComplexSpectrogram(np.zeros((3, 4, n_ch), dtype=complex), tiny_config(3))
+        with pytest.raises(SingularUpdateError, match=(
+                f"^{solver} input is silent: no channel has power in any of its 3 bins$")):
+            if solver == "gc-grad":
+                run_gradient_iva(spec, (0,), (45.0,), PAIR, SourceModel(), 2)
+            else:
+                prior = PriorConfig.constant((0,), (45.0,), PAIR, 3) if solver == "gc-aux" else None
+                run_informed_iva(spec, prior, SourceModel(), 2)
 
     def test_negative_iterations_rejected(self):
         rng = np.random.default_rng(17)
