@@ -26,9 +26,8 @@ from .errors import (
 from .iva import (HermitianCache, PriorConfig, SourceModel, checked_prior_scale, checked_step,
                   demix_and_project, run_gradient_iva, run_informed_iva)
 from .metrics import ReferenceProjector
-from .scene import (SPEED_OF_SOUND, ArrayGeometry, SceneSpec, add_noise, checked_doa,
-                    checked_duration, checked_snr, render_images, simulate_mixture,
-                    synthetic_sources)
+from .scene import (ArrayGeometry, SceneSpec, add_noise, checked_doa, checked_duration,
+                    checked_snr, render_images, simulate_mixture, synthetic_sources)
 from .stft import ComplexSpectrogram, StftConfig, analyze, synthesize
 
 ALGORITHMS = ("aux", "gc-aux", "gc-grad")
@@ -38,20 +37,21 @@ DEFAULT_ITERATIONS = {"aux": 100, "gc-aux": 100, "gc-grad": 350}
 @dataclass
 class ExperimentConfig:
     """Fully resolved experiment settings (defaults mirror the reference
-    operating point: 2048-sample Hamming window at 16 kHz, sigma2 = 40,
-    lambda_e = 1e-3, stepsize 0.05 with constraint weight 0.5, a 0.21 m
-    microphone pair, and an SNR sweep over 10/20/30 dB). Checks every
-    value when made, by ``replace()`` too, each by the rule of the library
-    check that reads it, so a command that never reads a key still rejects
-    a bad value of it rather than echo it into its JSON. Only the paths are
-    left to the commands that open them."""
+    operating point: sigma2 = 40, lambda_e = 1e-3, stepsize 0.05 with
+    constraint weight 0.5, a 0.21 m microphone pair, and an SNR sweep over
+    10/20/30 dB). The rest of that point is fixed, not configured: every
+    transform is ``StftConfig``'s 2048-sample Hamming window with hop 1024
+    at the rate of the WAV read, or at its 16 kHz for a synthetic scene,
+    and sound travels at ``scene.SPEED_OF_SOUND``. Checks every value when
+    made, by ``replace()`` too, each by the rule of the library check that
+    reads it, so a command that never reads a key still rejects a bad value
+    of it rather than echo it into its JSON; a sweep list must not repeat an
+    entry, which would count one run twice. Only the paths are left to the
+    commands that open them."""
 
     algorithm: str = "gc-aux"
     algorithms: tuple[str, ...] = ALGORITHMS
     iterations: int | None = None
-    window_length: int = StftConfig.window_length
-    hop: int = StftConfig.hop
-    sample_rate: float = StftConfig.sample_rate
     sigma2: float = 40.0
     lambda_e: float = 1e-3
     doas: tuple[float, ...] = ()
@@ -65,7 +65,6 @@ class ExperimentConfig:
     seed: int = 0
     duration: float = 5.0
     mic_spacing: float = 0.21
-    speed_of_sound: float = SPEED_OF_SOUND
     sources: tuple[str, ...] = ()
     refs: tuple[str, ...] = ()
     out_dir: str = "."
@@ -81,7 +80,6 @@ class ExperimentConfig:
             checked_index(seed, "seeds")
         checked_prior_scale(self.sigma2, self.lambda_e)
         checked_step(self.stepsize, self.constraint_weight)
-        self.stft_config()
         n_mics = self.geometry().n_mics
         for channel in self.constrained_channels:
             checked_index(channel, "constrained_channels", high=n_mics)
@@ -92,19 +90,21 @@ class ExperimentConfig:
         for snr in self.snrs:
             checked_snr(snr, "snrs")
         checked_snr(self.snr_db)
-        checked_duration(self.duration, self.sample_rate)
+        checked_duration(self.duration, StftConfig.sample_rate)
+        for key in ("algorithms", "seeds", "snrs", "doa_pairs"):
+            entries = getattr(self, key)
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    raise ConfigError(f"{key} repeats the entry {entry!r}; "
+                                      f"each is one independent run")
 
     def resolved_iterations(self, algorithm: str) -> int:
         if self.iterations is not None:
             return self.iterations
         return DEFAULT_ITERATIONS[algorithm]
 
-    def stft_config(self, sample_rate: float | None = None) -> StftConfig:
-        rate = self.sample_rate if sample_rate is None else sample_rate
-        return StftConfig(self.window_length, self.hop, rate)
-
     def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry.linear_pair(self.mic_spacing, self.speed_of_sound)
+        return ArrayGeometry.linear_pair(self.mic_spacing)
 
     def echo(self) -> dict:
         """Resolved configuration for report embedding (artifact paths are
@@ -206,21 +206,26 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _read_channel0(kind: str, paths, rate: float) -> list[np.ndarray]:
-    """Channel 0 of each ``kind`` WAV in ``paths``, each checked to be at ``rate`` Hz."""
+def _read_channel0(kind: str, paths, rate: int | None = None):
+    """Channel 0 of each ``kind`` WAV in ``paths`` and the rate they share,
+    each checked to be at ``rate`` Hz, or at the first file's rate if None."""
     signals = []
     for path in paths:
         data, file_rate = io.read_wav(path)
+        rate = file_rate if rate is None else rate
         if file_rate != rate:
-            raise ConfigError(f"{kind} {path} has rate {file_rate} Hz, expected {rate:g} Hz")
+            raise ConfigError(f"{kind} {path} has rate {file_rate} Hz, expected {rate} Hz")
         signals.append(data[:, 0] if data.ndim == 2 else data)
-    return signals
+    return signals, rate
 
 
 def _load_sources(cfg: ExperimentConfig, n_synthetic: int):
+    """The sources ``simulate`` renders and their rate in Hz: the source
+    WAVs' rate, or 16 kHz for synthetic ones."""
     if not cfg.sources:
-        return synthetic_sources(n_synthetic, cfg.duration, cfg.sample_rate, cfg.seed)
-    return _read_channel0("source", cfg.sources, cfg.sample_rate)  # SceneSpec checks lengths
+        rate = int(StftConfig.sample_rate)
+        return synthetic_sources(n_synthetic, cfg.duration, rate, cfg.seed), rate
+    return _read_channel0("source", cfg.sources)  # SceneSpec checks lengths
 
 
 def run_separation(spec, cfg: ExperimentConfig):
@@ -260,22 +265,19 @@ def _score(projector: ReferenceProjector, outputs: np.ndarray, order):
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    if not float(cfg.sample_rate).is_integer():
-        raise ConfigError(f"sample_rate {cfg.sample_rate:g} Hz is not a whole number, "
-                          f"which the WAV header needs")
     doas = cfg.doas or (45.0, 135.0)
-    signals = _load_sources(cfg, len(doas))
+    signals, rate = _load_sources(cfg, len(doas))
     scene = SceneSpec(signals, doas, cfg.snr_db, seed=cfg.seed)
-    mixture, images = simulate_mixture(scene, cfg.geometry(), cfg.stft_config())
+    mixture, images = simulate_mixture(scene, cfg.geometry(), StftConfig(sample_rate=rate))
     for samples in (mixture, images):  # source WAVs may carry any level
         io.check_wav_samples(samples)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    io.write_wav(out / "mixture.wav", mixture, int(cfg.sample_rate))
+    io.write_wav(out / "mixture.wav", mixture, rate)
     image_files = []
     for k in range(images.shape[0]):
         name = f"source{k + 1:02d}.wav"
-        io.write_wav(out / name, images[k], int(cfg.sample_rate))
+        io.write_wav(out / name, images[k], rate)
         image_files.append(name)
     meta = {
         "config": cfg.echo(),
@@ -296,7 +298,7 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     if cfg.refs and len(cfg.refs) != mixture.shape[1]:
         raise ConfigError(f"--refs names {len(cfg.refs)} reference WAVs; the "
                           f"{mixture.shape[1]}-channel mixture needs {mixture.shape[1]}")
-    refs = _read_channel0("reference", cfg.refs, rate)
+    refs, _ = _read_channel0("reference", cfg.refs, rate)
     for path, ref in zip(cfg.refs, refs):
         if len(ref) != mixture.shape[0]:
             print(f"gc-iva: warning: reference {path} has {len(ref)} samples, "
@@ -307,7 +309,7 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     # demixed and projected back in place, and the mixture is dropped before
     # the last synthesis, so no two spectrogram-sized arrays are ever held
     n_samples = mixture.shape[0]
-    stft_cfg = cfg.stft_config(rate)
+    stft_cfg = StftConfig(sample_rate=rate)
     stack, _, trace = run_separation(HermitianCache.from_signal(mixture, stft_cfg), cfg)
 
     report: dict = {"config": cfg.echo(), "algorithm": cfg.algorithm,
@@ -378,9 +380,9 @@ def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, swap: int):
     those are projected back to the reference microphone, matching the
     ground-truth images the metrics compare against, and scored one run at
     a time."""
-    stft_cfg = cfg.stft_config()
+    stft_cfg = StftConfig()
     doas = (pair[0], pair[1]) if swap == 0 else (pair[1], pair[0])
-    sources = synthetic_sources(2, cfg.duration, cfg.sample_rate, seed)
+    sources = synthetic_sources(2, cfg.duration, stft_cfg.sample_rate, seed)
     images = render_images(SceneSpec(sources, doas, seed=seed), cfg.geometry(), stft_cfg)
     del sources
     projector = ReferenceProjector(images[:, :, 0])  # keeps no view into images

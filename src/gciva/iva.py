@@ -87,6 +87,8 @@ _BLOCK_FRAMES = 8
 _BLOCK_BINS = 16
 # the largest 1 - |r01|^2 / (r00 r11) of a bin whose channels are linearly dependent
 _RANK_FLOOR = 1e-10
+# each source model weight column's magnitude floor, relative to the column's RMS
+_WEIGHT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,19 +98,14 @@ class SourceModel:
 
     ``weight(r)`` of magnitudes shaped (N,) or (N, K), one column per
     channel, is C-contiguous ``1 / max(r, floor)``; each column's floor is
-    ``epsilon`` times its RMS, so near-silent frames cannot blow up the
-    statistics and the weights scale as 1/gain.
+    1e-8 times its RMS (1e-8 for a silent column), so near-silent frames
+    cannot blow up the statistics and the weights scale as 1/gain.
     """
-
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        checked_scalar(self.epsilon, "epsilon", low=0.0, strict=True)
 
     def weight(self, r) -> np.ndarray:
         r = np.atleast_1d(checked_array(r, "magnitudes"))
         rms = np.sqrt((r**2).sum(axis=0) / max(r.shape[0], 1))
-        floor = np.where(rms > 0.0, self.epsilon * rms, self.epsilon)
+        floor = np.where(rms > 0.0, _WEIGHT_FLOOR * rms, _WEIGHT_FLOOR)
         return np.ascontiguousarray(1.0 / np.maximum(r, floor))
 
 
@@ -655,28 +652,25 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
     return j_iva, _prior_cost(matrices, _form_coefficients(matrices), _priors(prior, spec))
 
 
-def _check_power(total: np.ndarray, solver: str) -> None:
-    """Raises SingularUpdateError if no channel has power in any bin of
-    ``total``, the (K^2, F) frame sum of the cache, as for an all-zero
-    mixture, whose every update system is zero."""
+def _check_degenerate(total: np.ndarray, solver: str) -> None:
+    """Raises SingularUpdateError if ``total``, the (K^2, F) frame sum of
+    the cache, shows a mixture no update can separate. First if no channel
+    has power in any bin, as for an all-zero mixture, whose every update
+    system is zero. Then if the channels are linearly dependent in more than
+    half of the bins where every channel has power, as copies of one
+    channel are: ``1 - |r01|^2 / (r00 r11)`` for two channels, the ratio of
+    the smallest to the largest eigenvalue for more, is at most 1e-10 there.
+    Bins without power, and bins whose sum overflowed, are left to the
+    solver."""
     n_ch = math.isqrt(total.shape[0])
-    if not np.any(total[:n_ch] > 0.0):
+    power = total[:n_ch] > 0.0
+    if not np.any(power):
         raise SingularUpdateError(f"{solver} input is silent: no channel has power "
                                   f"in any of its {total.shape[1]} bins")
-
-
-def _check_rank(total: np.ndarray, solver: str) -> None:
-    """Raises SingularUpdateError if the channels are linearly dependent in
-    more than half of the bins where every channel has power, as copies of
-    one channel are: in ``total``, the (K^2, F) frame sum of the cache,
-    ``1 - |r01|^2 / (r00 r11)`` for two channels, the ratio of the smallest
-    to the largest eigenvalue for more, is at most 1e-10 there. Bins without
-    power, and bins whose sum overflowed, are left to the solver."""
-    n_ch = math.isqrt(total.shape[0])
     if n_ch < 2:
         return
+    powered = np.all(power, axis=0)
     with np.errstate(all="ignore"):
-        powered = np.all(total[:n_ch] > 0.0, axis=0)
         if n_ch == 2:
             r00, r11, re, im = total
             independence = 1.0 - (re / r00) * (re / r11) - (im / r00) * (im / r11)
@@ -715,8 +709,7 @@ def _solve(spec, model: SourceModel, iterations: int, update, penalty, callback,
     cache = spec.data if isinstance(spec, HermitianCache) else _hermitian_cache(spec.data)
     with np.errstate(all="ignore"):  # an overflowed sum is left to the solver
         total = cache.sum(axis=0)
-    _check_power(total, solver)
-    _check_rank(total, solver)
+    _check_degenerate(total, solver)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
         with np.errstate(all="ignore"):  # a bad update shows in the cost or a retry

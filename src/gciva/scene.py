@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidInputError, checked_array, checked_index, checked_scalar
 from .stft import StftConfig
 
-SPEED_OF_SOUND = 343.0
+SPEED_OF_SOUND = 343.0  # m/s, of every steering vector and rendered delay
 FRACTIONAL_DELAY_TAPS = 63
 _HIGHPASS_HZ = 150.0  # -3 dB edge of the synthetic sources' Butterworth highpass
 _TILT_HZ = 600.0  # edge of their one-pole lowpass tilt
@@ -49,10 +49,10 @@ def checked_snr(snr_db, name: str = "snr_db") -> float:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Microphone positions in meters; the first entry is the reference."""
+    """Microphone positions in meters; the first entry is the reference.
+    Sound travels at ``SPEED_OF_SOUND`` m/s between them."""
 
     mic_positions: np.ndarray
-    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self) -> None:
         pos = np.atleast_2d(checked_array(self.mic_positions, "mic_positions"))
@@ -60,14 +60,13 @@ class ArrayGeometry:
             raise InvalidInputError("mic_positions must be (n_mics, 3)")
         if pos.shape[0] < 2:
             raise InvalidInputError("need at least 2 microphones")
-        checked_scalar(self.speed_of_sound, "speed_of_sound", low=0.0, strict=True)
         object.__setattr__(self, "mic_positions", pos)
 
     @classmethod
-    def linear_pair(cls, spacing: float, speed_of_sound: float = SPEED_OF_SOUND):
+    def linear_pair(cls, spacing: float):
         """Two microphones ``spacing`` meters apart on the array axis."""
         offset = [checked_scalar(spacing, "spacing"), 0.0, 0.0]
-        return cls(np.array([[0.0, 0.0, 0.0], offset]), speed_of_sound)
+        return cls(np.array([[0.0, 0.0, 0.0], offset]))
 
     @property
     def n_mics(self) -> int:
@@ -96,7 +95,7 @@ def steering_stack(doa_deg: float, geometry: ArrayGeometry, config: StftConfig) 
     DOA in [0, 180] degrees."""
     nu = config.bin_frequencies  # (F,)
     proj = geometry.path_offsets(doa_deg)  # (M,)
-    phase = 2.0 * np.pi / geometry.speed_of_sound * nu[:, None] * proj[None, :]
+    phase = 2.0 * np.pi / SPEED_OF_SOUND * nu[:, None] * proj[None, :]
     return np.exp(1j * phase)
 
 
@@ -212,7 +211,7 @@ def render_images(spec: SceneSpec, geometry: ArrayGeometry, config: StftConfig) 
             images[k] = np.fft.irfft(spectra, size)[:, :n_samples].T
     else:
         # plane-wave arrival offsets in samples (source, mic), shifted to be causal
-        offsets = np.array([-geometry.path_offsets(doa) / geometry.speed_of_sound * fs
+        offsets = np.array([-geometry.path_offsets(doa) / SPEED_OF_SOUND * fs
                             for doa in spec.source_doas])
         base = max(0.0, -offsets.min())
         for k in range(spec.n_sources):

@@ -2,14 +2,16 @@
 
 import importlib.util
 import json
+import runpy
 from pathlib import Path
 
 import numpy as np
 
 from gciva import io as gio
 
-_SPEC = importlib.util.spec_from_file_location(
-    "artifacts", Path(__file__).resolve().parents[1] / "tools" / "artifacts.py")
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("artifacts", ROOT / "tools" / "artifacts.py")
 artifacts = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(artifacts)
 
@@ -67,11 +69,25 @@ def test_numbers_spelled_differently_are_named(tmp_path):
 
 
 def test_the_rendered_set_is_the_fixed_one(tmp_path):
-    jobs = dict(artifacts.commands(tmp_path))
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    jobs = dict(artifacts.commands(scene, out))
     assert list(jobs) == ["sweep0", "sweep1", "sweep2", "default-sweep", "simulate",
                           "separate-aux", "separate-aux-refs", "separate-gc-aux",
                           "separate-gc-aux-refs", "separate-gc-grad", "separate-gc-grad-refs"]
-    assert jobs["default-sweep"] == ["benchmark", "--iterations", "30"]
+    assert jobs["default-sweep"] == ["benchmark", "--iterations", "30",
+                                     "--out", str(out / "default-sweep")]
     assert jobs["separate-gc-aux-refs"] == [
-        "separate", str(tmp_path / "mixture.wav"), "--algorithm", "gc-aux", "--doa", "135",
-        "--refs", f"{tmp_path / 'source01.wav'},{tmp_path / 'source02.wav'}"]
+        "separate", str(scene / "mixture.wav"), "--algorithm", "gc-aux", "--doa", "135",
+        "--refs", f"{scene / 'source01.wav'},{scene / 'source02.wav'}",
+        "--out", str(out / "separate-gc-aux-refs")]
+
+
+def test_the_sweep_jobs_are_the_benchmark_workload(tmp_path):
+    # the sweep scenes follow perfbench/workloads.py, run from its source
+    workloads = runpy.run_path(str(WORKLOADS))
+    jobs = dict(artifacts.commands(tmp_path / "scene", tmp_path))
+    scenes = range(len(workloads["SWEEP_SCENES"]))
+    assert [jobs[f"sweep{i}"] for i in scenes] == [
+        workloads["sweep_args"](i, str(tmp_path / f"sweep{i}")) for i in scenes]
+    assert jobs["default-sweep"][:3] == ["benchmark", "--iterations",
+                                         str(workloads["SWEEP_ITERATIONS"])]

@@ -62,9 +62,10 @@ class TestConfigResolution:
     def test_defaults_match_operating_point(self):
         args = build_parser().parse_args(["simulate"])
         cfg = resolve_config(args)
-        assert cfg.window_length == 2048
-        assert cfg.hop == 1024
-        assert cfg.sample_rate == 16000.0
+        stft = gciva.StftConfig()  # every command's transform, at its input's rate
+        assert stft.window_length == 2048
+        assert stft.hop == 1024
+        assert stft.sample_rate == 16000.0
         assert cfg.sigma2 == 40.0
         assert cfg.lambda_e == 1e-3
         assert cfg.stepsize == 0.05
@@ -262,8 +263,9 @@ class TestConfigResolution:
          "doa_pairs -1.0 outside [0, 180]"),
         ({"constrained_channels": (0, 2)}, gciva.InvalidInputError,
          "constrained_channels 2 outside [0, 2)"),
-        ({"hop": 4096}, gciva.InvalidInputError, "hop 4096 outside [1, 2049)"),
         ({"mic_spacing": np.inf}, gciva.InvalidInputError, "spacing inf outside (-inf, inf)"),
+        ({"seeds": (0, 0)}, gciva.ConfigError,
+         "seeds repeats the entry 0; each is one independent run"),
     ])
     def test_replace_checks_each_value(self, changes, error, message):
         # every configuration is checked when made, so a replace() of a
@@ -309,27 +311,6 @@ class TestSimulate:
                           capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "mixture.wav").exists()
-
-    @pytest.mark.parametrize("rate, nyquist", [("300", "150"), ("250", "125")])
-    def test_band_edge_at_or_above_nyquist_exits_one(self, tmp_path, capsys, rate, nyquist):
-        config = tmp_path / "low.cfg"
-        config.write_text(f"sample_rate = {rate}\n")
-        out = tmp_path / "scene"
-        assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 1
-        err = capsys.readouterr().err
-        # a Nyquist frequency at or below the 150 Hz highpass edge: the rate
-        # must exceed twice the edge
-        assert f"config error: sample_rate {float(rate)} outside (300, inf)\n" in err
-        assert not out.exists()
-
-    def test_fractional_sample_rate_exits_one(self, tmp_path, capsys):
-        config = tmp_path / "odd.cfg"
-        config.write_text("sample_rate = 16000.7\n")
-        out = tmp_path / "scene"
-        assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 1
-        err = capsys.readouterr().err
-        assert "config error" in err and "sample_rate 16000.7 Hz is not a whole number" in err
-        assert not out.exists()
 
     def test_duration_without_samples_exits_one(self, tmp_path):
         out = tmp_path / "scene"
@@ -415,6 +396,30 @@ class TestSimulate:
         assert run_cli("simulate", "--config", config, "--out", out) == 1
         err = capsys.readouterr().err
         assert "slow.wav" in err and "8000" in err and "16000" in err
+        assert not out.exists()
+
+    def test_sources_set_the_rendered_rate(self, tmp_path):
+        # the scene renders and is written at the rate its source WAVs share
+        config = self.sources_config(tmp_path, ("a.wav", 22050, 22050), ("b.wav", 22050, 22050))
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--out", out) == 0
+        for name in ("mixture.wav", "source01.wav", "source02.wav"):
+            assert gio.read_wav(out / name)[1] == 22050
+        signals = [gio.read_wav(tmp_path / name)[0] for name in ("a.wav", "b.wav")]
+        images = gciva.render_images(gciva.SceneSpec(signals, (45.0, 135.0)),
+                                     gciva.ArrayGeometry.linear_pair(0.21),
+                                     gciva.StftConfig(sample_rate=22050))
+        np.testing.assert_array_equal(gio.read_wav(out / "source02.wav")[0],
+                                      images[1].astype(np.float32))
+
+    def test_mixed_rate_sources_exit_one_naming_the_odd_file(self, tmp_path, capsys):
+        # the first source sets the rate, so the file at another names it
+        config = self.sources_config(tmp_path, ("a22.wav", 22050, 22050),
+                                     ("b16.wav", 22050, 16000))
+        out = tmp_path / "scene"
+        assert run_cli("simulate", "--config", config, "--out", out) == 1
+        assert capsys.readouterr().err == (f"gc-iva: config error: source {tmp_path / 'b16.wav'} "
+                                           f"has rate 16000 Hz, expected 22050 Hz\n")
         assert not out.exists()
 
     def test_source_length_mismatch_exits_one(self, tmp_path, capsys):
@@ -532,7 +537,7 @@ class TestSeparate:
         scene = tmp_path / "scene"
         assert run_cli("simulate", "--out", scene, "--seed", "0", "--duration", "5.0") == 0
         mixture, _ = gio.read_wav(scene / "mixture.wav")
-        config = ExperimentConfig().stft_config()
+        config = gciva.StftConfig()
         bound = (mixture.nbytes + gciva.analyze(mixture, config).data.nbytes
                  + gciva.HermitianCache.from_signal(mixture, config).data.nbytes)
         del mixture
@@ -946,6 +951,19 @@ class TestBenchmark:
             "--doa", "45:135", "--duration", "1.0", "--iterations", "2", *extra
         )
 
+    @pytest.mark.parametrize("flag, text, key", [("--snr", "20,20", "snrs"),
+                                                  ("--doa", "45:135,45:135", "doa_pairs")])
+    def test_repeated_sweep_flag_exits_one(self, tmp_path, capsys, flag, text, key):
+        # a flag's list is checked like a config file's: a repeated entry
+        # would count one run twice, as if two runs had agreed
+        out = tmp_path / "bench"
+        assert run_cli("benchmark", "--out", out, "--seed", "0", "--duration", "1.0",
+                       "--iterations", "1", flag, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gc-iva: config error: {key} repeats the entry ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_snr_rows_per_algorithm(self, tmp_path):
         out = tmp_path / "bench"
         assert self.bench(out) == 0
@@ -1108,8 +1126,8 @@ class TestBenchmark:
         # held its sources and the clean sum throughout needed 20.1 MB, and
         # with the cache and the sources in it the bound was 23.3 MB
         cfg = ExperimentConfig()
-        stft = cfg.stft_config()
-        sources = gciva.synthetic_sources(2, cfg.duration, cfg.sample_rate, 0)
+        stft = gciva.StftConfig()
+        sources = gciva.synthetic_sources(2, cfg.duration, stft.sample_rate, 0)
         images = gciva.render_images(gciva.SceneSpec(sources, (45.0, 135.0), seed=0),
                                      cfg.geometry(), stft)
         del sources

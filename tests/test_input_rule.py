@@ -67,7 +67,7 @@ CASES = ("string-field-key", "string-reference", "string-bin", "fractional-bin",
          "ragged-references", "ragged-estimates", "nan-delay", "float-filter-length",
          "fractional-prior-channel", "float-window-length", "nan-clean-signal", "nan-rirs",
          "float-prior-bin-count", "float-stack-bin-count",
-         "string-sigma2", "string-epsilon", "string-sample-rate", "string-speed-of-sound",
+         "string-sigma2", "string-sample-rate",
          "string-doa", "string-noise-snr", "string-scene-snr", "fractional-noise-seed",
          "negative-noise-seed", "fractional-sources-seed", "negative-sources-seed",
          "string-duration", "fractional-scene-seed", "negative-scene-seed", "nan-sample-rate",
@@ -140,11 +140,8 @@ def test_bad_input_raises_naming_the_input(case):
                                   "n_bins 3.0 is not an integer"),
         "string-sigma2": (lambda: prior_matrix(np.ones(2), "40", 1e-3),
                           "sigma2 '40' is not a real number"),
-        "string-epsilon": (lambda: SourceModel("1e-8"), "epsilon '1e-8' is not a real number"),
         "string-sample-rate": (lambda: StftConfig(sample_rate="16000"),
                                "sample_rate '16000' is not a real number"),
-        "string-speed-of-sound": (lambda: ArrayGeometry.linear_pair(0.21, "343"),
-                                  "speed_of_sound '343' is not a real number"),
         "string-doa": (lambda: steering_stack("45", PAIR, CONFIG), "DOA '45' is not a real number"),
         "string-noise-snr": (lambda: add_noise(np.zeros((8, 2)), "20", 0),
                              "snr_db '20' is not a real number"),
@@ -253,8 +250,7 @@ def valid_calls():
     v, h = np.eye(2), np.ones((3, 2))
     d = prior_matrix(np.ones(2), 40.0, 1e-3)
     return {
-        "ArrayGeometry": dict(mic_positions=PAIR.mic_positions, speed_of_sound=343.0),
-        "ArrayGeometry.linear_pair": dict(spacing=0.21, speed_of_sound=343.0),
+        "ArrayGeometry.linear_pair": dict(spacing=0.21),
         "ArrayGeometry.path_offsets": dict(self=PAIR, doa_deg=45.0),
         "DemixingStack.identity": dict(n_bins=3, n_channels=2),
         "PriorConfig": dict(constrained_channels=(0,), doa_per_channel=(45.0,),
@@ -264,7 +260,6 @@ def valid_calls():
         "ReferenceProjector": dict(references=refs, filter_len=64),
         "SceneSpec": dict(source_signals=np.ones((2, 16)), source_doas=(45.0, 135.0),
                           snr_db=20.0, seed=0),
-        "SourceModel": dict(epsilon=1e-8),
         "StftConfig": dict(window_length=4, hop=2, sample_rate=16000.0),
         "add_noise": dict(clean=np.ones((8, 2)), snr_db=20.0, seed=0),
         "decompose_sir_sdr": dict(estimate=refs[0], references=refs, filter_len=64),
@@ -412,17 +407,21 @@ def test_bad_prior_scale_exits_one_in_every_command(command, key, text, mixture,
 
 
 # keys that some commands never read, as config-file text: each kind of bad
-# value their rule rejects (one bad entry for a list key)
+# value their rule rejects (one bad entry for a list key), and for each
+# sweep list a repeated entry, which would count one run twice
 UNREAD_KEYS = {
     "stepsize": [str(v) for bad, v in BAD.items() if bad != "float-count"],
     "constraint_weight": [str(v) for bad, v in BAD.items() if bad != "float-count"],
     "duration": [str(BAD[bad]) for bad in ("string", "nan", "+inf", "-inf", "negative")]
     + ["0.00001", "1e305"],
     "snr_db": [str(BAD[bad]) for bad in ("string", "nan", "-inf")],
-    "snrs": [f"20,{BAD[bad]}" for bad in ("string", "nan", "-inf")],
+    "snrs": [f"20,{BAD[bad]}" for bad in ("string", "nan", "-inf")] + ["20,20"],
     "doas": [f"45,{v}" for v in ("200", *(BAD[bad] for bad in BAD if bad != "float-count"))],
-    "doa_pairs": [f"45:{v}" for v in ("200", *(BAD[bad] for bad in BAD if bad != "float-count"))],
+    "doa_pairs": [f"45:{v}" for v in ("200", *(BAD[bad] for bad in BAD if bad != "float-count"))]
+    + ["45:135,45:135"],
     "constrained_channels": ["2", *(str(BAD[bad]) for bad in BAD)],
+    "seeds": ["0,0"],
+    "algorithms": ["aux,aux"],
 }
 # each command's own keys, which the key under test overrides
 UNREAD_COMMANDS = {"simulate": {"duration": "0.5"},
@@ -448,6 +447,24 @@ def test_bad_value_exits_one_in_every_command(command, key, text, mixture, tmp_p
     assert err.startswith("gc-iva: config error: ")
     assert "Traceback" not in err and "Warning" not in err
     assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD_COMMANDS))
+@pytest.mark.parametrize("key, text", [("window_length", "2048"), ("hop", "1024"),
+                                       ("sample_rate", "16000"), ("speed_of_sound", "343")])
+def test_fixed_value_key_exits_one_in_every_command(command, key, text, mixture, tmp_path,
+                                                    capsys):
+    # the CLI's STFT shape, the rate synthetic scenes render at and the
+    # speed of sound are fixed, so no command takes a key for them, not even
+    # one set to the fixed value
+    config = tmp_path / "fixed.cfg"
+    lines = {**UNREAD_COMMANDS[command], key: text}
+    config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    out = tmp_path / "out"
+    argv = [command, *([str(mixture)] if command == "separate" else [])]
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"gc-iva: config error: unknown config key: {key!r}\n"
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from scipy.io import wavfile
 
 from gciva import ConfigError, CostTrace, InvalidInputError
 from gciva import io as gio
+from gciva.cli import main
 
 
 class TestWav:
@@ -199,6 +200,90 @@ class TestUnreadableWav:
         path.write_bytes(self.CASES[case])
         with pytest.raises(OSError, match="input.wav"):
             gio.read_wav(path)
+
+
+# (format tag, bits, byte order, extensible) of each format read_wav accepts
+WAV_FORMATS = {"pcm8": (1, 8, "<", False), "pcm16": (1, 16, "<", False),
+               "pcm24": (1, 24, "<", False), "pcm32": (1, 32, "<", False),
+               "float32": (3, 32, "<", False), "float64": (3, 64, "<", False),
+               "rifx": (3, 32, ">", False), "extensible": (1, 16, "<", True)}
+MUTATIONS = 400  # cases per format
+
+
+def stereo_wav(name, frames=4096):
+    """A ``frames``-frame stereo WAV file's bytes in format ``name``."""
+    tag, bits, order, extensible = WAV_FORMATS[name]
+    rng = np.random.default_rng(12)
+    if tag == 3:
+        data = rng.standard_normal(2 * frames).astype(f"{order}f{bits // 8}").tobytes()
+    else:  # every byte pattern is a PCM sample
+        data = rng.integers(0, 256, 2 * frames * bits // 8, dtype=np.uint8).tobytes()
+    if extensible:
+        block = 2 * bits // 8
+        guid = struct.pack(order + "IHH", tag, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt = chunk(b"fmt ", struct.pack(order + "HHIIHHHHI", 0xFFFE, 2, 16000, 16000 * block,
+                                         block, bits, 22, bits, 0x3) + guid, order)
+    else:
+        fmt = fmt_chunk(tag, 2, bits, order=order)
+    return riff(fmt, chunk(b"data", data, order), order=order)
+
+
+def mutated_wavs(name):
+    """The seeded mutations of ``stereo_wav(name)``: each flips 1 to 3 of its
+    first 80 bytes, header and first samples, and every fifth also cuts the
+    file short."""
+    base = stereo_wav(name)
+    rng = np.random.default_rng([1, sorted(WAV_FORMATS).index(name)])
+    for case in range(MUTATIONS):
+        data = bytearray(base)
+        for pos in rng.choice(80, rng.integers(1, 4), replace=False):
+            data[pos] ^= int(rng.integers(1, 256))
+        if case % 5 == 4:
+            data = data[: int(rng.integers(0, len(data)))]
+        yield bytes(data)
+
+
+def read_or_oserror(path):
+    """``read_wav(path)``'s samples, or None if it raises OSError."""
+    try:
+        return gio.read_wav(path)[0]
+    except OSError:
+        return None
+
+
+class TestMutatedWav:
+    @pytest.mark.parametrize("name", sorted(WAV_FORMATS))
+    def test_raises_oserror_or_reads_finite_samples(self, tmp_path, name):
+        # any other exception, or a warning (an error under this suite's
+        # filter), fails the case
+        path = tmp_path / "mutated.wav"
+        outcomes = []
+        for data in mutated_wavs(name):
+            path.write_bytes(data)
+            samples = read_or_oserror(path)
+            if samples is not None:
+                assert samples.dtype == np.float64 and np.all(np.isfinite(samples))
+            outcomes.append(samples is not None)
+        assert 0 < sum(outcomes) < MUTATIONS  # the table reaches both outcomes
+
+    @pytest.mark.parametrize("name", sorted(WAV_FORMATS))
+    def test_separate_exits_with_a_documented_code(self, tmp_path, capsys, name):
+        # per format, the first mutated file read_wav rejects and the first
+        # it reads, through an in-process aux separate
+        path, firsts = tmp_path / "mutated.wav", {}
+        for data in mutated_wavs(name):
+            path.write_bytes(data)
+            firsts.setdefault(read_or_oserror(path) is not None, data)
+            if len(firsts) == 2:
+                break
+        for readable, data in sorted(firsts.items()):
+            path.write_bytes(data)
+            code = main(["separate", str(path), "--algorithm", "aux", "--iterations", "2",
+                         "--out", str(tmp_path / f"out-{readable}")])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3)
+            assert (code == 2) == (not readable)  # an unreadable WAV is an I/O error
+            assert "Traceback" not in err and "Warning" not in err
 
 
 class TestKeyValue:

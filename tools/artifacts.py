@@ -7,8 +7,9 @@ commands.
 new temporary directory. Each checkout renders, from its own ``src`` and
 each command in a fresh process (one BLAS thread, no bytecode written):
 
-- ``benchmark`` on the three scenes of the perfbench ``sweep`` workload
-  (``--iterations 30``) and the default sweep at ``--iterations 30``;
+- ``benchmark`` on each scene of the perfbench ``sweep`` workload, with the
+  arguments ``perfbench/workloads.py`` gives it, and the default sweep at
+  the workload's iteration count;
 - ``simulate --seed 0``;
 - ``separate`` with aux, gc-aux (``--doa 135``) and gc-grad (``--doa 45``),
   each with and without ``--refs``, all on the parent's ``simulate`` scene,
@@ -26,44 +27,48 @@ import argparse
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-CLI = ("-c", "import sys; from gciva.cli import main; sys.exit(main())")
+# the benchmark's workload definitions, run from source so that no bytecode
+# is written under perfbench/
+workloads = SimpleNamespace(**runpy.run_path(str(ROOT / "perfbench" / "workloads.py")))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-ITERATIONS = "30"
-# the perfbench sweep workload's scenes: (DOA pair, SNR in dB, seed)
-SWEEP_SCENES = (("45:135", "20", "0"), ("45:90", "10", "1"), ("20:160", "30", "2"))
 SEPARATIONS = (("aux", ()), ("gc-aux", ("--doa", "135")), ("gc-grad", ("--doa", "45")))
 
 
-def commands(scene: Path) -> list[tuple[str, list[str]]]:
-    """(output directory, gc-iva arguments) of every rendered artifact set;
-    ``scene`` is the ``simulate`` directory that ``separate`` reads."""
-    jobs = [(f"sweep{i}", ["benchmark", "--doa", pair, "--snr", snr, "--seed", seed,
-                           "--iterations", ITERATIONS])
-            for i, (pair, snr, seed) in enumerate(SWEEP_SCENES)]
-    jobs.append(("default-sweep", ["benchmark", "--iterations", ITERATIONS]))
-    jobs.append(("simulate", ["simulate", "--seed", "0"]))
+def commands(scene: Path, out: Path) -> list[tuple[str, list[str]]]:
+    """(output directory name, gc-iva arguments) of every rendered artifact
+    set, each written under ``out``; ``scene`` is the ``simulate`` directory
+    that ``separate`` reads."""
+    def job(name: str, *argv: str) -> tuple[str, list[str]]:
+        return name, [*argv, "--out", str(out / name)]
+
+    jobs = [(f"sweep{i}", workloads.sweep_args(i, str(out / f"sweep{i}")))
+            for i in range(len(workloads.SWEEP_SCENES))]
+    jobs.append(job("default-sweep", "benchmark", "--iterations", str(workloads.SWEEP_ITERATIONS)))
+    jobs.append(job("simulate", "simulate", "--seed", "0"))
     refs = f"{scene / 'source01.wav'},{scene / 'source02.wav'}"
     for algorithm, extra in SEPARATIONS:
         for with_refs in (False, True):
             name = f"separate-{algorithm}" + ("-refs" if with_refs else "")
-            jobs.append((name, ["separate", str(scene / "mixture.wav"), "--algorithm",
-                                algorithm, *extra, *(("--refs", refs) if with_refs else ())]))
+            jobs.append(job(name, "separate", str(scene / "mixture.wav"), "--algorithm",
+                            algorithm, *extra, *(("--refs", refs) if with_refs else ())))
     return jobs
 
 
 def render(tree: Path, out: Path, scene: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            **dict.fromkeys(THREAD_VARS, "1")}
-    for name, argv in commands(scene):
-        proc = subprocess.run([sys.executable, *CLI, *argv, "--out", str(out / name)],
+    for _, argv in commands(scene, out):
+        proc = subprocess.run([sys.executable, *workloads.CLI, *argv],
                               env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SystemExit(f"{tree}: gc-iva {' '.join(argv)} exited {proc.returncode}:\n"
