@@ -8,7 +8,7 @@ byte-identical across reruns of the same configuration.
 import argparse
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ class ExperimentConfig:
     entry, which would count one run twice. Only the paths are left to the
     commands that open them."""
 
-    algorithm: str = "gc-aux"
     algorithms: tuple[str, ...] = ALGORITHMS
     iterations: int | None = None
     sigma2: float = 40.0
@@ -58,11 +57,9 @@ class ExperimentConfig:
     constrained_channels: tuple[int, ...] = (0,)
     stepsize: float = 0.05
     constraint_weight: float = 0.5
-    snr_db: float = 20.0
     snrs: tuple[float, ...] = (10.0, 20.0, 30.0)
     doa_pairs: tuple[tuple[float, float], ...] = ((45.0, 135.0), (45.0, 90.0), (20.0, 160.0))
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    seed: int = 0
     duration: float = 5.0
     mic_spacing: float = 0.21
     sources: tuple[str, ...] = ()
@@ -70,12 +67,11 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        for name in (self.algorithm, *self.algorithms):
+        for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
         if self.iterations is not None:
             checked_index(self.iterations, "iterations")
-        checked_index(self.seed, "seed")
         for seed in self.seeds:
             checked_index(seed, "seeds")
         checked_prior_scale(self.sigma2, self.lambda_e)
@@ -89,7 +85,6 @@ class ExperimentConfig:
             checked_doa(doa, "doa_pairs")
         for snr in self.snrs:
             checked_snr(snr, "snrs")
-        checked_snr(self.snr_db)
         checked_duration(self.duration, StftConfig.sample_rate)
         for key in ("algorithms", "seeds", "snrs", "doa_pairs"):
             entries = getattr(self, key)
@@ -137,7 +132,7 @@ def _coerce(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key: {key!r}")
     # float() reads "inf" but not the "infinite" an SNR may be given as
-    text = raw.lower().replace("infinite", "inf") if key in ("snr_db", "snrs") else raw
+    text = raw.lower().replace("infinite", "inf") if key == "snrs" else raw
     try:
         return _parse(_FIELD_TYPES[key], text)
     except ValueError as exc:
@@ -147,7 +142,7 @@ def _coerce(key: str, raw: str):
 # flag -> (config key, help). A flag's text is parsed exactly like the key's
 # value in a config file.
 FLAGS = {
-    "--algorithm": ("algorithm", "aux, gc-aux or gc-grad"),
+    "--algorithm": ("algorithms", "comma list of aux, gc-aux and gc-grad"),
     "--iterations": ("iterations", "solver iterations"),
     "--sigma2": ("sigma2", "prior variance (gc-aux)"),
     "--lambda-e": ("lambda_e", "Tikhonov weight of the prior (gc-aux)"),
@@ -156,7 +151,7 @@ FLAGS = {
     "--constrained-channels": ("constrained_channels",
                                "comma list of 0-based output channels to constrain"),
     "--snr": ("snrs", "comma list of SNRs in dB"),
-    "--seed": ("seed", "random seed"),
+    "--seed": ("seeds", "comma list of random seeds"),
     "--duration": ("duration", "scene duration in seconds"),
     "--out": ("out_dir", "output directory"),
     "--refs": ("refs", "comma list of ground-truth image WAVs "
@@ -166,20 +161,19 @@ FLAGS = {
 _DOA_FORMS = {"simulate": ("doas", "a comma list like 45,135"),
               "separate": ("doas", "a comma list like 45,135"),
               "benchmark": ("doa_pairs", "colon pairs like 45:135,45:90")}
-# key -> the other keys it also sets, from its parsed value, unless the same
-# source (the config file or the flags) names them itself
-_COMPANIONS = {
-    "algorithm": lambda algorithm: {"algorithms": (algorithm,)},
-    "seed": lambda seed: {"seeds": (seed,)},
-    "snrs": lambda snrs: {"snr_db": snrs[0]} if snrs else {},
-}
+# per command: defaults for the sweep lists it reads, applied below the
+# config file and the flags, and those lists. simulate and separate read one
+# entry of each, benchmark every entry
+_COMMAND_DEFAULTS = {"simulate": {"seeds": (0,), "snrs": (20.0,)},
+                     "separate": {"algorithms": ("gc-aux",)},
+                     "benchmark": {}}
+_LISTS_READ = {"simulate": ("seeds", "snrs"), "separate": ("algorithms",),
+               "benchmark": ("doa_pairs", "snrs", "seeds", "algorithms")}
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    # (how the source names snrs, key -> text), in rising precedence
-    sources = []
-    if getattr(args, "config", None):
-        sources.append((f"snrs in {args.config}", io.read_keyvalue(args.config)))
+    # key -> text, in rising precedence: the config file, then the flags
+    texts = io.read_keyvalue(args.config) if getattr(args, "config", None) else {}
     flags = {key: raw for key, _ in FLAGS.values()
              if (raw := getattr(args, key, None)) is not None}
     if "doas" in flags:
@@ -188,21 +182,17 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if (":" in flags["doas"]) != (key == "doa_pairs"):
             raise ConfigError(f"{args.command} --doa takes {form}, got {flags['doas']!r}")
         flags[key] = flags.pop("doas")
-    sources.append(("--snr", flags))
-    values, snr_source = {}, None
-    for snrs_name, texts in sources:
-        parsed = {key: _coerce(key, raw) for key, raw in texts.items()}
-        for key, value in parsed.items():
-            if key in _COMPANIONS:
-                values.update(_COMPANIONS[key](value))
-        values.update(parsed)  # after the companions, so a key the source names wins
-        if "snrs" in texts:
-            snr_source = None if "snr_db" in texts else (snrs_name, texts["snrs"])
-    cfg = replace(ExperimentConfig(), **values)
-    # simulate renders one scene, so the snrs that set its SNR hold exactly one
-    if args.command == "simulate" and snr_source and len(cfg.snrs) != 1:
-        name, text = snr_source
-        raise ConfigError(f"simulate {name} takes one SNR in dB like 20 or inf, got {text!r}")
+    # every text is parsed, so a bad value in the file is an error even
+    # where a flag overrides it
+    values = {key: _coerce(key, raw) for source in (texts, flags) for key, raw in source.items()}
+    cfg = ExperimentConfig(**{**_COMMAND_DEFAULTS[args.command], **values})
+    for key in _LISTS_READ[args.command]:
+        entries = getattr(cfg, key)
+        if args.command == "benchmark" and not entries:
+            raise ConfigError(f"benchmark needs a non-empty {key} list")
+        if args.command != "benchmark" and len(entries) != 1:
+            raise ConfigError(f"{args.command} takes exactly one entry in {key}, "
+                              f"got {len(entries)}: {entries}")
     return cfg
 
 
@@ -219,30 +209,31 @@ def _read_channel0(kind: str, paths, rate: int | None = None):
     return signals, rate
 
 
-def _load_sources(cfg: ExperimentConfig, n_synthetic: int):
+def _load_sources(cfg: ExperimentConfig, n_synthetic: int, seed: int):
     """The sources ``simulate`` renders and their rate in Hz: the source
-    WAVs' rate, or 16 kHz for synthetic ones."""
+    WAVs' rate, or 16 kHz for synthetic ones drawn from ``seed``."""
     if not cfg.sources:
         rate = int(StftConfig.sample_rate)
-        return synthetic_sources(n_synthetic, cfg.duration, rate, cfg.seed), rate
+        return synthetic_sources(n_synthetic, cfg.duration, rate, seed), rate
     return _read_channel0("source", cfg.sources)  # SceneSpec checks lengths
 
 
-def run_separation(spec, cfg: ExperimentConfig):
-    """Run ``cfg.algorithm`` on an analyzed mixture or its HermitianCache.
+def run_separation(spec, cfg: ExperimentConfig, algorithm: str, channels, doas):
+    """Run ``algorithm`` on an analyzed mixture or its HermitianCache, with
+    the rest of its settings from ``cfg``.
 
-    Output channels ``cfg.constrained_channels`` are constrained toward
-    ``cfg.doas``: for ``gc-aux`` these are directions to suppress, for
-    ``gc-grad`` directions to preserve. Returns ``(stack, demixed, trace)``,
+    Output channels ``channels`` are constrained toward ``doas``: for
+    ``gc-aux`` these are directions to suppress, for ``gc-grad`` directions
+    to preserve; aux reads neither. Returns ``(stack, demixed, trace)``,
     with no demixed spectrogram for a cache.
     """
-    iterations = cfg.resolved_iterations(cfg.algorithm)
+    iterations = cfg.resolved_iterations(algorithm)
     model = SourceModel()
-    if cfg.algorithm == "gc-grad":
-        return run_gradient_iva(spec, cfg.constrained_channels, cfg.doas, cfg.geometry(), model,
+    if algorithm == "gc-grad":
+        return run_gradient_iva(spec, channels, doas, cfg.geometry(), model,
                                 iterations, cfg.stepsize, cfg.constraint_weight)
-    prior = None if cfg.algorithm == "aux" else PriorConfig.constant(
-        cfg.constrained_channels, cfg.doas, cfg.geometry(), spec.n_bins, cfg.sigma2, cfg.lambda_e)
+    prior = None if algorithm == "aux" else PriorConfig.constant(
+        channels, doas, cfg.geometry(), spec.n_bins, cfg.sigma2, cfg.lambda_e)
     return run_informed_iva(spec, prior, model, iterations)
 
 
@@ -266,8 +257,9 @@ def _score(projector: ReferenceProjector, outputs: np.ndarray, order):
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     doas = cfg.doas or (45.0, 135.0)
-    signals, rate = _load_sources(cfg, len(doas))
-    scene = SceneSpec(signals, doas, cfg.snr_db, seed=cfg.seed)
+    [seed], [snr_db] = cfg.seeds, cfg.snrs
+    signals, rate = _load_sources(cfg, len(doas), seed)
+    scene = SceneSpec(signals, doas, snr_db, seed=seed)
     mixture, images = simulate_mixture(scene, cfg.geometry(), StftConfig(sample_rate=rate))
     for samples in (mixture, images):  # source WAVs may carry any level
         io.check_wav_samples(samples)
@@ -282,8 +274,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     meta = {
         "config": cfg.echo(),
         "doas": list(doas),
-        "snr_db": cfg.snr_db,
-        "seed": cfg.seed,
+        "snr_db": snr_db,
+        "seed": seed,
         "n_samples": int(mixture.shape[0]),
         "files": {"mixture": "mixture.wav", "images": image_files},
     }
@@ -310,10 +302,12 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     # the last synthesis, so no two spectrogram-sized arrays are ever held
     n_samples = mixture.shape[0]
     stft_cfg = StftConfig(sample_rate=rate)
-    stack, _, trace = run_separation(HermitianCache.from_signal(mixture, stft_cfg), cfg)
+    [algorithm] = cfg.algorithms
+    stack, _, trace = run_separation(HermitianCache.from_signal(mixture, stft_cfg), cfg,
+                                     algorithm, cfg.constrained_channels, cfg.doas)
 
-    report: dict = {"config": cfg.echo(), "algorithm": cfg.algorithm,
-                    "iterations": cfg.resolved_iterations(cfg.algorithm),
+    report: dict = {"config": cfg.echo(), "algorithm": algorithm,
+                    "iterations": cfg.resolved_iterations(algorithm),
                     "sample_rate": rate}
     if refs:
         # metrics compare against the first (reference) microphone, so they
@@ -346,9 +340,9 @@ def cmd_separate(cfg: ExperimentConfig, mixture_path: str) -> int:
     return 0
 
 
-def _benchmark_runs(cfg: ExperimentConfig, cache: HermitianCache, doas):
+def _benchmark_runs(cfg: ExperimentConfig, algorithm: str, cache: HermitianCache, doas):
     """Yields the (constrained source, demixing stack, intended reference
-    order) runs of ``cfg.algorithm`` on one analyzed two-source scene, each
+    order) runs of ``algorithm`` on one analyzed two-source scene, each
     solved from the scene's Hermitian ``cache``.
 
     aux runs once, unconstrained (constrained source -1), with the reference
@@ -356,13 +350,13 @@ def _benchmark_runs(cfg: ExperimentConfig, cache: HermitianCache, doas):
     channel 0 constrained and the reference order (target, other): gc-aux
     nulls the other source's DOA, gc-grad preserves the target's.
     """
-    for target in (-1,) if cfg.algorithm == "aux" else range(len(doas)):
-        run_cfg, order = cfg, (0, 1)
+    for target in (-1,) if algorithm == "aux" else range(len(doas)):
+        constraint, order = ((), ()), (0, 1)
         if target >= 0:
             other = 1 - target
-            doa = doas[other] if cfg.algorithm == "gc-aux" else doas[target]
-            run_cfg, order = replace(cfg, constrained_channels=(0,), doas=(doa,)), (target, other)
-        yield target, run_separation(cache, run_cfg)[0], order
+            constraint = (0,), (doas[other] if algorithm == "gc-aux" else doas[target],)
+            order = (target, other)
+        yield target, run_separation(cache, cfg, algorithm, *constraint)[0], order
 
 
 def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, swap: int):
@@ -400,7 +394,7 @@ def _benchmark_pair_seed(cfg: ExperimentConfig, pair, seed: int, swap: int):
         del mixture
         cache = HermitianCache.from_spectrogram(spec)
         runs = [(algorithm, *run) for algorithm in cfg.algorithms
-                for run in _benchmark_runs(replace(cfg, algorithm=algorithm), cache, doas)]
+                for run in _benchmark_runs(cfg, algorithm, cache, doas)]
         del cache
         rows = []
         for algorithm, target, stack, order in runs:
@@ -423,9 +417,6 @@ def _sweep_rows(cfg: ExperimentConfig, unit_rows: dict) -> list:
 
 
 def cmd_benchmark(cfg: ExperimentConfig) -> int:
-    for key in ("doa_pairs", "snrs", "seeds", "algorithms"):
-        if not getattr(cfg, key):
-            raise ConfigError(f"benchmark needs a non-empty {key} list")
     # the DOA swap depends on the seed alone
     swaps = {seed: int(np.random.default_rng([seed, 1]).integers(0, 2)) for seed in cfg.seeds}
     # each unit holds its own projector, so one is alive at a time

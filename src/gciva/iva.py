@@ -652,25 +652,34 @@ def evaluate_cost(spec: ComplexSpectrogram, w: DemixingStack, model: SourceModel
     return j_iva, _prior_cost(matrices, _form_coefficients(matrices), _priors(prior, spec))
 
 
-def _check_degenerate(total: np.ndarray, solver: str) -> None:
-    """Raises SingularUpdateError if ``total``, the (K^2, F) frame sum of
-    the cache, shows a mixture no update can separate. First if no channel
-    has power in any bin, as for an all-zero mixture, whose every update
-    system is zero. Then if the channels are linearly dependent in more than
-    half of the bins where every channel has power, as copies of one
-    channel are: ``1 - |r01|^2 / (r00 r11)`` for two channels, the ratio of
-    the smallest to the largest eigenvalue for more, is at most 1e-10 there.
-    Bins without power, and bins whose sum overflowed, are left to the
-    solver."""
-    n_ch = math.isqrt(total.shape[0])
-    power = total[:n_ch] > 0.0
-    if not np.any(power):
-        raise SingularUpdateError(f"{solver} input is silent: no channel has power "
-                                  f"in any of its {total.shape[1]} bins")
-    if n_ch < 2:
-        return
-    powered = np.all(power, axis=0)
-    with np.errstate(all="ignore"):
+def _check_degenerate(cache: np.ndarray, solver: str) -> None:
+    """Raises SingularUpdateError if the (N, K^2, F) ``cache`` shows a
+    mixture no update can separate. First if no channel has power in any
+    bin of its frame sum, as for an all-zero mixture, whose every update
+    system is zero. Then if it has fewer frames than channels, so that no
+    bin's covariance has full rank. Then if the channels are linearly
+    dependent in more than half of the bins where every channel has power,
+    as copies of one channel are: ``1 - |r01|^2 / (r00 r11)`` for two
+    channels, the ratio of the smallest to the largest eigenvalue for more,
+    is at most 1e-10 there. That test reads the sum of each frame's cache
+    divided by its trace, so one frame far louder than the rest does not
+    stand for them all; a frame without power weighs nothing. Bins without
+    power, and bins whose sum is not finite, are left to the solver."""
+    n_frames, n_ch = cache.shape[0], math.isqrt(cache.shape[1])
+    with np.errstate(all="ignore"):  # an overflowed sum is left to the solver
+        if not np.any(cache[:, :n_ch].sum(axis=0) > 0.0):
+            raise SingularUpdateError(f"{solver} input is silent: no channel has power "
+                                      f"in any of its {cache.shape[2]} bins")
+        if n_frames < n_ch:
+            raise SingularUpdateError(f"{solver} input is too short: it has {n_frames} "
+                                      f"frame{'s' * (n_frames != 1)} for {n_ch} channels, "
+                                      f"and needs at least one per channel")
+        if n_ch < 2:
+            return
+        trace = cache[:, :n_ch].sum(axis=1)
+        inv_trace = np.divide(1.0, trace, out=np.zeros_like(trace), where=trace > 0.0)
+        total = np.einsum("nkf,nf->kf", cache, inv_trace)
+        powered = np.all(total[:n_ch] > 0.0, axis=0)
         if n_ch == 2:
             r00, r11, re, im = total
             independence = 1.0 - (re / r00) * (re / r11) - (im / r00) * (im / r11)
@@ -707,9 +716,7 @@ def _solve(spec, model: SourceModel, iterations: int, update, penalty, callback,
     w = _bins_last(DemixingStack.identity(spec.n_bins, spec.n_channels).matrices)
     coef = _form_coefficients(w)
     cache = spec.data if isinstance(spec, HermitianCache) else _hermitian_cache(spec.data)
-    with np.errstate(all="ignore"):  # an overflowed sum is left to the solver
-        total = cache.sum(axis=0)
-    _check_degenerate(total, solver)
+    _check_degenerate(cache, solver)
     trace = []  # (IVA term, penalty) per iteration, entry 0 at identity
     for it in range(iterations + 1):
         with np.errstate(all="ignore"):  # a bad update shows in the cost or a retry
@@ -748,9 +755,9 @@ def run_informed_iva(spec: ComplexSpectrogram | HermitianCache, prior: PriorConf
 
     ``spec`` is the analyzed mixture or its :class:`HermitianCache`, which
     is all the solve reads. Returns ``(stack, demixed, trace)``; the demixed
-    spectrogram is None when given a cache. A silent input, and channels
-    that are linearly dependent in most bins, raise SingularUpdateError
-    before the first iteration.
+    spectrogram is None when given a cache. A silent input, one with fewer
+    frames than channels, and channels that are linearly dependent in most
+    bins raise SingularUpdateError before the first iteration.
     """
     _check_data(spec)
     if spec.n_channels < 1:

@@ -71,21 +71,23 @@ class TestConfigResolution:
         assert cfg.stepsize == 0.05
         assert cfg.constraint_weight == 0.5
         assert cfg.mic_spacing == 0.21
-        assert cfg.snrs == (10.0, 20.0, 30.0)
+        assert (cfg.seeds, cfg.snrs) == ((0,), (20.0,))  # simulate renders one scene
+        sweep = resolve_config(build_parser().parse_args(["benchmark"]))
+        assert (sweep.seeds, sweep.snrs) == ((0, 1, 2, 3, 4), (10.0, 20.0, 30.0))
         assert cfg.resolved_iterations("aux") == 100
         assert cfg.resolved_iterations("gc-aux") == 100
         assert cfg.resolved_iterations("gc-grad") == 350
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("sigma2 = 20\niterations = 7\nalgorithm = aux\n")
+        path.write_text("sigma2 = 20\niterations = 7\nalgorithms = aux\n")
         args = build_parser().parse_args(
             ["separate", "mix.wav", "--config", str(path), "--sigma2", "55"]
         )
         cfg = resolve_config(args)
         assert cfg.sigma2 == 55.0  # flag wins
         assert cfg.iterations == 7
-        assert cfg.algorithm == "aux"
+        assert cfg.algorithms == ("aux",)
 
     def test_unknown_config_key_names_key(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -153,24 +155,23 @@ class TestConfigResolution:
         path = tmp_path / "exp.cfg"
         inf = float("inf")
         for spelling in ("inf", "infinite", "Infinite"):
-            path.write_text(f"snr_db = {spelling}\nsnrs = 10, {spelling}\n")
-            loaded = resolve_file(path)
-            assert (loaded.snr_db, loaded.snrs) == (inf, (10.0, inf))
+            path.write_text(f"snrs = 10, {spelling}\n")
+            assert resolve_file(path).snrs == (10.0, inf)
             cfg = resolve_config(build_parser().parse_args(["simulate", "--snr", spelling]))
-            assert (cfg.snr_db, cfg.snrs) == (inf, (inf,))
+            assert cfg.snrs == (inf,)
 
     # one case per flag: the flag's text, and config-file text that must
-    # resolve to the same configuration, companion keys included
+    # resolve to the same configuration
     FLAG_CASES = [
-        ("--algorithm", "gc-grad", "algorithm = gc-grad\nalgorithms = gc-grad\n"),
+        ("--algorithm", "gc-grad", "algorithms = gc-grad\n"),
         ("--iterations", "7", "iterations = 7\n"),
         ("--sigma2", "2.5e1", "sigma2 = 2.5e1\n"),
         ("--lambda-e", "0.01", "lambda_e = 0.01\n"),
         ("--doa", "60, 120", "doas = 60, 120\n"),
         ("--doa", "45:135,20:160", "doa_pairs = 45:135,20:160\n"),
         ("--constrained-channels", "0,1", "constrained_channels = 0,1\n"),
-        ("--snr", "infinite,10", "snrs = infinite,10\nsnr_db = infinite\n"),
-        ("--seed", "4", "seed = 4\nseeds = 4\n"),
+        ("--snr", "infinite,10", "snrs = infinite,10\n"),
+        ("--seed", "4", "seeds = 4\n"),
         ("--duration", "1.5", "duration = 1.5\n"),
         ("--out", "runs/a", "out_dir = runs/a\n"),
         ("--refs", "a.wav,b.wav", "refs = a.wav,b.wav\n"),
@@ -187,14 +188,11 @@ class TestConfigResolution:
         command = ["benchmark"] if flag == "--doa" and ":" in text else ["separate", "m.wav"]
         from_file = resolve_config(parser.parse_args([*command, "--config", str(path)]))
         from_flag = resolve_config(parser.parse_args([*command, flag, text]))
-        assert from_flag == from_file != ExperimentConfig()
-        # a file's key sets its companions as the flag does (seed = 4 alone)
-        path.write_text(config_text.splitlines(keepends=True)[0])
-        assert resolve_config(parser.parse_args([*command, "--config", str(path)])) == from_flag
+        assert from_flag == from_file != resolve_config(parser.parse_args(command))
 
     def test_file_seed_and_algorithm_narrow_a_benchmark(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("seed = 3\nalgorithm = aux\n")
+        path.write_text("seeds = 3\nalgorithms = aux\n")
         parser = build_parser()
         from_file = resolve_config(parser.parse_args(["benchmark", "--config", str(path)]))
         from_flags = resolve_config(parser.parse_args(
@@ -202,15 +200,41 @@ class TestConfigResolution:
         assert from_file == from_flags
         assert (from_file.seeds, from_file.algorithms) == ((3,), ("aux",))
 
-    @pytest.mark.parametrize("config_text, flags, seeds", [
-        ("seeds = 1,2\nseed = 3\n", [], (1, 2)),  # a companion the source names is kept
-        ("seeds = 1,2\n", ["--seed", "5"], (5,)),  # a later source's companion wins
-    ])
-    def test_companion_precedence(self, tmp_path, config_text, flags, seeds):
-        path = tmp_path / "exp.cfg"
-        path.write_text(config_text)
-        args = build_parser().parse_args(["benchmark", "--config", str(path), *flags])
-        assert resolve_config(args).seeds == seeds
+    @pytest.mark.parametrize("command", ["simulate", "separate", "benchmark"])
+    @pytest.mark.parametrize("key, text", [("algorithm", "aux"), ("seed", "3"),
+                                           ("snr_db", "20")])
+    def test_one_entry_spelling_is_an_unknown_key(self, tmp_path, capsys, command, key, text):
+        # algorithms, seeds and snrs are the only keys for their concepts;
+        # --algorithm, --seed and --snr set them
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"{key} = {text}\n")
+        out = tmp_path / "out"
+        argv = [command, *([tmp_path / "m.wav"] if command == "separate" else [])]
+        assert run_cli(*argv, "--config", config, "--out", out) == 1
+        assert capsys.readouterr().err == f"gc-iva: config error: unknown config key: {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config_text, message", [
+        ("simulate", "snrs = 10,20\n", "simulate takes exactly one entry in snrs, got 2: "
+                                       "(10.0, 20.0)"),
+        ("simulate", "seeds = 1,2\n", "simulate takes exactly one entry in seeds, got 2: (1, 2)"),
+        ("separate", "algorithms = aux,gc-aux\n",
+         "separate takes exactly one entry in algorithms, got 2: ('aux', 'gc-aux')"),
+        ("benchmark", "seeds =\n", "benchmark needs a non-empty seeds list"),
+    ], ids=["simulate-snrs", "simulate-seeds", "separate-algorithms", "benchmark-seeds"])
+    def test_list_of_the_wrong_length_exits_one(self, tmp_path, capsys, command, config_text,
+                                                message):
+        # each command checks the length of the sweep lists it reads
+        scene = tmp_path / "scene"
+        if command == "separate":
+            assert simulate_small(scene) == 0
+        config = tmp_path / "exp.cfg"
+        config.write_text(config_text)
+        out = tmp_path / "out"
+        argv = [command, *([scene / "mixture.wav"] if command == "separate" else [])]
+        assert run_cli(*argv, "--config", config, "--duration", "1.0", "--out", out) == 1
+        assert capsys.readouterr().err == f"gc-iva: config error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_algorithm_exits_one(self, tmp_path):
         code = run_cli("separate", tmp_path / "none.wav", "--algorithm", "fastica")
@@ -225,7 +249,7 @@ class TestConfigResolution:
     @pytest.mark.parametrize("command", ["simulate", "benchmark"])
     @pytest.mark.parametrize("flag, value, key", [
         ("--duration", "nan", "duration"), ("--duration", "inf", "duration"),
-        ("--seed", "-1", "seed"), ("--iterations", "-1", "iterations")])
+        ("--seed", "-1", "seeds"), ("--iterations", "-1", "iterations")])
     def test_bad_duration_or_seed_exits_one(self, tmp_path, command, flag, value, key):
         out = tmp_path / "out"
         proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
@@ -243,18 +267,18 @@ class TestConfigResolution:
             resolve_file(config)
 
     @pytest.mark.parametrize("changes, error, message", [
-        ({"seed": -1}, gciva.InvalidInputError, "seed -1 outside [0, inf)"),
+        ({"seeds": (1.5,)}, gciva.InvalidInputError, "seeds 1.5 is not an integer"),
         ({"seeds": (0, -2)}, gciva.InvalidInputError, "seeds -2 outside [0, inf)"),
         ({"iterations": -1}, gciva.InvalidInputError, "iterations -1 outside [0, inf)"),
-        ({"algorithm": "x"}, gciva.ConfigError,
-         "unknown algorithm 'x', expected one of ('aux', 'gc-aux', 'gc-grad')"),
+        ({"algorithms": ("aux", "aux")}, gciva.ConfigError,
+         "algorithms repeats the entry 'aux'; each is one independent run"),
         ({"algorithms": ("aux", "x")}, gciva.ConfigError,
          "unknown algorithm 'x', expected one of ('aux', 'gc-aux', 'gc-grad')"),
         ({"stepsize": -1.0}, gciva.InvalidInputError, "stepsize -1.0 outside [0, inf)"),
         ({"constraint_weight": np.nan}, gciva.InvalidInputError,
          "constraint_weight nan outside [0, inf)"),
         ({"snrs": (20.0, np.nan)}, gciva.InvalidInputError, "snrs nan outside (-inf, inf]"),
-        ({"snr_db": -np.inf}, gciva.InvalidInputError, "snr_db -inf outside (-inf, inf]"),
+        ({"snrs": (-np.inf,)}, gciva.InvalidInputError, "snrs -inf outside (-inf, inf]"),
         ({"duration": np.nan}, gciva.InvalidInputError, "duration nan outside (-inf, inf)"),
         ({"duration": 0.0}, gciva.InvalidInputError,
          "duration 0 s at 16000 Hz renders 0 samples; need at least 1"),
@@ -288,7 +312,7 @@ class TestSimulate:
         meta = json.loads((out / "scene.json").read_text())
         assert meta["doas"] == [45.0, 135.0]
         assert meta["files"]["mixture"] == "mixture.wav"
-        assert meta["config"]["seed"] == 0
+        assert (meta["seed"], meta["config"]["seeds"]) == (0, [0])
 
     def test_infinite_snr_is_noiseless(self, tmp_path):
         out = tmp_path / "scene"
@@ -336,12 +360,13 @@ class TestSimulate:
         assert "config error: doas 200.0 outside [0, 180]\n" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("snr", ["10,30", ","])
-    def test_snr_list_exits_one(self, tmp_path, capsys, snr):
+    @pytest.mark.parametrize("snr, entries", [("10,30", "2: (10.0, 30.0)"), (",", "0: ()")],
+                             ids=["10,30", ","])
+    def test_snr_list_exits_one(self, tmp_path, capsys, snr, entries):
         # simulate renders one scene, so it takes exactly one SNR
         out = tmp_path / "scene"
         assert simulate_small(out, snr=snr) == 1
-        assert (f"simulate --snr takes one SNR in dB like 20 or inf, got {snr!r}"
+        assert (f"config error: simulate takes exactly one entry in snrs, got {entries}\n"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -362,20 +387,17 @@ class TestSimulate:
         config.write_text("snrs = 10, 30\n")
         out = tmp_path / "scene"
         assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 1
-        assert (f"simulate snrs in {config} takes one SNR in dB like 20 or inf, got '10, 30'"
+        assert ("simulate takes exactly one entry in snrs, got 2: (10.0, 30.0)"
                 in capsys.readouterr().err)
         assert not out.exists()
-        # --snr replaces the file's list, and a file's own snr_db is kept
+        # --snr replaces the file's list
         assert run_cli("simulate", "--config", config, "--snr", "15", "--duration", "1.0",
                        "--out", out) == 0
         assert json.loads((out / "scene.json").read_text())["snr_db"] == 15.0
-        config.write_text("snrs = 10, 30\nsnr_db = 25\n")
-        assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 0
-        assert json.loads((out / "scene.json").read_text())["snr_db"] == 25.0
 
     def test_config_without_snrs_renders_at_20_db(self, tmp_path):
         config = tmp_path / "exp.cfg"
-        config.write_text("seed = 0\n")
+        config.write_text("seeds = 0\n")
         out = tmp_path / "scene"
         assert run_cli("simulate", "--config", config, "--duration", "1.0", "--out", out) == 0
         assert json.loads((out / "scene.json").read_text())["snr_db"] == 20.0
@@ -451,16 +473,16 @@ class TestSimulate:
             "# desk scene\n"
             f"sources = {tmp_path / 'a.wav'},{tmp_path / 'b.wav'}\n"
             "doas = 60, 120\n"
-            "snr_db = 25\n"
-            "seed = 4\n"
+            "snrs = 25\n"
+            "seeds = 4\n"
             "mic_spacing = 0.21\n"
         )
         out = tmp_path / "scene"
         assert run_cli("simulate", "--config", scene_file, "--out", out) == 0
         meta = json.loads((out / "scene.json").read_text())
         assert meta["doas"] == [60.0, 120.0]
-        assert meta["config"]["snr_db"] == 25.0
-        assert meta["config"]["seed"] == 4
+        assert (meta["snr_db"], meta["config"]["snrs"]) == (25.0, [25.0])
+        assert (meta["seed"], meta["config"]["seeds"]) == (4, [4])
         mixture, _ = gio.read_wav(out / "mixture.wav")
         assert mixture.shape == (16000, 2)
 
@@ -497,10 +519,10 @@ class TestSeparate:
             made.setdefault("mixture", weakref.ref(data))  # the first file read
             return data, rate
 
-        def solving(data, cfg, original=gciva.cli.run_separation):
+        def solving(data, *args, original=gciva.cli.run_separation):
             made["cache"] = weakref.ref(data)
             living("solve")
-            stack, demixed, trace = original(data, cfg)
+            stack, demixed, trace = original(data, *args)
             assert isinstance(data, gciva.HermitianCache) and demixed is None
             return stack, demixed, trace
 
@@ -675,6 +697,23 @@ class TestSeparate:
         assert proc.returncode == 3
         assert proc.stderr == (f"gc-iva: numerical failure: {algorithm} input is silent: "
                                f"no channel has power in any of its 1025 bins\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm, doa", [("aux", "45"), ("gc-aux", "135"),
+                                                ("gc-grad", "45")])
+    def test_too_few_frames_names_the_cause_in_every_algorithm(self, tmp_path, algorithm, doa):
+        # 2048 samples analyze to one frame, fewer than the two channels
+        noise = np.random.default_rng(67).standard_normal((2048, 2))
+        gio.write_wav(tmp_path / "short.wav", 0.1 * noise, 16000)
+        out = tmp_path / "x"
+        proc = run_python("import sys; from gciva.cli import main; sys.exit(main())",
+                          "separate", str(tmp_path / "short.wav"), "--algorithm", algorithm,
+                          "--doa", doa, "--iterations", "2", "--out", str(out),
+                          capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == (f"gc-iva: numerical failure: {algorithm} input is too short: "
+                               f"it has 1 frame for 2 channels, and needs at least one per "
+                               f"channel\n")
         assert not out.exists()
 
     def test_gradient_geometry_mismatch_is_config_error(self, tmp_path):
@@ -1011,11 +1050,11 @@ class TestBenchmark:
             monkeypatch.setattr(gciva.cli, name, recording)
         run_separation = gciva.cli.run_separation
 
-        def checking(spec, cfg):
+        def checking(*args):
             if not alive:
                 gc.collect()
                 alive.append([ref() is not None for ref in made])
-            return run_separation(spec, cfg)
+            return run_separation(*args)
 
         monkeypatch.setattr(gciva.cli, "run_separation", checking)
         assert run_cli("benchmark", "--out", tmp_path / "bench", "--snr", "20", "--seed", "0",
@@ -1040,9 +1079,9 @@ class TestBenchmark:
             specs.append((spec, spec.data.copy()))
             return spec
 
-        def solving(data, cfg):
-            result = run_separation(data, cfg)
-            runs.append((data, cfg, result[0]))
+        def solving(data, *args):
+            result = run_separation(data, *args)
+            runs.append((data, args, result[0]))
             return result
 
         def scoring(projector, outputs, order):
@@ -1057,9 +1096,9 @@ class TestBenchmark:
         [(spec, analyzed)] = specs
         assert np.array_equal(spec.data, analyzed)
         assert len(runs) == len(scored) == 5
-        for (data, cfg, stack), outputs in zip(runs, scored):
+        for (data, args, stack), outputs in zip(runs, scored):
             assert isinstance(data, gciva.HermitianCache)
-            assert np.array_equal(run_separation(spec, cfg)[0].matrices, stack.matrices)
+            assert np.array_equal(run_separation(spec, *args)[0].matrices, stack.matrices)
             expected = gciva.synthesize(gciva.project_back(gciva.demix(spec, stack), stack, 0))
             assert outputs.shape == (16000, 2)
             assert np.array_equal(outputs, expected[:16000])
@@ -1077,9 +1116,9 @@ class TestBenchmark:
             caches.append(weakref.ref(cache))
             return cache
 
-        def solving(data, cfg):
+        def solving(data, *args):
             solved_from.append(len(caches) - 1 if data is caches[-1]() else None)
-            return run_separation(data, cfg)
+            return run_separation(data, *args)
 
         def forming(*args):
             gc.collect()
@@ -1169,7 +1208,7 @@ class TestBenchmark:
         synthetic_sources = gciva.cli.synthetic_sources
         monkeypatch.setattr(gciva.cli, "synthetic_sources",
                             lambda *args: rendered.append(args[3]) or synthetic_sources(*args))
-        config = tmp_path / "seeds.cfg"  # --seed takes one seed
+        config = tmp_path / "seeds.cfg"  # the sweep's seeds as a file gives them
         config.write_text(f"seeds = {','.join(seeds)}\n")
         out = tmp_path / "sweep"
         assert run_cli("benchmark", "--config", config, "--out", out, "--doa", ",".join(pairs),
@@ -1230,8 +1269,8 @@ class TestBenchmark:
     def test_runs_each_separator_makes(self, tmp_path, monkeypatch):
         calls = []
         run_separation = gciva.cli.run_separation
-        monkeypatch.setattr(gciva.cli, "run_separation", lambda spec, cfg: calls.append(
-            (cfg.algorithm, cfg.constrained_channels, cfg.doas)) or run_separation(spec, cfg))
+        monkeypatch.setattr(gciva.cli, "run_separation", lambda spec, cfg, *run: calls.append(
+            run) or run_separation(spec, cfg, *run))
         self.two_seed_sweep(tmp_path)
         assert len(calls) == 4 * 5
         scenes = [calls[i:i + 5] for i in range(0, len(calls), 5)]
@@ -1272,7 +1311,7 @@ class TestBenchmark:
 
     def test_config_file_narrows_the_sweep(self, tmp_path):
         config = tmp_path / "exp.cfg"
-        config.write_text("doa_pairs = 45:135\nsnrs = 20\nseed = 0\nalgorithm = aux\n"
+        config.write_text("doa_pairs = 45:135\nsnrs = 20\nseeds = 0\nalgorithms = aux\n"
                           "duration = 1\niterations = 2\n")
         out = tmp_path / "bench"
         assert run_cli("benchmark", "--config", config, "--out", out) == 0

@@ -335,12 +335,12 @@ def test_bad_number_raises_naming_the_parameter(name, param, value):
 
 # config key -> the command that reads it, as the keys a config file gives
 # besides the one under test
-COMMANDS = {"iterations": {"algorithm": "gc-aux", "doas": "135"},
-            "sigma2": {"algorithm": "gc-aux", "doas": "135", "iterations": "1"},
-            "lambda_e": {"algorithm": "gc-aux", "doas": "135", "iterations": "1"},
-            "stepsize": {"algorithm": "gc-grad", "doas": "45", "iterations": "1"},
-            "constraint_weight": {"algorithm": "gc-grad", "doas": "45", "iterations": "1"}}
-CLI_ACCEPTED = {("snr_db", "+inf"), ("snr_db", "negative"), ("mic_spacing", "negative")}
+COMMANDS = {"iterations": {"algorithms": "gc-aux", "doas": "135"},
+            "sigma2": {"algorithms": "gc-aux", "doas": "135", "iterations": "1"},
+            "lambda_e": {"algorithms": "gc-aux", "doas": "135", "iterations": "1"},
+            "stepsize": {"algorithms": "gc-grad", "doas": "45", "iterations": "1"},
+            "constraint_weight": {"algorithms": "gc-grad", "doas": "45", "iterations": "1"}}
+CLI_ACCEPTED = {("mic_spacing", "negative")}
 
 
 def config_cases():
@@ -414,18 +414,17 @@ UNREAD_KEYS = {
     "constraint_weight": [str(v) for bad, v in BAD.items() if bad != "float-count"],
     "duration": [str(BAD[bad]) for bad in ("string", "nan", "+inf", "-inf", "negative")]
     + ["0.00001", "1e305"],
-    "snr_db": [str(BAD[bad]) for bad in ("string", "nan", "-inf")],
     "snrs": [f"20,{BAD[bad]}" for bad in ("string", "nan", "-inf")] + ["20,20"],
     "doas": [f"45,{v}" for v in ("200", *(BAD[bad] for bad in BAD if bad != "float-count"))],
     "doa_pairs": [f"45:{v}" for v in ("200", *(BAD[bad] for bad in BAD if bad != "float-count"))]
     + ["45:135,45:135"],
     "constrained_channels": ["2", *(str(BAD[bad]) for bad in BAD)],
-    "seeds": ["0,0"],
+    "seeds": [f"0,{v}" for v in BAD.values()] + ["0,0"],
     "algorithms": ["aux,aux"],
 }
 # each command's own keys, which the key under test overrides
 UNREAD_COMMANDS = {"simulate": {"duration": "0.5"},
-                   "separate": {"algorithm": "aux", "iterations": "1"},
+                   "separate": {"algorithms": "aux", "iterations": "1"},
                    "benchmark": {"duration": "0.5", "snrs": "20", "seeds": "0",
                                  "doa_pairs": "45:135", "algorithms": "aux", "iterations": "1"}}
 UNREAD_CASES = [pytest.param(command, key, text, id=f"{command}-{key}-{text}")

@@ -339,6 +339,41 @@ class TestRankCheck:
                                        None, SourceModel(), 1)
         assert np.all(np.isfinite(stack.matrices))
 
+    @staticmethod
+    def solve(algorithm, data, iterations=2):
+        if algorithm == "gc-grad":
+            return run_gradient_iva(data, (0,), (45.0,), PAIR, SourceModel(), iterations)
+        prior = (PriorConfig.constant((0,), (135.0,), PAIR, data.n_bins)
+                 if algorithm == "gc-aux" else None)
+        return run_informed_iva(data, prior, SourceModel(), iterations)
+
+    @pytest.mark.parametrize("algorithm", ["aux", "gc-aux", "gc-grad"])
+    def test_one_loud_frame_is_not_rank_deficient(self, algorithm):
+        # two samples of unit noise made 1e15 and 1e11 dominate the plain
+        # frame sum, whose every bin then reads as dependent; each frame's
+        # covariance over its trace weighs every frame alike, and copies of
+        # one channel still read as dependent
+        x = np.random.default_rng(65).standard_normal((4096, 2))
+        x[5, 0], x[7, 1] = 1.36e15, -4.45e11
+        cache = HermitianCache.from_signal(x, StftConfig())
+        stack, _, trace = self.solve(algorithm, cache)
+        assert np.all(np.isfinite(trace.total))
+        copies = HermitianCache.from_signal(x[:, [0, 0]], StftConfig())
+        with pytest.raises(SingularUpdateError, match=(
+                rf"^{algorithm} input is rank deficient: its channels are linearly "
+                rf"dependent in 1025 of the 1025 bins with power$")):
+            self.solve(algorithm, copies)
+
+    @pytest.mark.parametrize("algorithm, n_frames, n_ch", [
+        ("aux", 1, 2), ("gc-aux", 1, 2), ("gc-grad", 1, 2), ("aux", 2, 3)])
+    def test_fewer_frames_than_channels_fail_before_solving(self, algorithm, n_frames, n_ch):
+        # no bin's covariance has full rank, and the check says why
+        spec = random_spec(np.random.default_rng(66), 5, n_frames, n_ch)
+        with pytest.raises(SingularUpdateError, match=(
+                rf"^{algorithm} input is too short: it has {n_frames} "
+                rf"frames? for {n_ch} channels, and needs at least one per channel$")):
+            self.solve(algorithm, spec)
+
     def test_a_silent_channel_is_left_to_the_solver(self):
         # no bin has power in both channels, so none is counted, and the
         # solve runs as before the check
